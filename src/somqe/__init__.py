@@ -25,11 +25,9 @@ from .pipeline import (
 )
 from .raster import RasterImage, load_image, normalize_contrast, save_image
 from .register import (
-    Pyramid,
     RegistrationTransform,
     build_pyramid,
     register_pair,
-    register_stack,
     resample,
 )
 from .som import (
@@ -80,11 +78,9 @@ __all__ = [
     "load_image",
     "normalize_contrast",
     "save_image",
-    "Pyramid",
     "RegistrationTransform",
     "build_pyramid",
     "register_pair",
-    "register_stack",
     "resample",
     "MapSizeReport",
     "QeResult",

@@ -21,11 +21,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ComputationError, InputError
 from .pipeline import (
-    Manifest,
     RunConfig,
     apply_config_entries,
     apply_year_fix,
@@ -36,18 +33,19 @@ from .pipeline import (
     load_config_file,
     load_frames,
     prepare_frames,
+    qe_report,
     qe_rows_csv,
     read_manifest,
     read_qe_csv,
     run_pipeline,
+    score_frames,
     slugify,
     QeReport,
-    QeRow,
 )
 from .raster import atomic_write_bytes, save_image
 from .register import write_transform_sidecar
-from .som import empty_model_count, fit_som, load_grid, quantization_error, save_grid
-from .stats import Series, linear_fit, regression_csv_row
+from .som import fit_som, load_grid, save_grid
+from .stats import correlation_csv_row, linear_fit, regression_csv_row
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,11 +148,10 @@ def _cmd_train(args) -> int:
     )
     out = _out_dir(config)
     save_grid(grid, out / "grid.txt")
-    result = quantization_error(anchor, grid)
+    (row,) = score_frames([manifest.entries[manifest.anchor_index]], [anchor], grid)
     print(
         f"trained {config.grid_width}x{config.grid_height} map on "
-        f"{manifest.entries[manifest.anchor_index].label}: "
-        f"anchor qe {result.qe:.6g}, {empty_model_count(result)} empty models, "
+        f"{row.label}: anchor qe {row.qe:.6g}, {row.empty_models} empty models, "
         f"grid written to {out / 'grid.txt'}"
     )
     return 0
@@ -166,12 +163,7 @@ def _cmd_score(args) -> int:
     manifest = read_manifest(_require(args, "manifest"))
     frames = load_frames(manifest)
     _, processed, _ = prepare_frames(frames, manifest.anchor_index, config)
-    rows = []
-    for entry, frame in zip(manifest.entries, processed):
-        result = quantization_error(frame, grid)
-        rows.append(
-            QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
-        )
+    rows = score_frames(manifest.entries, processed, grid)
     text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(rows)
     if args.out is not None:
         out = _out_dir(config)
@@ -187,15 +179,8 @@ def _cmd_stats(args) -> int:
     lines = ["# regression: label,slope,intercept,r2,t,df,p"]
     if getattr(args, "qe", None) is not None:
         roi, rows = read_qe_csv(args.qe)
-        series = apply_year_fix(
-            Series(
-                roi or "qe",
-                np.array([r.year for r in rows]),
-                np.array([r.qe for r in rows]),
-            ),
-            config.year_fix,
-        )
-        lines.append(regression_csv_row(series.label, linear_fit(series)))
+        report = qe_report(roi or "qe", rows, config.year_fix)
+        lines.append(regression_csv_row(report.roi_name, report.regression))
     elif config.covariates is not None:
         for series in ingest_covariates(config.covariates):
             fixed = apply_year_fix(series, config.year_fix)
@@ -214,17 +199,7 @@ def _cmd_stats(args) -> int:
 
 def _build_report_from_qe(args, config: RunConfig) -> QeReport:
     roi, rows = read_qe_csv(_require(args, "qe"))
-    series = Series(
-        roi or "qe",
-        np.array([r.year for r in rows]),
-        np.array([r.qe for r in rows]),
-    )
-    report = QeReport(
-        roi_name=series.label,
-        rows=tuple(rows),
-        grid=None,
-        regression=linear_fit(series),
-    )
+    report = qe_report(roi or "qe", rows, config.year_fix)
     if config.covariates is not None:
         report = correlate(report, ingest_covariates(config.covariates))
     return report
@@ -236,8 +211,6 @@ def _cmd_correlate(args) -> int:
         raise InputError("correlate needs --covariates")
     report = _build_report_from_qe(args, config)
     lines = ["# correlations: label,r,t,df,p"]
-    from .stats import correlation_csv_row
-
     for entry in report.correlations:
         lines.append(correlation_csv_row(entry.label, entry.result))
     text = "\n".join(lines) + "\n"

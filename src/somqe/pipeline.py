@@ -37,6 +37,7 @@ from .stats import (
     RegressionResult,
     Series,
     correlation_csv_row,
+    csv_label,
     linear_fit,
     parse_decimal,
     pearson,
@@ -336,13 +337,6 @@ def load_frames(manifest: Manifest) -> list[RasterImage]:
             frames.append(load_image(entry.path))
         except OSError as exc:
             raise InputError(f"frame {i} ({entry.path}): {exc}") from None
-    first = frames[0]
-    for i, frame in enumerate(frames[1:], start=1):
-        if (frame.height, frame.width) != (first.height, first.width):
-            raise InputError(
-                f"frame {i} is {frame.width}x{frame.height}, "
-                f"frame 0 is {first.width}x{first.height}"
-            )
     return frames
 
 
@@ -350,20 +344,25 @@ def align_frames(frames, anchor_index: int, mode: str):
     """Register every frame to the anchor frame.
 
     Returns (transforms, aligned frames, mean-square residuals) in input
-    order.  mode 'none' passes frames through with identity transforms.
+    order.  The anchor, and every frame in mode 'none', passes through with
+    an identity transform.  A non-converging pair re-raises with the
+    offending frame index attached.
     """
-    if mode == "none":
-        transforms = [identity_transform() for _ in frames]
-        residuals = [
-            mean_square_residual(frames[anchor_index], f, t)
-            for f, t in zip(frames, transforms)
-        ]
-        return transforms, list(frames), residuals
+    if not frames:
+        raise InputError("empty image stack")
+    first = frames[0]
+    for i, frame in enumerate(frames):
+        if (frame.height, frame.width) != (first.height, first.width):
+            raise InputError(
+                f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
+                f"frame 0 is {first.width}x{first.height}"
+            )
     anchor = frames[anchor_index]
+    identity = identity_transform("translation" if mode == "none" else mode)
     transforms, aligned, residuals = [], [], []
     for i, frame in enumerate(frames):
-        if i == anchor_index:
-            transform, moved = identity_transform(mode), frame
+        if mode == "none" or i == anchor_index:
+            transform, moved = identity, frame
         else:
             try:
                 transform = register_pair(anchor, frame, mode)
@@ -391,6 +390,44 @@ def prepare_frames(frames, anchor_index: int, config: RunConfig):
     return transforms, aligned, residuals
 
 
+def score_frames(entries, frames, grid: SomGrid) -> list[QeRow]:
+    """One QE row per manifest entry, scoring its preprocessed frame."""
+    rows = []
+    for entry, frame in zip(entries, frames):
+        result = quantization_error(frame, grid)
+        rows.append(
+            QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
+        )
+    return rows
+
+
+def qe_report(
+    roi_name: str,
+    rows,
+    year_fix: str,
+    grid: SomGrid | None = None,
+    transforms=(),
+    residuals=(),
+) -> QeReport:
+    """Report with the QE-versus-year trend fitted to the rows.
+
+    The year fix relabels the rows themselves, so the report CSV, the trend
+    fit and the trend plot all use the same years.
+    """
+    series = apply_year_fix(
+        Series(roi_name, np.array([r.year for r in rows]), np.array([r.qe for r in rows])),
+        year_fix,
+    )
+    return QeReport(
+        roi_name=roi_name,
+        rows=tuple(replace(r, year=float(x)) for r, x in zip(rows, series.x)),
+        grid=grid,
+        regression=linear_fit(series),
+        transforms=tuple(transforms),
+        residuals=tuple(residuals),
+    )
+
+
 def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
     """Full run: align, normalize, train on the anchor, score, fit the trend."""
     frames = load_frames(manifest)
@@ -403,22 +440,13 @@ def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
         config.grid_height,
         config.training_params(),
     )
-    rows = []
-    for entry, frame in zip(manifest.entries, processed):
-        result = quantization_error(frame, grid)
-        rows.append(
-            QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
-        )
-    trend = linear_fit(
-        Series(manifest.roi_name, manifest.years, np.array([r.qe for r in rows]))
-    )
-    return QeReport(
-        roi_name=manifest.roi_name,
-        rows=tuple(rows),
+    return qe_report(
+        manifest.roi_name,
+        score_frames(manifest.entries, processed, grid),
+        config.year_fix,
         grid=grid,
-        regression=trend,
-        transforms=tuple(transforms),
-        residuals=tuple(residuals),
+        transforms=transforms,
+        residuals=residuals,
     )
 
 
@@ -441,15 +469,7 @@ def correlate(report: QeReport, covariates) -> QeReport:
                 f"the QE series has {len(report.rows)}"
             )
         entries.append(CorrelationEntry(cov.label, cov.y, pearson(qe_series, cov)))
-    return QeReport(
-        roi_name=report.roi_name,
-        rows=report.rows,
-        grid=report.grid,
-        regression=report.regression,
-        correlations=tuple(entries),
-        transforms=report.transforms,
-        residuals=report.residuals,
-    )
+    return replace(report, correlations=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +478,9 @@ def correlate(report: QeReport, covariates) -> QeReport:
 def qe_rows_csv(rows) -> str:
     lines = ["# qe rows: label,year,qe,empty_models"]
     for row in rows:
-        label = row.label
-        if any(ch in label for ch in ',"\n'):
-            label = '"' + label.replace('"', '""') + '"'
-        lines.append(f"{label},{row.year:.10g},{row.qe:.12g},{row.empty_models}")
+        lines.append(
+            f"{csv_label(row.label)},{row.year:.10g},{row.qe:.12g},{row.empty_models}"
+        )
     return "\n".join(lines) + "\n"
 
 

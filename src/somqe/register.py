@@ -88,13 +88,6 @@ def identity_transform(mode: str = "translation") -> RegistrationTransform:
     return RegistrationTransform(mode, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Pyramid:
-    """Coarse-to-fine image stack; levels[0] is the full-resolution frame."""
-
-    levels: tuple[RasterImage, ...]
-
-
 def _halve(a: np.ndarray) -> np.ndarray:
     # plain 2x2 block means; a trailing odd row or column is dropped so
     # every level has exactly floor(previous / 2) in each dimension
@@ -103,15 +96,17 @@ def _halve(a: np.ndarray) -> np.ndarray:
     return (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2]) * 0.25
 
 
-def build_pyramid(image: RasterImage) -> Pyramid:
-    """Halve with a 2x2 box filter until the next level would drop below
+def build_pyramid(image: RasterImage) -> tuple[RasterImage, ...]:
+    """Coarse-to-fine image stack; element 0 is the full-resolution frame.
+
+    Halves with a 2x2 box filter until the next level would drop below
     32 pixels in either dimension."""
     levels = [image]
     current = image.pixels
     while min(current.shape[0] // 2, current.shape[1] // 2) >= _MIN_PYRAMID_DIM:
         current = _halve(current)
         levels.append(RasterImage(current))
-    return Pyramid(tuple(levels))
+    return tuple(levels)
 
 
 def _inverse_sample_coords(height, width, dx, dy, theta):
@@ -262,8 +257,8 @@ def register_pair(
             f"test {test.width}x{test.height}"
         )
     nparams = 2 if mode == "translation" else 3
-    ref_levels = [lvl.luminance() for lvl in build_pyramid(reference).levels]
-    test_levels = [lvl.luminance() for lvl in build_pyramid(test).levels]
+    ref_levels = [lvl.luminance() for lvl in build_pyramid(reference)]
+    test_levels = [lvl.luminance() for lvl in build_pyramid(test)]
     p = np.zeros(nparams)
     cost = math.inf
     converged = True
@@ -279,39 +274,6 @@ def register_pair(
             residual=cost,
         )
     return _params_to_transform(p, mode)
-
-
-def register_stack(images, mode: str = "translation"):
-    """Align every frame to the last one.
-
-    Returns [(transform, aligned image)] in input order; the anchor entry is
-    the identity transform with the original frame.  A non-converging pair
-    re-raises with the offending frame index attached.
-    """
-    frames = list(images)
-    if not frames:
-        raise InputError("empty image stack")
-    anchor = frames[-1]
-    for i, frame in enumerate(frames):
-        if (frame.height, frame.width) != (anchor.height, anchor.width):
-            raise InputError(
-                f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
-                f"anchor is {anchor.width}x{anchor.height}"
-            )
-    out = []
-    for i, frame in enumerate(frames[:-1]):
-        try:
-            transform = register_pair(anchor, frame, mode)
-        except RegistrationError as exc:
-            raise RegistrationError(
-                f"frame {i}: {exc}",
-                transform=exc.transform,
-                residual=exc.residual,
-                index=i,
-            ) from exc
-        out.append((transform, resample(frame, transform)))
-    out.append((identity_transform(mode), anchor))
-    return out
 
 
 def mean_square_residual(

@@ -161,7 +161,7 @@ def regression_csv_row(label: str, fit: RegressionResult) -> str:
     """
     return ",".join(
         [
-            _csv_label(label),
+            csv_label(label),
             "%.10e" % fit.slope,
             _fmt(fit.intercept),
             _fmt(fit.r2),
@@ -175,11 +175,11 @@ def regression_csv_row(label: str, fit: RegressionResult) -> str:
 def correlation_csv_row(label: str, corr: CorrelationResult) -> str:
     """One CSV line: label,r,t,df,p."""
     return ",".join(
-        [_csv_label(label), _fmt(corr.r), _fmt(corr.t), str(corr.df), _fmt(corr.p)]
+        [csv_label(label), _fmt(corr.r), _fmt(corr.t), str(corr.df), _fmt(corr.p)]
     )
 
 
-def _csv_label(label: str) -> str:
+def csv_label(label: str) -> str:
     if any(ch in label for ch in ',"\n'):
         return '"' + label.replace('"', '""') + '"'
     return label

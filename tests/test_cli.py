@@ -169,6 +169,34 @@ def test_stats_year_fix_changes_fit(tmp_path, capsys):
     assert as_printed.splitlines()[1].startswith("v,")
 
 
+def test_year_fix_applies_to_run_report_and_trend(tmp_path, capsys):
+    manifest, _ = make_workspace(tmp_path, n_frames=4)
+    years = ["1989", "1991", "1991", "1992"]
+    lines = manifest.read_text().splitlines()
+    manifest.write_text(
+        "".join(line.rsplit("\t", 1)[0] + f"\t{year}\n" for line, year in zip(lines, years))
+    )
+    trends = {}
+    for fix in ("as-printed", "relabel-1990"):
+        out = tmp_path / fix
+        assert main([
+            "run", "--manifest", str(manifest), "--grid", "2x2",
+            "--iterations", "40", "--year-fix", fix, "--out", str(out),
+        ]) == 0
+        report = (out / "report.csv").read_text()
+        (trend,) = [l for l in report.splitlines() if l.startswith("qe_trend,")]
+        trends[fix] = [float(v) for v in trend.split(",")[1:]]
+        capsys.readouterr()
+        assert main(["stats", "--qe", str(out / "report.csv"), "--year-fix", fix]) == 0
+        stats_row = capsys.readouterr().out.splitlines()[1]
+        # report.csv prints qe to 12 digits, so the refit agrees to about that
+        stats_fit = [float(v) for v in stats_row.split(",")[1:]]
+        assert stats_fit == pytest.approx(trends[fix], rel=1e-6)
+    assert trends["as-printed"] != pytest.approx(trends["relabel-1990"], rel=1e-3)
+    relabeled = (tmp_path / "relabel-1990" / "report.csv").read_text()
+    assert "\nframe1,1990," in relabeled
+
+
 def test_stats_and_correlate_from_qe_rows(tmp_path, capsys):
     qe = tmp_path / "qe.csv"
     qe.write_text(

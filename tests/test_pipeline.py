@@ -6,11 +6,21 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from somqe import InputError, Series, reference, run_pipeline
+import somqe.pipeline as pipeline_module
+from somqe import (
+    InputError,
+    RegistrationTransform,
+    Series,
+    reference,
+    resample,
+    run_pipeline,
+)
+from somqe.errors import RegistrationError
 from somqe.pipeline import (
     Manifest,
     ManifestEntry,
     RunConfig,
+    align_frames,
     apply_config_entries,
     apply_year_fix,
     correlate,
@@ -25,6 +35,9 @@ from somqe.pipeline import (
     slugify,
 )
 from somqe.raster import RasterImage, save_image
+from somqe.register import mean_square_residual
+
+from conftest import random_image, smooth_image
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +370,44 @@ def test_preprocessing_is_noop_on_aligned_normalized_frames(tmp_path):
     for a, b in zip(processed.rows, raw.rows):
         assert a.qe == b.qe
         assert a.empty_models == b.empty_models
+
+
+def test_align_frames_anchors_last_frame():
+    anchor = smooth_image(8, size=64)
+    frame0 = resample(anchor, RegistrationTransform("translation", 1.0, 0.0))
+    frame1 = resample(anchor, RegistrationTransform("translation", 0.0, -2.0))
+    transforms, aligned, residuals = align_frames(
+        [frame0, frame1, anchor], 2, "translation"
+    )
+    results = list(zip(transforms, aligned))
+    assert len(results) == 3
+    t_anchor, img_anchor = results[-1]
+    assert t_anchor.dx == 0.0 and t_anchor.dy == 0.0
+    assert np.array_equal(img_anchor.pixels, anchor.pixels)
+    for (t, moved), true_dx, true_dy in zip(results[:2], (-1.0, 0.0), (0.0, 2.0)):
+        assert t.dx == pytest.approx(true_dx, abs=0.05)
+        assert t.dy == pytest.approx(true_dy, abs=0.05)
+        assert mean_square_residual(anchor, moved, t) < 1.0
+    assert residuals[:2] == [mean_square_residual(anchor, m, t) for t, m in results[:2]]
+
+
+def test_align_frames_rejects_empty_and_mismatched():
+    with pytest.raises(InputError, match="empty image stack"):
+        align_frames([], 0, "translation")
+    with pytest.raises(InputError, match="size mismatch"):
+        align_frames([random_image(0, 8, 8), random_image(1, 9, 8)], 1, "translation")
+
+
+def test_align_frames_tags_failing_frame_index(monkeypatch):
+    def always_fails(reference, test, mode="translation"):
+        raise RegistrationError("did not converge", transform=None, residual=9.9)
+
+    monkeypatch.setattr(pipeline_module, "register_pair", always_fails)
+    frames = [random_image(i, 8, 8) for i in range(3)]
+    with pytest.raises(RegistrationError) as info:
+        align_frames(frames, 2, "translation")
+    assert info.value.index == 0
+    assert info.value.residual == 9.9
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ from somqe import (
     RegistrationTransform,
     build_pyramid,
     register_pair,
-    register_stack,
     resample,
 )
-from somqe.errors import RegistrationError
 from somqe.register import (
     identity_transform,
     mean_square_residual,
@@ -76,28 +74,28 @@ def test_unknown_mode_rejected():
 def test_pyramid_levels_halve_until_32():
     img = smooth_image(1, size=256)
     pyr = build_pyramid(img)
-    dims = [(lvl.height, lvl.width) for lvl in pyr.levels]
+    dims = [(lvl.height, lvl.width) for lvl in pyr]
     assert dims == [(256, 256), (128, 128), (64, 64), (32, 32)]
 
 
 def test_pyramid_odd_dimensions_floor():
     img = RasterImage(np.zeros((65, 130, 3)))
     pyr = build_pyramid(img)
-    dims = [(lvl.height, lvl.width) for lvl in pyr.levels]
+    dims = [(lvl.height, lvl.width) for lvl in pyr]
     # halving (32, 65) again would drop below 32 rows, so it is the coarsest
     assert dims == [(65, 130), (32, 65)]
 
 
 def test_pyramid_small_image_single_level():
     img = RasterImage(np.zeros((40, 63, 3)))
-    assert len(build_pyramid(img).levels) == 1
+    assert len(build_pyramid(img)) == 1
 
 
 def test_pyramid_blocks_are_exact_means():
     pixels = np.zeros((2, 4, 3))
     pixels[:, :, 0] = [[10, 20, 100, 100], [30, 40, 100, 104]]
     pyr = build_pyramid(RasterImage(np.tile(pixels, (32, 16, 1))))
-    level1 = pyr.levels[1].pixels
+    level1 = pyr[1].pixels
     assert level1[0, 0, 0] == 25.0
     assert level1[0, 1, 0] == 101.0
 
@@ -106,7 +104,7 @@ def test_pyramid_preserves_mean_within_one_gray_level():
     img = random_image(9, 64, 64)
     pyr = build_pyramid(img)
     full_mean = img.pixels.mean()
-    for lvl in pyr.levels:
+    for lvl in pyr:
         assert abs(lvl.pixels.mean() - full_mean) < 1.0
 
 
@@ -194,42 +192,6 @@ def test_register_pair_unknown_mode():
     img = random_image(2, 8, 8)
     with pytest.raises(InputError, match="mode"):
         register_pair(img, img, "projective")
-
-
-def test_register_stack_anchors_last_frame():
-    anchor = smooth_image(8, size=64)
-    frame0 = resample(anchor, RegistrationTransform("translation", 1.0, 0.0))
-    frame1 = resample(anchor, RegistrationTransform("translation", 0.0, -2.0))
-    results = register_stack([frame0, frame1, anchor])
-    assert len(results) == 3
-    t_anchor, img_anchor = results[-1]
-    assert t_anchor.dx == 0.0 and t_anchor.dy == 0.0
-    assert np.array_equal(img_anchor.pixels, anchor.pixels)
-    for (t, aligned), true_dx, true_dy in zip(results[:2], (-1.0, 0.0), (0.0, 2.0)):
-        assert t.dx == pytest.approx(true_dx, abs=0.05)
-        assert t.dy == pytest.approx(true_dy, abs=0.05)
-        assert mean_square_residual(anchor, aligned, t) < 1.0
-
-
-def test_register_stack_rejects_empty_and_mismatched():
-    with pytest.raises(InputError, match="empty image stack"):
-        register_stack([])
-    with pytest.raises(InputError, match="size mismatch"):
-        register_stack([random_image(0, 8, 8), random_image(1, 9, 8)])
-
-
-def test_register_stack_tags_failing_frame_index(monkeypatch):
-    import somqe.register as register_module
-
-    def always_fails(reference, test, mode="translation"):
-        raise RegistrationError("did not converge", transform=None, residual=9.9)
-
-    monkeypatch.setattr(register_module, "register_pair", always_fails)
-    frames = [random_image(i, 8, 8) for i in range(3)]
-    with pytest.raises(RegistrationError) as info:
-        register_module.register_stack(frames)
-    assert info.value.index == 0
-    assert info.value.residual == 9.9
 
 
 # ---------------------------------------------------------------------------
