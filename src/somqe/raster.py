@@ -5,7 +5,8 @@ value-exact and writes are byte-for-byte reproducible, which is what makes
 whole pipeline runs comparable by checksum.  8-bit PNG is accepted on input
 for convenience: the decoder handles color types 0, 2, 3, 4 and 6 with all
 five scanline filters, expands grayscale and palette to RGB, and drops any
-alpha channel.
+alpha channel.  Chunk CRCs are checked, and image data is inflated no
+further than the size the header implies.
 
 Pixel data lives in float64 arrays of shape (height, width, 3) with values in
 [0, 255].  Mid-pipeline stages (resampling, rescaling before the final round)
@@ -143,8 +144,12 @@ def _png_chunks(data: bytes):
     while i + 8 <= n:
         length, ctype = struct.unpack(">I4s", data[i : i + 8])
         body = data[i + 8 : i + 8 + length]
-        if len(body) < length:
+        crc = data[i + 8 + length : i + 12 + length]
+        if len(body) < length or len(crc) < 4:
             raise InputError("truncated payload: incomplete PNG chunk")
+        if zlib.crc32(ctype + body) != struct.unpack(">I", crc)[0]:
+            name = ctype.decode("latin-1")
+            raise InputError(f"corrupt payload: CRC mismatch in PNG {name!r} chunk")
         yield ctype, body
         i += 12 + length  # length + type + body + crc
         if ctype == b"IEND":
@@ -172,16 +177,17 @@ def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
         elif ftype == 2:
             cur = (row + prev) % 256
         elif ftype == 3:
-            cur = row.copy()
+            # plain ints, with bpp zeros standing in left of the row
+            cur = [0] * bpp + row.tolist()
+            up = prev.tolist()
             for i in range(rowbytes):
-                left = cur[i - bpp] if i >= bpp else 0
-                cur[i] = (cur[i] + (left + prev[i]) // 2) % 256
+                cur[i + bpp] = (cur[i + bpp] + ((cur[i] + up[i]) >> 1)) & 255
+            cur = np.array(cur[bpp:], dtype=np.int64)
         elif ftype == 4:
-            cur = row.copy()
+            cur = [0] * bpp + row.tolist()
+            up = [0] * bpp + prev.tolist()
             for i in range(rowbytes):
-                a = cur[i - bpp] if i >= bpp else 0
-                b = prev[i]
-                c = prev[i - bpp] if i >= bpp else 0
+                a, b, c = cur[i], up[i + bpp], up[i]
                 p = a + b - c
                 pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
                 if pa <= pb and pa <= pc:
@@ -190,7 +196,8 @@ def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
                     pred = b
                 else:
                     pred = c
-                cur[i] = (cur[i] + pred) % 256
+                cur[i + bpp] = (cur[i + bpp] + pred) & 255
+            cur = np.array(cur[bpp:], dtype=np.int64)
         else:
             raise InputError(f"malformed header: unknown PNG filter type {ftype}")
         out[y] = cur.astype(np.uint8)
@@ -224,16 +231,21 @@ def decode_png(data: bytes) -> RasterImage:
     if depth != 8:
         raise InputError(f"unsupported bit depth: {depth}-bit PNG")
     if interlace != 0:
-        raise InputError("unsupported bit depth: interlaced PNG")
+        raise InputError("unsupported PNG: interlaced (Adam7)")
     if ctype_id not in _PNG_CHANNELS:
         raise InputError(f"malformed header: unknown PNG color type {ctype_id}")
     if not idat:
         raise InputError("truncated payload: no IDAT data")
+    channels = _PNG_CHANNELS[ctype_id]
+    # inflate no further than the image needs; trailing bytes are ignored
     try:
-        raw = zlib.decompress(b"".join(idat))
+        raw = zlib.decompressobj().decompress(
+            b"".join(idat), height * (width * channels + 1)
+        )
     except zlib.error as exc:
         raise InputError(f"truncated payload: {exc}") from None
-    channels = _PNG_CHANNELS[ctype_id]
+    except OverflowError:
+        raise InputError(f"unsupported PNG: {width}x{height} is too large") from None
     planes = _unfilter(raw, width, height, channels).reshape(height, width, channels)
     if ctype_id == 0:
         rgb = np.repeat(planes, 3, axis=2)

@@ -14,6 +14,9 @@ Conventions, shared with `resample`:
     center ((w-1)/2, (h-1)/2) and R a counterclockwise rotation in (x, y)
   * resampling is bilinear with clamp-to-edge, inverse mapping, and is exact
     for integer shifts (the identity transform copies the image bitwise)
+  * at theta = 0 (every translation, and the rigid solver's start) the
+    sample coordinates are separable: one row of x and one column of y,
+    broadcast to the frame, with the same bits as the dense rotated grid
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ def _inverse_sample_coords(height, width, dx, dy, theta):
     cy = (height - 1) / 2.0
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
+    if theta == 0.0:  # a row and a column; "- c - d + c" rounds as below
+        return (xs - cx - dx + cx)[None, :], (ys - cy - dy + cy)[:, None]
     X, Y = np.meshgrid(xs, ys)
     ux = X - cx - dx
     uy = Y - cy - dy

@@ -32,8 +32,6 @@ from .errors import InputError
 from .raster import RasterImage
 from .rng import INIT_STREAM, SAMPLE_STREAM, SplitMix64, substream_seed
 
-_CHUNK = 1 << 16  # pixels scored per vectorized block
-
 _DECAY_MODES = ("constant", "linear")
 
 
@@ -233,28 +231,32 @@ def fit_som(image: RasterImage, width: int, height: int, params: TrainingParams)
 def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
     """Mean distance from each pixel to its best-matching model.
 
-    Pixels are scored in row-major order in fixed-size blocks and the mean
-    uses the adjacent-pairs summation above, so the value never depends on
-    chunking or vectorization.  Assignment counts record how many pixels
-    each model won.
+    Each model is compared against whole R, G and B planes in turn; squared
+    channel terms are summed as (r + g) + b, and a later model replaces the
+    running best only when strictly closer, so the lowest row-major index
+    wins ties.  The mean uses the adjacent-pairs summation above, so the
+    value is a pure function of the pixels and models.  Assignment counts
+    record how many pixels each model won.
     """
-    pixels = as_pixel_vectors(image)
-    n = pixels.shape[0]
-    if n == 0:
-        raise InputError("empty image")
-    models = grid.models
-    distances = np.empty(n, dtype=np.float64)
-    winners = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        block = pixels[start : start + _CHUNK]
-        d2 = ((block[:, None, :] - models[None, :, :]) ** 2).sum(axis=2)
-        best = np.argmin(d2, axis=1)
-        winners[start : start + _CHUNK] = best
-        distances[start : start + _CHUNK] = np.sqrt(
-            d2[np.arange(block.shape[0]), best]
-        )
+    planes = [(image.pixels[:, :, c] / 255.0).ravel() for c in range(3)]
+    n = planes[0].size
+    best, d2, term = np.empty(n), np.empty(n), np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    winners = np.zeros(n, dtype=np.int64)
+    for k, model in enumerate(grid.models.tolist()):
+        dist = d2 if k else best
+        np.subtract(planes[0], model[0], out=dist)
+        np.multiply(dist, dist, out=dist)
+        for plane, component in zip(planes[1:], model[1:]):
+            np.subtract(plane, component, out=term)
+            np.multiply(term, term, out=term)
+            dist += term
+        if k:
+            np.less(d2, best, out=closer)
+            np.minimum(best, d2, out=best)
+            winners[closer] = k
     counts = np.bincount(winners, minlength=grid.model_count)
-    qe = pairwise_sum(distances) / n
+    qe = pairwise_sum(np.sqrt(best)) / n
     return QeResult(qe=qe, pixel_count=n, assignment_counts=counts)
 
 

@@ -4,7 +4,9 @@ Everything here deliberately takes a different route from the library code:
 the generator is re-derived step by step from its five constants, sums are
 exact rationals or 50-digit mpmath, the t-tail probability is numerical
 integration of the density rather than an incomplete-beta identity, and the
-OLS oracle uses raw (uncentered) textbook sums.
+OLS oracle uses raw (uncentered) textbook sums.  The scoring and warping
+kernels are kept here in their first, dense form, which the fast kernels
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -83,6 +86,43 @@ def grid_neighbors_within(width: int, height: int, winner: int, radius: float):
             if math.hypot(r - wr, c - wc) <= radius:
                 hits.append(r * width + c)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# dense scoring and warping kernels
+
+def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):
+    """QE by an (N, K, 3) broadcast of every pixel against every model.
+
+    Blocks of `chunk` pixels; per pixel the first argmin of the summed
+    squared channel differences wins.  Returns (qe, assignment counts), the
+    mean taken with the adjacent-pairs tree.
+    """
+    x = np.asarray(pixels, dtype=np.float64).reshape(-1, 3) / 255.0
+    models = np.asarray(models, dtype=np.float64)
+    n = x.shape[0]
+    distances = np.empty(n)
+    winners = np.empty(n, dtype=np.int64)
+    for start in range(0, n, chunk):
+        block = x[start : start + chunk]
+        d2 = ((block[:, None, :] - models[None, :, :]) ** 2).sum(axis=2)
+        best = np.argmin(d2, axis=1)
+        winners[start : start + chunk] = best
+        distances[start : start + chunk] = np.sqrt(d2[np.arange(len(block)), best])
+    counts = np.bincount(winners, minlength=len(models))
+    return adjacent_pairs_sum(distances) / n, counts
+
+
+def dense_sample_coords(height, width, dx, dy, theta):
+    """Inverse-mapped source (sx, sy) as full (h, w) grids, for any theta."""
+    cx = (width - 1) / 2.0
+    cy = (height - 1) / 2.0
+    X, Y = np.meshgrid(np.arange(width, dtype=np.float64),
+                       np.arange(height, dtype=np.float64))
+    ux = X - cx - dx
+    uy = Y - cy - dy
+    c, s = math.cos(theta), math.sin(theta)
+    return c * ux + s * uy + cx, -s * ux + c * uy + cy
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Image IO and contrast: exact bytes in, exact values out."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from somqe import InputError, RasterImage, load_image, normalize_contrast, save_image
 from somqe.raster import decode_png, decode_ppm, encode_ppm
@@ -229,13 +231,10 @@ def test_png_error_cases():
         decode_png(b"\x89PNG\r\n\x1a\nXXXX")
     with pytest.raises(InputError, match="malformed header"):
         decode_png(b"\x89PNG\r\n\x1a\n" + _chunk(b"IEND", b""))
-    array = np.zeros((2, 2, 3), dtype=np.uint8)
-    good = encode_png(array, 2)
     # 16-bit depth
-    bad_depth = bytearray(good)
-    bad_depth[8 + 8 + 8] = 16  # IHDR bit-depth byte
+    ihdr16 = struct.pack(">IIBBBBB", 2, 2, 16, 2, 0, 0, 0)
     with pytest.raises(InputError, match="unsupported bit depth"):
-        decode_png(bytes(bad_depth))
+        decode_png(_png_from_ihdr(ihdr16))
     # truncated IDAT payload
     with pytest.raises(InputError, match="truncated payload"):
         ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
@@ -246,6 +245,79 @@ def test_png_error_cases():
             + _chunk(b"IEND", b"")
         )
         decode_png(data)
+
+
+def _png_from_ihdr(ihdr: bytes, idat: bytes = zlib.compress(bytes(20))) -> bytes:
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + _chunk(b"IHDR", ihdr)
+        + _chunk(b"IDAT", idat)
+        + _chunk(b"IEND", b"")
+    )
+
+
+def test_png_interlaced_error_names_interlacing():
+    ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 1)
+    with pytest.raises(InputError, match=r"^unsupported PNG: interlaced \(Adam7\)$"):
+        decode_png(_png_from_ihdr(ihdr))
+
+
+def test_png_dimensions_past_addressable_size_rejected():
+    ihdr = struct.pack(">IIBBBBB", 2**32 - 1, 2**32 - 1, 8, 6, 0, 0, 0)
+    with pytest.raises(InputError, match="too large"):
+        decode_png(_png_from_ihdr(ihdr))
+
+
+def test_png_crc_mismatch_rejected():
+    good = encode_png(np.zeros((2, 2, 3), dtype=np.uint8), 2)
+    body = good.index(b"IDAT") + 4
+    for offset in (body, len(good) - 1):  # an IDAT body byte, the IEND CRC
+        bad = bytearray(good)
+        bad[offset] ^= 0x01
+        with pytest.raises(InputError, match="CRC mismatch"):
+            decode_png(bytes(bad))
+
+
+def test_png_inflate_stops_at_the_size_ihdr_implies():
+    # 2x2 RGB needs 2 * (1 + 6) bytes; the IDAT inflates to 64 MiB more
+    array = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    raw = b"".join(b"\x00" + array[y].tobytes() for y in range(2))
+    zero_block = bytes(1 << 20)
+    compressor = zlib.compressobj()
+    idat = compressor.compress(raw) + b"".join(
+        compressor.compress(zero_block) for _ in range(64)
+    ) + compressor.flush()
+    ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+    data = _png_from_ihdr(ihdr, idat)
+    tracemalloc.start()
+    try:
+        decoded = decode_png(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded.pixels, array.astype(float))
+    assert peak < 1 << 22
+
+
+_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
+
+
+@given(st.sampled_from([0, 2, 4, 6]), st.integers(1, 6), st.integers(1, 9),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_png_filters_round_trip_property(color_type, height, width, seed, data):
+    filters = data.draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    channels = _CHANNELS[color_type]
+    shape = (height, width) if channels == 1 else (height, width, channels)
+    array = np.random.default_rng(seed).integers(0, 256, shape).astype(np.uint8)
+    decoded = decode_png(encode_png(array, color_type, filters))
+    if channels == 1:
+        expected = np.repeat(array[:, :, None], 3, axis=2)
+    elif channels == 2:
+        expected = np.repeat(array[:, :, :1], 3, axis=2)
+    else:
+        expected = array[:, :, :3]
+    assert np.array_equal(decoded.pixels, expected.astype(float))
 
 
 def test_load_image_rejects_unknown_magic(tmp_path):

@@ -15,6 +15,8 @@ from somqe import (
     resample,
 )
 from somqe.register import (
+    _bilinear,
+    _inverse_sample_coords,
     identity_transform,
     mean_square_residual,
     read_transform_sidecar,
@@ -23,6 +25,7 @@ from somqe.register import (
 )
 
 from conftest import random_image, smooth_image
+from oracles import dense_sample_coords
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +155,49 @@ def test_valid_mask_for_pure_shift():
     expected = np.zeros((4, 6), dtype=bool)
     expected[0:3, 2:6] = True
     assert np.array_equal(mask, expected)
+
+
+def _assert_warp_matches_dense_oracle(image, transform):
+    h, w = image.height, image.width
+    args = (h, w, transform.dx, transform.dy, transform.theta)
+    dense_sx, dense_sy = dense_sample_coords(*args)
+    sx, sy = _inverse_sample_coords(*args)
+    assert np.broadcast_to(sx, (h, w)).tobytes() == dense_sx.tobytes()
+    assert np.broadcast_to(sy, (h, w)).tobytes() == dense_sy.tobytes()
+    expected = _bilinear(image.pixels, dense_sx, dense_sy)
+    assert resample(image, transform).pixels.tobytes() == expected.tobytes()
+    dense_mask = (
+        (dense_sx >= 0.0) & (dense_sx <= w - 1.0)
+        & (dense_sy >= 0.0) & (dense_sy <= h - 1.0)
+    )
+    assert np.array_equal(valid_mask(h, w, transform), dense_mask)
+
+
+@pytest.mark.parametrize("mode,theta", [
+    ("translation", 0.0), ("translation", -0.0), ("rigid", 0.0), ("rigid", -0.0),
+])
+@pytest.mark.parametrize("dx,dy", [
+    (0.0, 0.0), (3.0, -2.0), (0.25, 1.75), (-0.5, 0.0), (1e-9, -1e-9),
+    (40.0, -37.5), (-6.0, 9.25),
+])
+@pytest.mark.parametrize("height,width", [(9, 13), (7, 1), (1, 6), (1, 1)])
+def test_theta_zero_warp_is_bit_identical_to_dense_grid(mode, theta, dx, dy,
+                                                        height, width):
+    image = random_image(height * 31 + width, height, width)
+    _assert_warp_matches_dense_oracle(
+        image, RegistrationTransform(mode, dx, dy, theta)
+    )
+
+
+@given(st.integers(1, 12), st.integers(1, 12), finite, finite,
+       st.sampled_from([0.0, -0.0]), st.sampled_from(["translation", "rigid"]))
+@settings(max_examples=100, deadline=None)
+def test_theta_zero_warp_matches_dense_grid_property(height, width, dx, dy,
+                                                     theta, mode):
+    image = random_image(height + 13 * width, height, width)
+    _assert_warp_matches_dense_oracle(
+        image, RegistrationTransform(mode, dx, dy, theta)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Map training and scoring against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from somqe.rng import INIT_STREAM, SAMPLE_STREAM, substream_seed
 from conftest import random_image, two_color_image
 from oracles import (
     adjacent_pairs_sum,
+    broadcast_quantization_error,
     brute_force_bmu,
     grid_neighbors_within,
     splitmix64_sequence,
@@ -285,6 +287,69 @@ def test_adding_models_never_increases_qe():
         small = SomGrid(3, 2, base_models)
         big = SomGrid(3, 3, np.vstack([base_models, extra_models]))
         assert quantization_error(image, big).qe <= quantization_error(image, small).qe
+
+
+def _assert_qe_matches_broadcast_oracle(image: RasterImage, grid: SomGrid):
+    result = quantization_error(image, grid)
+    qe, counts = broadcast_quantization_error(image.pixels, grid.models)
+    assert result.qe.hex() == qe.hex()
+    assert np.array_equal(result.assignment_counts, counts)
+    assert result.pixel_count == image.pixel_count
+
+
+@st.composite
+def images_and_grids(draw):
+    """Random images and grids; coarse sample lattices and a small model
+    pool make exact distance ties and duplicate models common."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 40))
+    gw, gh = draw(st.sampled_from([(1, 1), (2, 1), (3, 2), (4, 4), (8, 8)]))
+    levels = draw(st.sampled_from([0, 3, 17, 256]))  # 0: fractional samples
+    pool_size = draw(st.integers(1, gw * gh))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if levels:
+        step = 255.0 / (levels - 1) if levels > 1 else 0.0
+        pixels = np.floor(rng.integers(0, levels, (height, width, 3)) * step)
+        pool = np.floor(rng.integers(0, levels, (pool_size, 3)) * step) / 255.0
+    else:
+        pixels = rng.random((height, width, 3)) * 255.0
+        pool = rng.random((pool_size, 3))
+    models = pool[rng.integers(0, pool_size, gw * gh)]
+    return RasterImage(pixels), SomGrid(gw, gh, models)
+
+
+@given(images_and_grids())
+@settings(max_examples=150, deadline=None)
+def test_qe_is_bit_identical_to_broadcast_oracle(case):
+    _assert_qe_matches_broadcast_oracle(*case)
+
+
+@pytest.mark.parametrize(
+    "height,width,gw,gh,duplicates",
+    [(1, 1, 1, 1, False), (1, 97, 1, 1, False), (1, 97, 8, 8, True),
+     (31, 29, 8, 8, False), (31, 29, 8, 8, True), (5, 7, 4, 4, True)],
+)
+def test_qe_oracle_edge_cases(height, width, gw, gh, duplicates):
+    rng = np.random.default_rng(height * 1000 + width + gw)
+    image = random_image(width + height, height, width)
+    models = rng.random((gw * gh, 3))
+    if duplicates:
+        models = models[rng.integers(0, 3, gw * gh)]
+    _assert_qe_matches_broadcast_oracle(image, SomGrid(gw, gh, models))
+
+
+def test_qe_traced_peak_stays_linear_in_pixels():
+    # 256x256 pixels against 64 models: an (N, K, 3) float64 block would
+    # be 100 MB; the per-model loop holds a few N-length planes
+    image = random_image(3, 256, 256)
+    grid = small_grid(3, 8, 8)
+    tracemalloc.start()
+    try:
+        quantization_error(image, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * image.pixel_count * 8
 
 
 # ---------------------------------------------------------------------------
