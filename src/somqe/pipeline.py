@@ -26,6 +26,7 @@ from .raster import RasterImage, atomic_write_bytes, load_image, normalize_contr
 from .register import (
     RegistrationTransform,
     identity_transform,
+    luminance_pyramid,
     mean_square_residual,
     register_pair,
     resample,
@@ -287,7 +288,10 @@ def apply_year_fix(series: Series, mode: str) -> Series:
 
     'as-printed' keeps the labels untouched.  'relabel-1990' decrements the
     first member of the first adjacent duplicate pair, which turns the
-    bundled tables' doubled 1991 into the missing 1990.
+    bundled tables' doubled 1991 into the missing 1990.  A decrement onto a
+    year the series already holds raises InputError instead of making a new
+    duplicate, so fixing a series with one duplicate pair twice changes
+    nothing the second time.
     """
     if mode not in YEAR_FIX_MODES:
         raise InputError(f"year_fix must be one of {YEAR_FIX_MODES}")
@@ -296,7 +300,12 @@ def apply_year_fix(series: Series, mode: str) -> Series:
     x = series.x.copy()
     for i in range(x.size - 1):
         if x[i] == x[i + 1]:
-            x[i] = x[i] - 1.0
+            year = x[i] - 1.0
+            if np.any(x == year):
+                raise InputError(
+                    f"year fix {mode}: year {year:.10g} already present"
+                )
+            x[i] = year
             break
     return Series(series.label, x, series.y)
 
@@ -345,7 +354,8 @@ def align_frames(frames, anchor_index: int, mode: str):
 
     Returns (transforms, aligned frames, mean-square residuals) in input
     order.  The anchor, and every frame in mode 'none', passes through with
-    an identity transform.  A non-converging pair re-raises with the
+    an identity transform.  The anchor's luminance planes are built once
+    and shared by every pair.  A non-converging pair re-raises with the
     offending frame index attached.
     """
     if not frames:
@@ -358,6 +368,10 @@ def align_frames(frames, anchor_index: int, mode: str):
                 f"frame 0 is {first.width}x{first.height}"
             )
     anchor = frames[anchor_index]
+    if mode == "none":
+        anchor_levels = (anchor.luminance(),)
+    else:
+        anchor_levels = luminance_pyramid(anchor)
     identity = identity_transform("translation" if mode == "none" else mode)
     transforms, aligned, residuals = [], [], []
     for i, frame in enumerate(frames):
@@ -365,7 +379,9 @@ def align_frames(frames, anchor_index: int, mode: str):
             transform, moved = identity, frame
         else:
             try:
-                transform = register_pair(anchor, frame, mode)
+                transform = register_pair(
+                    anchor, frame, mode, reference_levels=anchor_levels
+                )
             except RegistrationError as exc:
                 raise RegistrationError(
                     f"frame {i}: {exc}",
@@ -376,7 +392,11 @@ def align_frames(frames, anchor_index: int, mode: str):
             moved = resample(frame, transform)
         transforms.append(transform)
         aligned.append(moved)
-        residuals.append(mean_square_residual(anchor, moved, transform))
+        residuals.append(
+            mean_square_residual(
+                anchor, moved, transform, reference_luminance=anchor_levels[0]
+            )
+        )
     return transforms, aligned, residuals
 
 

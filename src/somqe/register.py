@@ -16,7 +16,12 @@ Conventions, shared with `resample`:
     for integer shifts (the identity transform copies the image bitwise)
   * at theta = 0 (every translation, and the rigid solver's start) the
     sample coordinates are separable: one row of x and one column of y,
-    broadcast to the frame, with the same bits as the dense rotated grid
+    with the same bits as the dense rotated grid.  Bilinear sampling is then
+    a column pass over every row followed by a row pass, and the valid
+    pixels form one rectangle, a run of rows times a run of columns; both
+    do the same float operations in the same order as the per-pixel form,
+    so the output bits are unchanged.  Only a rotation gathers pixel by
+    pixel.
 """
 
 from __future__ import annotations
@@ -112,6 +117,11 @@ def build_pyramid(image: RasterImage) -> tuple[RasterImage, ...]:
     return tuple(levels)
 
 
+def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
+    """Luminance planes of `build_pyramid(image)`, finest first."""
+    return tuple(level.luminance() for level in build_pyramid(image))
+
+
 def _inverse_sample_coords(height, width, dx, dy, theta):
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
@@ -128,24 +138,43 @@ def _inverse_sample_coords(height, width, dx, dy, theta):
     return sx, sy
 
 
+def _separable(sx: np.ndarray, sy: np.ndarray) -> bool:
+    # a (1, w) row of x and an (h, 1) column of y; a dense grid passes only
+    # at 1x1, where both forms agree
+    return sx.shape[0] == 1 and sy.shape[1] == 1
+
+
 def _bilinear(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample `data` (h, w) or (h, w, C) at float coords, clamping to edges."""
+    """Sample `data` (h, w) or (h, w, C) at float coords, clamping to edges.
+
+    Coordinates are (h, w) grids, or a (1, w) row and an (h, 1) column."""
     h, w = data.shape[:2]
-    planar = data.ndim == 2
-    if planar:
-        data = data[:, :, None]
     sxc = np.clip(sx, 0.0, w - 1.0)
     syc = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(sxc).astype(np.int64)
     y0 = np.floor(syc).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (sxc - x0)[:, :, None]
-    fy = (syc - y0)[:, :, None]
+    channels = (slice(None), slice(None)) + (None,) * (data.ndim - 2)
+    fx = (sxc - x0)[channels]
+    fy = (syc - y0)[channels]
+    if _separable(sx, sy):
+        # row i of `across` is the x blend of data row i, so its rows y0 and
+        # y1 are the per-pixel `top` and `bottom` below, bit for bit
+        across = np.take(data, x0[0], axis=1)
+        across *= 1.0 - fx
+        right = np.take(data, x1[0], axis=1)
+        right *= fx
+        across += right
+        out = np.take(across, y0[:, 0], axis=0)
+        out *= 1.0 - fy
+        bottom = np.take(across, y1[:, 0], axis=0)
+        bottom *= fy
+        out += bottom
+        return out
     top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
     bottom = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
-    out = (1.0 - fy) * top + fy * bottom
-    return out[:, :, 0] if planar else out
+    return (1.0 - fy) * top + fy * bottom
 
 
 def resample(image: RasterImage, transform: RegistrationTransform) -> RasterImage:
@@ -156,12 +185,41 @@ def resample(image: RasterImage, transform: RegistrationTransform) -> RasterImag
     return RasterImage(_bilinear(image.pixels, sx, sy))
 
 
+def _inside(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
+    return (sx >= 0.0) & (sx <= width - 1.0), (sy >= 0.0) & (sy <= height - 1.0)
+
+
 def valid_mask(height: int, width: int, transform: RegistrationTransform) -> np.ndarray:
     """Output pixels whose source sample lies fully inside the frame."""
     sx, sy = _inverse_sample_coords(
         height, width, transform.dx, transform.dy, transform.theta
     )
-    return (sx >= 0.0) & (sx <= width - 1.0) & (sy >= 0.0) & (sy <= height - 1.0)
+    inside_x, inside_y = _inside(sx, sy, height, width)
+    return inside_x & inside_y
+
+
+def _run(inside: np.ndarray) -> slice:
+    # the True entries of a vector that holds one run of them
+    where = np.flatnonzero(inside)
+    return slice(int(where[0]), int(where[-1]) + 1) if where.size else slice(0, 0)
+
+
+def _valid_selector(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
+    """(select, count): `select(a)` lists the valid pixels of an (h, w) plane.
+
+    They come in row-major order, as indexing by the boolean mask gives
+    them.  At theta = 0 the mask is a row mask times a column mask, and
+    each is one run: every rounding step of `j - c - d + c` is monotone in
+    j, so the coordinates never decrease along a row or a column.  The
+    selection is then one rectangular slice, and the full mask is never
+    built."""
+    inside_x, inside_y = _inside(sx, sy, height, width)
+    if _separable(sx, sy):
+        rows, cols = _run(inside_y[:, 0]), _run(inside_x[0])
+        count = (rows.stop - rows.start) * (cols.stop - cols.start)
+        return (lambda a: a[rows, cols].ravel()), count
+    mask = inside_x & inside_y
+    return (lambda a: a[mask]), int(mask.sum())
 
 
 def _params_to_transform(p: np.ndarray, mode: str) -> RegistrationTransform:
@@ -187,20 +245,23 @@ def _lm_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
     nparams = p0.size
     steps = np.array([_FD_STEP_PX, _FD_STEP_PX, _FD_STEP_RAD])[:nparams]
 
-    def evaluate(params):
+    def coords(params):
         theta = params[2] if nparams == 3 else 0.0
-        sx, sy = _inverse_sample_coords(h, w, params[0], params[1], theta)
-        warped = _bilinear(moving, sx, sy)
-        mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-        return warped, mask
+        return _inverse_sample_coords(h, w, params[0], params[1], theta)
+
+    def evaluate(params):
+        """(select, residual over the valid pixels, count, mean-square cost)."""
+        sx, sy = coords(params)
+        select, count = _valid_selector(sx, sy, h, w)
+        if count == 0:
+            return select, None, 0, math.inf
+        residual = select(_bilinear(moving, sx, sy) - reference)
+        return select, residual, count, float(residual @ residual) / count
 
     p = p0.astype(np.float64).copy()
-    warped, mask = evaluate(p)
-    count = int(mask.sum())
+    select, residual, count, cost = evaluate(p)
     if count == 0:
         return p, math.inf, False
-    residual = (warped - reference)[mask]
-    cost = float(residual @ residual) / count
     lam = _LAMBDA_INITIAL
     for _ in range(_MAX_LM_ITERATIONS):
         jacobian = np.empty((count, nparams))
@@ -209,9 +270,9 @@ def _lm_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
             plus[k] += steps[k]
             minus = p.copy()
             minus[k] -= steps[k]
-            wp, _ = evaluate(plus)
-            wm, _ = evaluate(minus)
-            jacobian[:, k] = (wp - wm)[mask] / (2.0 * steps[k])
+            wp = _bilinear(moving, *coords(plus))
+            wm = _bilinear(moving, *coords(minus))
+            jacobian[:, k] = select(wp - wm) / (2.0 * steps[k])
         normal = (jacobian.T @ jacobian) / count
         gradient = (jacobian.T @ residual) / count
         accepted = False
@@ -224,16 +285,10 @@ def _lm_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
             if _update_is_small(delta):
                 return p, cost, True
             candidate = p + delta
-            cwarped, cmask = evaluate(candidate)
-            ccount = int(cmask.sum())
-            if ccount > 0:
-                cresidual = (cwarped - reference)[cmask]
-                ccost = float(cresidual @ cresidual) / ccount
-            else:
-                ccost = math.inf
+            cselect, cresidual, ccount, ccost = evaluate(candidate)
             if ccost < cost:
                 p, cost = candidate, ccost
-                mask, residual, count = cmask, cresidual, ccount
+                select, residual, count = cselect, cresidual, ccount
                 lam = max(lam * 0.1, 1e-12)
                 accepted = True
                 break
@@ -247,10 +302,14 @@ def register_pair(
     reference: RasterImage,
     test: RasterImage,
     mode: str = "translation",
+    *,
+    reference_levels: tuple[np.ndarray, ...] | None = None,
 ) -> RegistrationTransform:
     """Transform T such that resample(test, T) best matches the reference.
 
     Solved coarse to fine; the translation estimate doubles between levels.
+    `reference_levels`, when given, is `luminance_pyramid(reference)`,
+    built once by a caller that registers many frames to one reference.
     Raises RegistrationError (carrying the best transform and its residual)
     when the finest level fails to converge.
     """
@@ -262,15 +321,16 @@ def register_pair(
             f"test {test.width}x{test.height}"
         )
     nparams = 2 if mode == "translation" else 3
-    ref_levels = [lvl.luminance() for lvl in build_pyramid(reference)]
-    test_levels = [lvl.luminance() for lvl in build_pyramid(test)]
+    if reference_levels is None:
+        reference_levels = luminance_pyramid(reference)
+    test_levels = luminance_pyramid(test)
     p = np.zeros(nparams)
     cost = math.inf
     converged = True
-    for level in range(len(ref_levels) - 1, -1, -1):
-        if level != len(ref_levels) - 1:
+    for level in range(len(reference_levels) - 1, -1, -1):
+        if level != len(reference_levels) - 1:
             p[:2] *= 2.0
-        p, cost, converged = _lm_level(ref_levels[level], test_levels[level], p)
+        p, cost, converged = _lm_level(reference_levels[level], test_levels[level], p)
     if not converged:
         best = _params_to_transform(p, mode)
         raise RegistrationError(
@@ -285,12 +345,19 @@ def mean_square_residual(
     reference: RasterImage,
     aligned: RasterImage,
     transform: RegistrationTransform,
+    *,
+    reference_luminance: np.ndarray | None = None,
 ) -> float:
-    """Mean squared luminance difference over the transform's valid pixels."""
+    """Mean squared luminance difference over the transform's valid pixels.
+
+    `reference_luminance`, when given, is `reference.luminance()`, computed
+    once by a caller that scores many frames against one reference."""
     mask = valid_mask(reference.height, reference.width, transform)
     if not mask.any():
         return math.inf
-    diff = (aligned.luminance() - reference.luminance())[mask]
+    if reference_luminance is None:
+        reference_luminance = reference.luminance()
+    diff = (aligned.luminance() - reference_luminance)[mask]
     return float(diff @ diff) / diff.size
 
 

@@ -125,6 +125,31 @@ def dense_sample_coords(height, width, dx, dy, theta):
     return c * ux + s * uy + cx, -s * ux + c * uy + cy
 
 
+def dense_bilinear(data, sx, sy):
+    """Clamp-to-edge bilinear sampling by per-pixel gathers on (h, w) grids.
+
+    `data` is (h, w) or (h, w, C); every output pixel gathers its four
+    neighbours, blends them along x into `top` and `bottom`, then along y.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    h, w = data.shape[:2]
+    planar = data.ndim == 2
+    if planar:
+        data = data[:, :, None]
+    sxc = np.clip(sx, 0.0, w - 1.0)
+    syc = np.clip(sy, 0.0, h - 1.0)
+    x0 = np.floor(sxc).astype(np.int64)
+    y0 = np.floor(syc).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (sxc - x0)[:, :, None]
+    fy = (syc - y0)[:, :, None]
+    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
+    bottom = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
+    out = (1.0 - fy) * top + fy * bottom
+    return out[:, :, 0] if planar else out
+
+
 # ---------------------------------------------------------------------------
 # statistics
 

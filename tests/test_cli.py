@@ -195,6 +195,36 @@ def test_year_fix_applies_to_run_report_and_trend(tmp_path, capsys):
     assert trends["as-printed"] != pytest.approx(trends["relabel-1990"], rel=1e-3)
     relabeled = (tmp_path / "relabel-1990" / "report.csv").read_text()
     assert "\nframe1,1990," in relabeled
+    # the fixed report has no duplicate left, so fixing it again changes nothing
+    refits = []
+    for fix in ("as-printed", "relabel-1990"):
+        capsys.readouterr()
+        assert main([
+            "stats", "--qe", str(tmp_path / "relabel-1990" / "report.csv"),
+            "--year-fix", fix,
+        ]) == 0
+        refits.append(capsys.readouterr().out)
+    assert refits[0] == refits[1]
+
+
+def test_year_fix_refuses_to_shift_a_second_year(tmp_path, capsys):
+    manifest, _ = make_workspace(tmp_path, n_frames=3)
+    lines = manifest.read_text().splitlines()
+    manifest.write_text(
+        "".join(line.rsplit("\t", 1)[0] + f"\t{year}\n"
+                for line, year in zip(lines, ["1990", "1991", "1991"]))
+    )
+    message = "somqe: error: input: year fix relabel-1990: year 1990 already present"
+    args = ["run", "--manifest", str(manifest), "--grid", "2x2", "--iterations", "40"]
+    assert main(args + ["--year-fix", "relabel-1990", "--out", str(tmp_path / "fixed")]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "fixed" / "report.csv").exists()
+    assert main(args + ["--out", str(tmp_path / "printed")]) == 0
+    report = tmp_path / "printed" / "report.csv"
+    assert "\nframe0,1990," in report.read_text()
+    capsys.readouterr()
+    assert main(["stats", "--qe", str(report), "--year-fix", "relabel-1990"]) == 1
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_stats_and_correlate_from_qe_rows(tmp_path, capsys):
@@ -289,7 +319,7 @@ def test_score_requires_grid_file(tmp_path, capsys):
 def test_registration_failure_exits_2(tmp_path, capsys, monkeypatch):
     manifest, _ = make_workspace(tmp_path)
 
-    def explode(anchor, moving, mode):
+    def explode(anchor, moving, mode, *, reference_levels=None):
         raise RegistrationError("no convergence", residual=9.9)
 
     monkeypatch.setattr("somqe.pipeline.register_pair", explode)

@@ -35,7 +35,7 @@ from somqe.pipeline import (
     slugify,
 )
 from somqe.raster import RasterImage, save_image
-from somqe.register import mean_square_residual
+from somqe.register import mean_square_residual, register_pair
 
 from conftest import random_image, smooth_image
 
@@ -250,6 +250,36 @@ def test_apply_year_fix():
         apply_year_fix(series, "fix")
 
 
+@pytest.mark.parametrize("years,taken", [
+    ([1990.0, 1991.0, 1991.0], "1990"),
+    ([1990.0, 1991.0, 1991.0, 1992.0], "1990"),
+    ([1990.0, 1984.0, 1991.0, 1991.0], "1990"),
+    ([1988.0, 1989.0, 1989.0, 1991.0, 1991.0], "1988"),
+    ([1990.5, 1991.5, 1991.5], "1990.5"),
+])
+def test_relabel_refuses_to_create_a_duplicate_year(years, taken):
+    series = Series("s", np.array(years), np.arange(float(len(years))))
+    with pytest.raises(InputError) as info:
+        apply_year_fix(series, "relabel-1990")
+    assert str(info.value) == f"year fix relabel-1990: year {taken} already present"
+
+
+@pytest.mark.parametrize("years", [
+    [1989.0, 1991.0, 1991.0, 1992.0],
+    [1984.0, 1985.0, 1986.0],
+    [1991.0, 1991.0],
+    [2000.0],
+])
+def test_relabel_twice_changes_nothing_the_second_time(years):
+    once = apply_year_fix(
+        Series("s", np.array(years), np.arange(float(len(years)))), "relabel-1990"
+    )
+    twice = apply_year_fix(once, "relabel-1990")
+    assert twice.x.tobytes() == once.x.tobytes()
+    assert twice.y.tobytes() == once.y.tobytes()
+    assert len(set(once.x)) == len(years)
+
+
 # ---------------------------------------------------------------------------
 # bundled reference series
 
@@ -391,6 +421,34 @@ def test_align_frames_anchors_last_frame():
     assert residuals[:2] == [mean_square_residual(anchor, m, t) for t, m in results[:2]]
 
 
+def test_align_frames_builds_the_anchor_pyramid_once(monkeypatch):
+    import somqe.register as register_module
+
+    anchor = smooth_image(5, size=128)
+    frames = [
+        resample(anchor, RegistrationTransform("translation", dx, dy))
+        for dx, dy in ((1.0, 0.5), (-0.75, 2.0), (0.0, -1.25))
+    ] + [anchor]
+    halved = []
+    real_halve = register_module._halve
+
+    def counting_halve(a):
+        halved.append(a)
+        return real_halve(a)
+
+    monkeypatch.setattr(register_module, "_halve", counting_halve)
+    transforms, _, residuals = align_frames(frames, 3, "translation")
+    assert sum(a is anchor.pixels for a in halved) == 1
+    # 128 -> 64 -> 32: two halvings per pyramid, one pyramid per frame
+    assert len(halved) == 2 * len(frames)
+    monkeypatch.undo()
+    for frame, transform, residual in zip(frames[:3], transforms, residuals):
+        assert transform == register_pair(anchor, frame, "translation")
+        assert residual == mean_square_residual(
+            anchor, resample(frame, transform), transform
+        )
+
+
 def test_align_frames_rejects_empty_and_mismatched():
     with pytest.raises(InputError, match="empty image stack"):
         align_frames([], 0, "translation")
@@ -399,7 +457,7 @@ def test_align_frames_rejects_empty_and_mismatched():
 
 
 def test_align_frames_tags_failing_frame_index(monkeypatch):
-    def always_fails(reference, test, mode="translation"):
+    def always_fails(reference, test, mode="translation", *, reference_levels=None):
         raise RegistrationError("did not converge", transform=None, residual=9.9)
 
     monkeypatch.setattr(pipeline_module, "register_pair", always_fails)

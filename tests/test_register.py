@@ -17,6 +17,8 @@ from somqe import (
 from somqe.register import (
     _bilinear,
     _inverse_sample_coords,
+    _lm_level,
+    _valid_selector,
     identity_transform,
     mean_square_residual,
     read_transform_sidecar,
@@ -25,7 +27,7 @@ from somqe.register import (
 )
 
 from conftest import random_image, smooth_image
-from oracles import dense_sample_coords
+from oracles import dense_bilinear, dense_sample_coords
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,8 @@ def _assert_warp_matches_dense_oracle(image, transform):
     sx, sy = _inverse_sample_coords(*args)
     assert np.broadcast_to(sx, (h, w)).tobytes() == dense_sx.tobytes()
     assert np.broadcast_to(sy, (h, w)).tobytes() == dense_sy.tobytes()
-    expected = _bilinear(image.pixels, dense_sx, dense_sy)
+    expected = dense_bilinear(image.pixels, dense_sx, dense_sy)
+    assert _bilinear(image.pixels, dense_sx, dense_sy).tobytes() == expected.tobytes()
     assert resample(image, transform).pixels.tobytes() == expected.tobytes()
     dense_mask = (
         (dense_sx >= 0.0) & (dense_sx <= w - 1.0)
@@ -198,6 +201,84 @@ def test_theta_zero_warp_matches_dense_grid_property(height, width, dx, dy,
     _assert_warp_matches_dense_oracle(
         image, RegistrationTransform(mode, dx, dy, theta)
     )
+
+
+def random_plane(seed, height, width):
+    # float luminance-like plane with negative values and fractional bits
+    return np.random.default_rng(seed).normal(100.0, 60.0, (height, width))
+
+
+def _assert_plane_warp_matches_dense_oracle(plane, dx, dy, theta):
+    h, w = plane.shape
+    sx, sy = _inverse_sample_coords(h, w, dx, dy, theta)
+    assert sx.shape == (1, w) and sy.shape == (h, 1)
+    dense_sx, dense_sy = dense_sample_coords(h, w, dx, dy, theta)
+    expected = dense_bilinear(plane, dense_sx, dense_sy)
+    got = _bilinear(plane, sx, sy)
+    assert got.shape == (h, w)
+    assert got.tobytes() == expected.tobytes()
+    assert _bilinear(plane, dense_sx, dense_sy).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0])
+@pytest.mark.parametrize("dx,dy", [
+    (0.0, 0.0), (2.0, -3.0), (0.25, 1.75), (1e-9, -1e-9), (-1e-9, 0.5),
+    (40.0, -37.5), (-6.0, 9.25), (-0.5, 100.0),
+])
+@pytest.mark.parametrize("height,width", [(9, 13), (7, 1), (1, 6), (1, 1), (32, 32)])
+def test_separable_plane_warp_is_bit_identical_to_dense_grid(theta, dx, dy,
+                                                             height, width):
+    plane = random_plane(height * 17 + width, height, width)
+    _assert_plane_warp_matches_dense_oracle(plane, dx, dy, theta)
+
+
+@given(st.integers(1, 12), st.integers(1, 12), finite, finite,
+       st.sampled_from([0.0, -0.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_separable_plane_warp_matches_dense_grid_property(height, width, dx, dy,
+                                                          theta, seed):
+    _assert_plane_warp_matches_dense_oracle(
+        random_plane(seed, height, width), dx, dy, theta
+    )
+
+
+@pytest.mark.parametrize("dx,dy,theta", [
+    (0.0, 0.0, 0.0), (2.0, -3.0, -0.0), (0.25, 1.75, 0.0), (1e-9, -1e-9, 0.0),
+    (-12.5, 4.0, 0.0), (30.0, 0.0, 0.0), (0.0, -30.0, 0.0), (1.5, -0.5, 0.02),
+])
+@pytest.mark.parametrize("height,width", [(16, 20), (1, 9), (9, 1), (1, 1)])
+def test_lm_residual_window_matches_dense_mask(dx, dy, theta, height, width):
+    _assert_window_matches_dense_mask(dx, dy, theta, height, width)
+
+
+@given(st.integers(1, 40), st.integers(1, 40),
+       st.floats(-45.0, 45.0, allow_nan=False), st.floats(-45.0, 45.0, allow_nan=False),
+       st.sampled_from([0.0, -0.0]))
+@settings(max_examples=150, deadline=None)
+def test_lm_residual_window_matches_dense_mask_property(height, width, dx, dy, theta):
+    _assert_window_matches_dense_mask(dx, dy, theta, height, width)
+
+
+def _assert_window_matches_dense_mask(dx, dy, theta, height, width):
+    sx, sy = _inverse_sample_coords(height, width, dx, dy, theta)
+    select, count = _valid_selector(sx, sy, height, width)
+    dense_sx, dense_sy = dense_sample_coords(height, width, dx, dy, theta)
+    mask = (
+        (dense_sx >= 0.0) & (dense_sx <= width - 1.0)
+        & (dense_sy >= 0.0) & (dense_sy <= height - 1.0)
+    )
+    plane = random_plane(height + width, height, width)
+    assert type(count) is int and count == int(mask.sum())
+    assert select(plane).tobytes() == plane[mask].tobytes()
+
+
+def test_lm_level_without_valid_pixels_returns_inf():
+    reference = random_plane(1, 16, 16)
+    for p0 in ([16.0, 0.0], [0.0, -15.5], [-40.0, 40.0]):
+        p, cost, converged = _lm_level(reference, reference, np.array(p0))
+        assert list(p) == p0
+        assert cost == math.inf
+        assert not converged
 
 
 # ---------------------------------------------------------------------------
