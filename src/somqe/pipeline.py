@@ -289,24 +289,25 @@ def apply_year_fix(series: Series, mode: str) -> Series:
     'as-printed' keeps the labels untouched.  'relabel-1990' decrements the
     first member of the first adjacent duplicate pair, which turns the
     bundled tables' doubled 1991 into the missing 1990.  A decrement onto a
-    year the series already holds raises InputError instead of making a new
-    duplicate, so fixing a series with one duplicate pair twice changes
-    nothing the second time.
+    year the series already holds, or a second adjacent duplicate pair,
+    raises InputError instead of leaving a duplicate that a second fix would
+    shift, so fixing a series twice changes nothing the second time.
     """
     if mode not in YEAR_FIX_MODES:
         raise InputError(f"year_fix must be one of {YEAR_FIX_MODES}")
     if mode == "as-printed":
         return series
     x = series.x.copy()
-    for i in range(x.size - 1):
-        if x[i] == x[i + 1]:
-            year = x[i] - 1.0
-            if np.any(x == year):
-                raise InputError(
-                    f"year fix {mode}: year {year:.10g} already present"
-                )
-            x[i] = year
-            break
+    pairs = np.flatnonzero(x[:-1] == x[1:])
+    if pairs.size:
+        year = x[pairs[0]] - 1.0
+        if np.any(x == year):
+            raise InputError(f"year fix {mode}: year {year:.10g} already present")
+        if pairs.size > 1:
+            raise InputError(
+                f"year fix {mode}: year {x[pairs[1]]:.10g} is also duplicated"
+            )
+        x[pairs[0]] = year
     return Series(series.label, x, series.y)
 
 

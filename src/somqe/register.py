@@ -1,10 +1,16 @@
-"""Subpixel alignment of equal-size frames by intensity descent.
+"""Subpixel alignment of equal-size frames by robust intensity descent.
 
 A translation (optionally translation plus rotation about the frame center)
-is fitted coarse to fine over a 2x2 box-filter pyramid.  At each level a
-Levenberg-Marquardt loop minimizes the mean squared luminance difference
-between the fixed reference and the moving frame resampled through the
-current transform.  Only pixels whose inverse-mapped source position lands
+is fitted coarse to fine over a 2x2 box-filter pyramid.  At each level an
+iteratively reweighted Gauss-Newton loop fits the luminance of the moving
+frame, resampled through the current transform, to the fixed reference.
+Each pixel's residual gets a Tukey biweight, so pixels that changed between
+the frames, such as new colour, get zero weight and cannot pull the fit
+(robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker
+& Matthews, IJCV 2004).  The weights' scale, 4.685 x 1.4826 x the median
+absolute residual, is fixed at a level's first iteration.  A zero scale
+means more than half the valid pixels already match exactly, and the level
+stops where it is.  Only pixels whose inverse-mapped source position lands
 fully inside the moving frame contribute to the residual, so borders swept
 in from outside never bias the fit.
 
@@ -37,15 +43,14 @@ from .raster import RasterImage, atomic_write_bytes
 
 _MODES = ("translation", "rigid")
 
-# LM configuration: finite-difference step per parameter, convergence
-# thresholds on the proposed update, iteration and damping budgets
-_FD_STEP_PX = 0.01
-_FD_STEP_RAD = 1e-4
+# Gauss-Newton configuration: convergence thresholds on the proposed update
+# and the iteration budget per pyramid level
 _CONVERGED_PX = 1e-4
 _CONVERGED_RAD = 1e-6
-_MAX_LM_ITERATIONS = 50
-_LAMBDA_INITIAL = 1e-3
-_LAMBDA_MAX = 1e12
+_MAX_GN_ITERATIONS = 50
+# Tukey's 95%-efficiency constant times the factor that turns a median
+# absolute residual into a normal standard deviation
+_TUKEY_SCALE = 4.685 * 1.4826
 
 _MIN_PYRAMID_DIM = 32
 
@@ -233,68 +238,54 @@ def _update_is_small(delta: np.ndarray) -> bool:
     return len(delta) < 3 or abs(delta[2]) < _CONVERGED_RAD
 
 
-def _lm_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
-    """One pyramid level of damped Gauss-Newton on luminance planes.
+def _gn_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
+    """One pyramid level of iteratively reweighted Gauss-Newton on luminance.
 
-    Returns (parameters, mean-square residual, converged).  Convergence is
-    declared as soon as the proposed update drops below the thresholds, so a
-    pair already at its optimum (for one, two identical frames at zero)
-    returns the starting parameters bit for bit.
+    Returns (parameters, mean-square residual, converged).  Each iteration
+    warps the moving plane once and linearizes the warp through its own
+    gradient (gx, gy): d/d(dx, dy) is (-gx, -gy) and d/dtheta is
+    gx uy - gy ux, with (ux, uy) = (x, y) - c - (dx, dy), exact for any
+    theta.  Convergence is declared as soon as the proposed update drops
+    below the thresholds, so a pair already at its optimum (for one, two
+    identical frames at zero) returns the starting parameters bit for bit.
     """
     h, w = reference.shape
-    nparams = p0.size
-    steps = np.array([_FD_STEP_PX, _FD_STEP_PX, _FD_STEP_RAD])[:nparams]
-
-    def coords(params):
-        theta = params[2] if nparams == 3 else 0.0
-        return _inverse_sample_coords(h, w, params[0], params[1], theta)
-
-    def evaluate(params):
-        """(select, residual over the valid pixels, count, mean-square cost)."""
-        sx, sy = coords(params)
+    rigid = p0.size == 3
+    p = p0.astype(np.float64).copy()
+    for iteration in range(_MAX_GN_ITERATIONS + 1):
+        theta = p[2] if rigid else 0.0
+        sx, sy = _inverse_sample_coords(h, w, p[0], p[1], theta)
         select, count = _valid_selector(sx, sy, h, w)
         if count == 0:
-            return select, None, 0, math.inf
-        residual = select(_bilinear(moving, sx, sy) - reference)
-        return select, residual, count, float(residual @ residual) / count
-
-    p = p0.astype(np.float64).copy()
-    select, residual, count, cost = evaluate(p)
-    if count == 0:
-        return p, math.inf, False
-    lam = _LAMBDA_INITIAL
-    for _ in range(_MAX_LM_ITERATIONS):
-        jacobian = np.empty((count, nparams))
-        for k in range(nparams):
-            plus = p.copy()
-            plus[k] += steps[k]
-            minus = p.copy()
-            minus[k] -= steps[k]
-            wp = _bilinear(moving, *coords(plus))
-            wm = _bilinear(moving, *coords(minus))
-            jacobian[:, k] = select(wp - wm) / (2.0 * steps[k])
-        normal = (jacobian.T @ jacobian) / count
-        gradient = (jacobian.T @ residual) / count
-        accepted = False
-        while lam <= _LAMBDA_MAX:
-            damped = normal + lam * np.diag(np.diag(normal)) + 1e-12 * np.eye(nparams)
-            try:
-                delta = np.linalg.solve(damped, -gradient)
-            except np.linalg.LinAlgError:
-                return p, cost, False
-            if _update_is_small(delta):
+            return p, math.inf, False
+        warped = _bilinear(moving, sx, sy)
+        residual = select(warped - reference)
+        cost = float(residual @ residual) / count
+        if iteration == 0:
+            # a scale recomputed every step changes the cost between steps,
+            # and the estimates then settle further from the truth
+            scale = _TUKEY_SCALE * float(np.median(np.abs(residual)))
+            if scale == 0.0:  # more than half the pixels match exactly
                 return p, cost, True
-            candidate = p + delta
-            cselect, cresidual, ccount, ccost = evaluate(candidate)
-            if ccost < cost:
-                p, cost = candidate, ccost
-                select, residual, count = cselect, cresidual, ccount
-                lam = max(lam * 0.1, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
+        elif iteration == _MAX_GN_ITERATIONS:
+            break
+        gy, gx = np.gradient(warped)
+        columns = [-select(gx), -select(gy)]
+        if rigid:
+            ux = np.arange(w) - (w - 1) / 2.0 - p[0]
+            uy = np.arange(h)[:, None] - (h - 1) / 2.0 - p[1]
+            columns.append(select(gx * uy - gy * ux))
+        jacobian = np.stack(columns, axis=1)
+        weight = np.square(np.maximum(0.0, 1.0 - np.square(residual / scale)))
+        weighted = jacobian.T * weight
+        normal = weighted @ jacobian + 1e-12 * np.eye(p.size)
+        try:
+            delta = np.linalg.solve(normal, -(weighted @ residual))
+        except np.linalg.LinAlgError:
             return p, cost, False
+        if _update_is_small(delta):
+            return p, cost, True
+        p += delta
     return p, cost, False
 
 
@@ -330,7 +321,7 @@ def register_pair(
     for level in range(len(reference_levels) - 1, -1, -1):
         if level != len(reference_levels) - 1:
             p[:2] *= 2.0
-        p, cost, converged = _lm_level(reference_levels[level], test_levels[level], p)
+        p, cost, converged = _gn_level(reference_levels[level], test_levels[level], p)
     if not converged:
         best = _params_to_transform(p, mode)
         raise RegistrationError(

@@ -243,9 +243,11 @@ def test_apply_year_fix():
     assert list(fixed.x) == [1989.0, 1990.0, 1991.0, 1992.0]
     assert list(fixed.y) == list(series.y)
     assert apply_year_fix(series, "as-printed") is series
-    # only the first adjacent duplicate pair is touched
+    # a second adjacent duplicate pair is refused, not left for a second fix
     tail_dup = Series("s", np.array([1.0, 1.0, 5.0, 5.0]), np.arange(4.0))
-    assert list(apply_year_fix(tail_dup, "relabel-1990").x) == [0.0, 1.0, 5.0, 5.0]
+    with pytest.raises(InputError) as info:
+        apply_year_fix(tail_dup, "relabel-1990")
+    assert str(info.value) == "year fix relabel-1990: year 5 is also duplicated"
     with pytest.raises(InputError):
         apply_year_fix(series, "fix")
 

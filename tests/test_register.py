@@ -17,7 +17,7 @@ from somqe import (
 from somqe.register import (
     _bilinear,
     _inverse_sample_coords,
-    _lm_level,
+    _gn_level,
     _valid_selector,
     identity_transform,
     mean_square_residual,
@@ -272,10 +272,10 @@ def _assert_window_matches_dense_mask(dx, dy, theta, height, width):
     assert select(plane).tobytes() == plane[mask].tobytes()
 
 
-def test_lm_level_without_valid_pixels_returns_inf():
+def test_gn_level_without_valid_pixels_returns_inf():
     reference = random_plane(1, 16, 16)
     for p0 in ([16.0, 0.0], [0.0, -15.5], [-40.0, 40.0]):
-        p, cost, converged = _lm_level(reference, reference, np.array(p0))
+        p, cost, converged = _gn_level(reference, reference, np.array(p0))
         assert list(p) == p0
         assert cost == math.inf
         assert not converged
@@ -308,6 +308,70 @@ def test_rigid_recovery_small_rotation():
     assert got.theta == pytest.approx(0.02, abs=0.005)
     assert got.dx == pytest.approx(1.2, abs=0.1)
     assert got.dy == pytest.approx(-0.8, abs=0.1)
+
+
+def _scene_with_new_colour(seed, size):
+    """Sampler of an analytic RGB scene that can grow a new-colour disc.
+
+    `sample(dx, dy, theta, share)` evaluates the scene at R(theta) (p - c)
+    + c + (dx, dy), so registering it to `sample(0, 0, 0, 0)` should return
+    exactly (dx, dy, theta).  The disc covers `share` of the frame and has a
+    2 px smoothstep edge, both in scene coordinates."""
+    rng = np.random.default_rng(seed)
+    waves = [
+        (rng.uniform(0.5, 1.0, 6), rng.uniform(0.02, 0.12, 6),
+         rng.uniform(0.0, 2 * np.pi, 6), rng.uniform(0.0, 2 * np.pi, 6))
+        for _ in range(3)
+    ]
+    center = (size - 1) / 2.0
+    disc = center + rng.uniform(-0.1, 0.1, 2) * size
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+
+    def sample(dx, dy, theta, share):
+        c, s = math.cos(theta), math.sin(theta)
+        px = c * (xs - center) - s * (ys - center) + center + dx
+        py = s * (xs - center) + c * (ys - center) + center + dy
+        channels = []
+        for amp, freq, angle, phase in waves:
+            total = sum(
+                a * np.sin(f * math.cos(t) * px + f * math.sin(t) * py + ph)
+                for a, f, t, ph in zip(amp, freq, angle, phase)
+            )
+            channels.append(10.0 + (total + amp.sum()) * (235.0 / (2.0 * amp.sum())))
+        radius = math.sqrt(share * size * size / math.pi)
+        t = np.clip((radius - np.hypot(px - disc[0], py - disc[1])) / 2.0 + 0.5, 0.0, 1.0)
+        edge = (t * t * (3.0 - 2.0 * t))[:, :, None]
+        rgb = (1.0 - edge) * np.stack(channels, axis=-1) + edge * [250.0, 246.0, 236.0]
+        return RasterImage(rgb)
+
+    return sample
+
+
+@pytest.mark.parametrize("mode", ["translation", "rigid"])
+@pytest.mark.parametrize("seed,share", [(1, 0.02), (2, 0.08), (3, 0.15)])
+def test_frame_with_new_colour_registers_to_its_truth(mode, seed, share):
+    """Changed pixels must not pull the fit: the paper's frames carry them."""
+    sample = _scene_with_new_colour(seed, 128)
+    rng = np.random.default_rng(100 + seed)
+    dx, dy = rng.uniform(-6.0, 6.0, 2)
+    theta = float(rng.uniform(-0.02, 0.02)) if mode == "rigid" else 0.0
+    got = register_pair(sample(0.0, 0.0, 0.0, 0.0), sample(dx, dy, theta, share), mode)
+    assert math.hypot(got.dx - dx, got.dy - dy) <= 0.1
+    assert abs(got.theta - theta) <= 1e-3
+
+
+@pytest.mark.parametrize("mode", ["translation", "rigid"])
+@pytest.mark.parametrize("changed", [0.05, 0.3, 0.45])
+def test_flat_anchor_with_sparse_change_registers_to_exact_zero(mode, changed):
+    """Fewer than half the pixels differ, so the robust scale is zero."""
+    rng = np.random.default_rng(55)
+    side = 48
+    anchor = np.full((side, side, 3), (96.0, 118.0, 84.0))
+    frame = anchor.copy()
+    spots = rng.choice(side * side, size=int(changed * side * side), replace=False)
+    frame.reshape(-1, 3)[spots] = rng.integers(120, 256, (spots.size, 3))
+    got = register_pair(RasterImage(anchor), RasterImage(frame), mode)
+    assert (got.dx, got.dy, got.theta) == (0.0, 0.0, 0.0)
 
 
 def test_register_pair_size_mismatch():
