@@ -7,12 +7,15 @@ frame, resampled through the current transform, to the fixed reference.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker
-& Matthews, IJCV 2004).  The weights' scale, 4.685 x 1.4826 x the median
-absolute residual, is fixed at a level's first iteration.  A zero scale
-means more than half the valid pixels already match exactly, and the level
-stops where it is.  Only pixels whose inverse-mapped source position lands
-fully inside the moving frame contribute to the residual, so borders swept
-in from outside never bias the fit.
+& Matthews, IJCV 2004).  The weights' scale is 4.685 x the normal-equivalent
+spread 1.4826 x median |residual|, fixed at a level's first iteration.  The
+median runs over the pixels where the reference has a gradient, because a
+constant ground matches exactly at any shift, and the spread is floored at
+0.27 grey, the spread of two independently rounded 8-bit frames, so that
+rounding alone never leaves the informative pixels without weight.  Only
+pixels whose inverse-mapped source position lands fully inside the moving
+frame contribute to the residual, so borders swept in from outside never
+bias the fit.
 
 Conventions, shared with `resample`:
   * pixel (row y, col x), x grows right, y grows down
@@ -48,9 +51,13 @@ _MODES = ("translation", "rigid")
 _CONVERGED_PX = 1e-4
 _CONVERGED_RAD = 1e-6
 _MAX_GN_ITERATIONS = 50
-# Tukey's 95%-efficiency constant times the factor that turns a median
-# absolute residual into a normal standard deviation
-_TUKEY_SCALE = 4.685 * 1.4826
+# Tukey's 95%-efficiency constant, the factor that turns a median absolute
+# residual into a normal standard deviation, and a floor on that deviation:
+# the spread, in grey levels, of the luminance difference of two
+# independently rounded 8-bit RGB frames
+_TUKEY_C = 4.685
+_MAD_TO_SIGMA = 1.4826
+_SIGMA_FLOOR = 0.27
 
 _MIN_PYRAMID_DIM = 32
 
@@ -75,11 +82,6 @@ class RegistrationTransform:
         if theta == -math.pi:
             theta = math.pi
         object.__setattr__(self, "theta", theta)
-
-    def as_parameters(self) -> np.ndarray:
-        if self.mode == "translation":
-            return np.array([self.dx, self.dy])
-        return np.array([self.dx, self.dy, self.theta])
 
     def inverse(self) -> "RegistrationTransform":
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -262,11 +264,15 @@ def _gn_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
         residual = select(warped - reference)
         cost = float(residual @ residual) / count
         if iteration == 0:
-            # a scale recomputed every step changes the cost between steps,
-            # and the estimates then settle further from the truth
-            scale = _TUKEY_SCALE * float(np.median(np.abs(residual)))
-            if scale == 0.0:  # more than half the pixels match exactly
-                return p, cost, True
+            # fixed for the level: a scale recomputed every step changes the
+            # cost between steps, and the estimates settle further from the
+            # truth.  Measured where the reference has a gradient; on a
+            # constant ground the residuals are 0 at any shift and would
+            # shrink the scale until no textured pixel counts
+            ry, rx = np.gradient(reference)
+            spread = np.abs(residual[select((rx != 0.0) | (ry != 0.0))])
+            sigma = _MAD_TO_SIGMA * float(np.median(spread)) if spread.size else 0.0
+            scale = _TUKEY_C * max(sigma, _SIGMA_FLOOR)
         elif iteration == _MAX_GN_ITERATIONS:
             break
         gy, gx = np.gradient(warped)

@@ -32,3 +32,58 @@ def two_color_image(color_a, color_b, count_a: int, count_b: int) -> RasterImage
     """A 1-row image holding count_a pixels of a and count_b of b."""
     row = [list(color_a)] * count_a + [list(color_b)] * count_b
     return RasterImage(np.array([row], dtype=np.float64))
+
+
+NEW_COLOUR = (250.0, 246.0, 236.0)
+
+
+def sinusoid_sampler(rng, size: int = 256):
+    """An analytic RGB field; sampling it moved is exact, no interpolation.
+
+    `sample(dx, dy, theta)` evaluates the field at R(theta) (p - c) + c +
+    (dx, dy), so registering it to `sample()` should return exactly
+    (dx, dy, theta).  `share` > 0 paints NEW_COLOUR over a disc that covers
+    that share of the frame, centred on it, with a 2 px smoothstep edge, both
+    in scene coordinates; `ground=True` paints it outside the disc instead,
+    leaving a textured disc on a constant ground."""
+    terms = []
+    for _ in range(3):
+        n = 6
+        amp = rng.uniform(0.5, 1.0, n)
+        freq = rng.uniform(0.02, 0.12, n)
+        angle = rng.uniform(0, 2 * np.pi, n)
+        terms.append(
+            (amp, freq * np.cos(angle), freq * np.sin(angle),
+             rng.uniform(0, 2 * np.pi, n))
+        )
+    ys, xs = np.mgrid[0:size, 0:size].astype(float)
+    center = (size - 1) / 2.0
+
+    def sample(dx: float = 0.0, dy: float = 0.0, theta: float = 0.0,
+               share: float = 0.0, ground: bool = False) -> RasterImage:
+        if theta:
+            ux, uy = xs - center, ys - center
+            c, s = np.cos(theta), np.sin(theta)
+            px = c * ux - s * uy + center + dx
+            py = s * ux + c * uy + center + dy
+        else:
+            px, py = xs + dx, ys + dy
+        channels = []
+        for amp, kx, ky, phase in terms:
+            total = np.zeros_like(px)
+            for a, fx, fy, ph in zip(amp, kx, ky, phase):
+                total += a * np.sin(fx * px + fy * py + ph)
+            bound = amp.sum()  # amplitude bound keeps shifted samples in range
+            channels.append(10.0 + (total + bound) * (235.0 / (2.0 * bound)))
+        rgb = np.stack(channels, axis=-1)
+        if share:
+            radius = np.sqrt(share * size * size / np.pi)
+            t = np.clip((radius - np.hypot(px - center, py - center)) / 2.0 + 0.5,
+                        0.0, 1.0)
+            edge = (t * t * (3.0 - 2.0 * t))[:, :, None]
+            if ground:
+                edge = 1.0 - edge
+            rgb = (1.0 - edge) * rgb + edge * np.array(NEW_COLOUR)
+        return RasterImage(rgb)
+
+    return sample

@@ -30,6 +30,7 @@ from somqe.som import (
 )
 from somqe.stats import Series, linear_fit, pearson, two_tailed_p
 
+from conftest import sinusoid_sampler
 from oracles import ols_oracle, pearson_oracle, t_tail_by_integration
 
 
@@ -294,48 +295,13 @@ def test_criterion_04b_growing_builtup_series(tmp_path):
 # ---------------------------------------------------------------------------
 # 5. registration accuracy
 
-def _sinusoid_sampler(rng, size: int = 256):
-    """An analytic RGB field; sampling it shifted is exact, no interpolation."""
-    terms = []
-    for _ in range(3):
-        n = 6
-        amp = rng.uniform(0.5, 1.0, n)
-        freq = rng.uniform(0.02, 0.12, n)
-        angle = rng.uniform(0, 2 * np.pi, n)
-        terms.append(
-            (amp, freq * np.cos(angle), freq * np.sin(angle),
-             rng.uniform(0, 2 * np.pi, n))
-        )
-    ys, xs = np.mgrid[0:size, 0:size].astype(float)
-    center = (size - 1) / 2.0
-
-    def sample(dx: float = 0.0, dy: float = 0.0, theta: float = 0.0) -> RasterImage:
-        if theta:
-            ux, uy = xs - center, ys - center
-            c, s = np.cos(theta), np.sin(theta)
-            px = c * ux - s * uy + center + dx
-            py = s * ux + c * uy + center + dy
-        else:
-            px, py = xs + dx, ys + dy
-        channels = []
-        for amp, kx, ky, phase in terms:
-            total = np.zeros_like(px)
-            for a, fx, fy, ph in zip(amp, kx, ky, phase):
-                total += a * np.sin(fx * px + fy * py + ph)
-            bound = amp.sum()  # amplitude bound keeps shifted samples in range
-            channels.append(10.0 + (total + bound) * (235.0 / (2.0 * bound)))
-        return RasterImage(np.stack(channels, axis=-1))
-
-    return sample
-
-
 def test_criterion_05_registration_accuracy():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2026)
     worst = 0.0
     trials = 100
     for _ in range(trials):
-        sample = _sinusoid_sampler(rng)
+        sample = sinusoid_sampler(rng)
         anchor = sample()
         dx = float(rng.uniform(-8.0, 8.0))
         dy = float(rng.uniform(-8.0, 8.0))
@@ -345,7 +311,7 @@ def test_criterion_05_registration_accuracy():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
 
-    sample = _sinusoid_sampler(np.random.default_rng(99))
+    sample = sinusoid_sampler(np.random.default_rng(99))
     rigid = register_pair(
         sample(), sample(dx=1.5, dy=-0.75, theta=0.02), "rigid"
     )

@@ -26,7 +26,7 @@ from somqe.register import (
     write_transform_sidecar,
 )
 
-from conftest import random_image, smooth_image
+from conftest import random_image, sinusoid_sampler, smooth_image
 from oracles import dense_bilinear, dense_sample_coords
 
 
@@ -310,60 +310,49 @@ def test_rigid_recovery_small_rotation():
     assert got.dy == pytest.approx(-0.8, abs=0.1)
 
 
-def _scene_with_new_colour(seed, size):
-    """Sampler of an analytic RGB scene that can grow a new-colour disc.
-
-    `sample(dx, dy, theta, share)` evaluates the scene at R(theta) (p - c)
-    + c + (dx, dy), so registering it to `sample(0, 0, 0, 0)` should return
-    exactly (dx, dy, theta).  The disc covers `share` of the frame and has a
-    2 px smoothstep edge, both in scene coordinates."""
-    rng = np.random.default_rng(seed)
-    waves = [
-        (rng.uniform(0.5, 1.0, 6), rng.uniform(0.02, 0.12, 6),
-         rng.uniform(0.0, 2 * np.pi, 6), rng.uniform(0.0, 2 * np.pi, 6))
-        for _ in range(3)
-    ]
-    center = (size - 1) / 2.0
-    disc = center + rng.uniform(-0.1, 0.1, 2) * size
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-
-    def sample(dx, dy, theta, share):
-        c, s = math.cos(theta), math.sin(theta)
-        px = c * (xs - center) - s * (ys - center) + center + dx
-        py = s * (xs - center) + c * (ys - center) + center + dy
-        channels = []
-        for amp, freq, angle, phase in waves:
-            total = sum(
-                a * np.sin(f * math.cos(t) * px + f * math.sin(t) * py + ph)
-                for a, f, t, ph in zip(amp, freq, angle, phase)
-            )
-            channels.append(10.0 + (total + amp.sum()) * (235.0 / (2.0 * amp.sum())))
-        radius = math.sqrt(share * size * size / math.pi)
-        t = np.clip((radius - np.hypot(px - disc[0], py - disc[1])) / 2.0 + 0.5, 0.0, 1.0)
-        edge = (t * t * (3.0 - 2.0 * t))[:, :, None]
-        rgb = (1.0 - edge) * np.stack(channels, axis=-1) + edge * [250.0, 246.0, 236.0]
-        return RasterImage(rgb)
-
-    return sample
-
-
 @pytest.mark.parametrize("mode", ["translation", "rigid"])
-@pytest.mark.parametrize("seed,share", [(1, 0.02), (2, 0.08), (3, 0.15)])
-def test_frame_with_new_colour_registers_to_its_truth(mode, seed, share):
-    """Changed pixels must not pull the fit: the paper's frames carry them."""
-    sample = _scene_with_new_colour(seed, 128)
+@pytest.mark.parametrize("seed,share,ground", [
+    (1, 0.02, False), (2, 0.08, False), (3, 0.15, False),
+    (4, 0.25, True), (5, 0.35, True), (6, 0.45, True),
+])
+def test_frame_with_new_colour_registers_to_its_truth(mode, seed, share, ground):
+    """Changed pixels must not pull the fit: the paper's frames carry them.
+
+    With `ground`, both frames are a textured disc on a constant colour that
+    covers over half of them and matches exactly at any shift; it must not
+    set the robust scale that decides which textured pixels count."""
+    sample = sinusoid_sampler(np.random.default_rng(seed), 128)
     rng = np.random.default_rng(100 + seed)
     dx, dy = rng.uniform(-6.0, 6.0, 2)
     theta = float(rng.uniform(-0.02, 0.02)) if mode == "rigid" else 0.0
-    got = register_pair(sample(0.0, 0.0, 0.0, 0.0), sample(dx, dy, theta, share), mode)
+    anchor = sample(share=share, ground=True) if ground else sample()
+    got = register_pair(anchor, sample(dx, dy, theta, share, ground), mode)
     assert math.hypot(got.dx - dx, got.dy - dy) <= 0.1
     assert abs(got.theta - theta) <= 1e-3
 
 
 @pytest.mark.parametrize("mode", ["translation", "rigid"])
-@pytest.mark.parametrize("changed", [0.05, 0.3, 0.45])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rounded_frames_register_near_an_integer_shift(mode, seed):
+    """Rounding to 8 bits must not pull the fit onto the integer shift.
+
+    Near it most residuals of two rounded frames are exactly 0; with a
+    scale below the rounding step they would outweigh the rest (0.05 px)."""
+    sample = sinusoid_sampler(np.random.default_rng(seed), 128)
+    anchor = RasterImage(np.round(sample().pixels))
+    frame = RasterImage(np.round(sample(3.05, -1.97).pixels))
+    got = register_pair(anchor, frame, mode)
+    assert math.hypot(got.dx - 3.05, got.dy + 1.97) <= 0.025
+    assert abs(got.theta) <= 1e-3
+
+
+@pytest.mark.parametrize("mode", ["translation", "rigid"])
+@pytest.mark.parametrize("changed", [0.05, 0.3, 0.45, 0.6])
 def test_flat_anchor_with_sparse_change_registers_to_exact_zero(mode, changed):
-    """Fewer than half the pixels differ, so the robust scale is zero."""
+    """The anchor has no gradient, so the robust scale sits at its floor.
+
+    Every changed pixel then has zero weight and every other one a zero
+    residual: the first proposed update is exactly 0."""
     rng = np.random.default_rng(55)
     side = 48
     anchor = np.full((side, side, 3), (96.0, 118.0, 84.0))
