@@ -10,7 +10,6 @@ normal on smooth scenes.
 import numpy as np
 
 from somqe import RasterImage, register_pair, resample
-from somqe.pipeline import align_frames
 from somqe.register import RegistrationTransform, mean_square_residual
 
 rng = np.random.default_rng(3)
@@ -60,6 +59,7 @@ stack = [resample(anchor, RegistrationTransform(
     "translation", dx=float(d), dy=float(-d) / 2, theta=0.0).inverse())
     for d in (2, 4)] + [anchor]
 print("\nstack alignment (anchor is the last frame):")
-transforms, _, residuals = align_frames(stack, len(stack) - 1, "translation")
-for i, (t, residual) in enumerate(zip(transforms, residuals)):
+for i, frame in enumerate(stack):
+    t = register_pair(anchor, frame, "translation")
+    residual = mean_square_residual(anchor, resample(frame, t), t)
     print(f"  frame {i}: dx {t.dx:+.3f}  dy {t.dy:+.3f}  residual {residual:.4f}")

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages so each step can run standalone:
 
     register    align frames to the anchor, write aligned PPMs + transforms
-    train       preprocess frames and train a map on the anchor frame
+    train       preprocess the anchor frame and train a map on it
     score       apply a saved map to preprocessed frames, write QE rows
     stats       fit year trends for covariate columns or a QE row file
     correlate   correlate a QE row file with covariate columns
@@ -31,14 +31,13 @@ from .pipeline import (
     emit_svg_plots,
     ingest_covariates,
     load_config_file,
-    load_frames,
-    prepare_frames,
+    preprocessed_frames,
     qe_report,
     qe_rows_csv,
     read_manifest,
     read_qe_csv,
     run_pipeline,
-    score_frames,
+    score_frame,
     slugify,
     QeReport,
 )
@@ -97,6 +96,14 @@ def _config_from_args(args) -> RunConfig:
     return apply_config_entries(config, overrides)
 
 
+def _covariates(config: RunConfig) -> list:
+    """The covariate series with the run's year fix applied, as for QE rows."""
+    return [
+        apply_year_fix(series, config.year_fix)
+        for series in ingest_covariates(config.covariates)
+    ]
+
+
 def _out_dir(config: RunConfig) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     return config.out_dir
@@ -115,40 +122,35 @@ def _require(args, name: str):
 def _cmd_register(args) -> int:
     config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
-    frames = load_frames(manifest)
-    transforms, aligned, residuals = prepare_frames(
-        frames, manifest.anchor_index, config
-    )
     out = _out_dir(config)
-    manifest_lines = ["# path\tlabel\tyear"]
-    for i, (entry, frame) in enumerate(zip(manifest.entries, aligned)):
-        name = f"{i:03d}_{slugify(entry.label)}.ppm"
-        save_image(frame, out / name)
-        manifest_lines.append(f"{name}\t{entry.label}\t{entry.year:.10g}")
-    write_transform_sidecar(
-        out / "transforms.txt",
-        [(i, t, r) for i, (t, r) in enumerate(zip(transforms, residuals))],
-    )
+    names = [f"{i:03d}_{slugify(e.label)}.ppm" for i, e in enumerate(manifest.entries)]
+    records = []
+    for i, transform, residual, frame in preprocessed_frames(manifest, config):
+        save_image(frame, out / names[i])
+        records.append((i, transform, residual))
+    write_transform_sidecar(out / "transforms.txt", sorted(records))
+    manifest_lines = ["# path\tlabel\tyear"] + [
+        f"{name}\t{e.label}\t{e.year:.10g}" for name, e in zip(names, manifest.entries)
+    ]
     atomic_write_bytes(
         out / "registered_manifest.tsv",
         ("\n".join(manifest_lines) + "\n").encode("utf-8"),
     )
-    print(f"aligned {len(aligned)} frames into {out}")
+    print(f"aligned {len(records)} frames into {out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
-    frames = load_frames(manifest)
-    _, processed, _ = prepare_frames(frames, manifest.anchor_index, config)
-    anchor = processed[manifest.anchor_index]
+    # the stream yields the anchor first; no other frame is loaded
+    _, _, _, anchor = next(preprocessed_frames(manifest, config))
     grid = fit_som(
         anchor, config.grid_width, config.grid_height, config.training_params()
     )
     out = _out_dir(config)
     save_grid(grid, out / "grid.txt")
-    (row,) = score_frames([manifest.entries[manifest.anchor_index]], [anchor], grid)
+    row = score_frame(manifest.entries[manifest.anchor_index], anchor, grid)
     print(
         f"trained {config.grid_width}x{config.grid_height} map on "
         f"{row.label}: anchor qe {row.qe:.6g}, {row.empty_models} empty models, "
@@ -161,10 +163,11 @@ def _cmd_score(args) -> int:
     config = _config_from_args(args)
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
-    frames = load_frames(manifest)
-    _, processed, _ = prepare_frames(frames, manifest.anchor_index, config)
-    rows = score_frames(manifest.entries, processed, grid)
-    text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(rows)
+    scored = sorted(
+        (i, score_frame(manifest.entries[i], frame, grid))
+        for i, _, _, frame in preprocessed_frames(manifest, config)
+    )
+    text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(row for _, row in scored)
     if args.out is not None:
         out = _out_dir(config)
         atomic_write_bytes(out / "qe.csv", text.encode("utf-8"))
@@ -182,9 +185,8 @@ def _cmd_stats(args) -> int:
         report = qe_report(roi or "qe", rows, config.year_fix)
         lines.append(regression_csv_row(report.roi_name, report.regression))
     elif config.covariates is not None:
-        for series in ingest_covariates(config.covariates):
-            fixed = apply_year_fix(series, config.year_fix)
-            lines.append(regression_csv_row(fixed.label, linear_fit(fixed)))
+        for series in _covariates(config):
+            lines.append(regression_csv_row(series.label, linear_fit(series)))
     else:
         raise InputError("stats needs --covariates or --qe")
     text = "\n".join(lines) + "\n"
@@ -201,7 +203,7 @@ def _build_report_from_qe(args, config: RunConfig) -> QeReport:
     roi, rows = read_qe_csv(_require(args, "qe"))
     report = qe_report(roi or "qe", rows, config.year_fix)
     if config.covariates is not None:
-        report = correlate(report, ingest_covariates(config.covariates))
+        report = correlate(report, _covariates(config))
     return report
 
 
@@ -237,7 +239,7 @@ def _cmd_run(args) -> int:
     manifest = read_manifest(_require(args, "manifest"))
     report = run_pipeline(manifest, config)
     if config.covariates is not None:
-        report = correlate(report, ingest_covariates(config.covariates))
+        report = correlate(report, _covariates(config))
     out = _out_dir(config)
     emit_csv(report, out / "report.csv", config)
     if report.grid is not None:

@@ -1,18 +1,22 @@
 """Manifest-to-report orchestration.
 
-A manifest lists image frames with labels and years.  A run aligns every
-frame to the anchor (last entry unless overridden), stretches contrast,
-trains a map on the anchor frame, scores each frame's quantization error,
-fits the QE-versus-year trend, and optionally correlates the QE series with
-covariate series ingested from CSV.  Every artifact (CSV report, SVG plots,
-grid file, transform sidecar) is written atomically and is byte identical
-across reruns with the same inputs and seed.
+A manifest lists image frames with labels and years.  `preprocessed_frames`
+streams them: the anchor (last entry unless overridden) first, then the
+others in manifest order, each loaded, aligned to the anchor and contrast
+stretched, holding only the anchor, its luminance pyramid and the frame in
+hand.  A run trains a map on the anchor, scores each frame's quantization
+error as it arrives, fits the QE-versus-year trend, and optionally
+correlates the QE series with year-checked covariate series from CSV.
+Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
+written atomically and is byte identical across reruns with the same inputs
+and seed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import re
 import warnings
@@ -340,44 +344,44 @@ class QeReport:
     residuals: tuple[float, ...] = ()
 
 
-def load_frames(manifest: Manifest) -> list[RasterImage]:
-    frames = []
-    for i, entry in enumerate(manifest.entries):
-        try:
-            frames.append(load_image(entry.path))
-        except OSError as exc:
-            raise InputError(f"frame {i} ({entry.path}): {exc}") from None
-    return frames
+def preprocessed_frames(manifest: Manifest, config: RunConfig):
+    """Yield (index, transform, residual, frame) per manifest frame, anchor first.
 
-
-def align_frames(frames, anchor_index: int, mode: str):
-    """Register every frame to the anchor frame.
-
-    Returns (transforms, aligned frames, mean-square residuals) in input
-    order.  The anchor, and every frame in mode 'none', passes through with
-    an identity transform.  The anchor's luminance planes are built once
-    and shared by every pair.  A non-converging pair re-raises with the
-    offending frame index attached.
+    Each frame is loaded, checked against the anchor's size, registered to
+    the anchor, resampled, scored for its mean-square residual and, when
+    `config.normalize` is set, contrast stretched.  The anchor, and every
+    frame in mode 'none', passes through with an identity transform.  Only
+    the anchor, its luminance pyramid (built once and shared by every pair)
+    and the frame in hand are held.  A non-converging pair re-raises with
+    the offending frame index attached.
     """
-    if not frames:
+    if not manifest.entries:
         raise InputError("empty image stack")
-    first = frames[0]
-    for i, frame in enumerate(frames):
-        if (frame.height, frame.width) != (first.height, first.width):
-            raise InputError(
-                f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
-                f"frame 0 is {first.width}x{first.height}"
-            )
-    anchor = frames[anchor_index]
+    mode = config.registration_mode
+    a = manifest.anchor_index
+
+    def load(i):
+        path = manifest.entries[i].path
+        try:
+            return load_image(path)
+        except OSError as exc:
+            raise InputError(f"frame {i} ({path}): {exc}") from None
+
+    anchor = load(a)
     if mode == "none":
         anchor_levels = (anchor.luminance(),)
     else:
         anchor_levels = luminance_pyramid(anchor)
     identity = identity_transform("translation" if mode == "none" else mode)
-    transforms, aligned, residuals = [], [], []
-    for i, frame in enumerate(frames):
-        if mode == "none" or i == anchor_index:
-            transform, moved = identity, frame
+    for i in [a] + [j for j in range(len(manifest.entries)) if j != a]:
+        frame = anchor if i == a else load(i)
+        if (frame.height, frame.width) != (anchor.height, anchor.width):
+            raise InputError(
+                f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
+                f"anchor frame {a} is {anchor.width}x{anchor.height}"
+            )
+        if mode == "none" or i == a:
+            transform = identity
         else:
             try:
                 transform = register_pair(
@@ -390,36 +394,19 @@ def align_frames(frames, anchor_index: int, mode: str):
                     residual=exc.residual,
                     index=i,
                 ) from exc
-            moved = resample(frame, transform)
-        transforms.append(transform)
-        aligned.append(moved)
-        residuals.append(
-            mean_square_residual(
-                anchor, moved, transform, reference_luminance=anchor_levels[0]
-            )
+            frame = resample(frame, transform)
+        residual = mean_square_residual(
+            anchor, frame, transform, reference_luminance=anchor_levels[0]
         )
-    return transforms, aligned, residuals
+        if config.normalize:
+            frame = normalize_contrast(frame)
+        yield i, transform, residual, frame
 
 
-def prepare_frames(frames, anchor_index: int, config: RunConfig):
-    """Alignment followed by contrast stretch, per the config toggles."""
-    transforms, aligned, residuals = align_frames(
-        frames, anchor_index, config.registration_mode
-    )
-    if config.normalize:
-        aligned = [normalize_contrast(f) for f in aligned]
-    return transforms, aligned, residuals
-
-
-def score_frames(entries, frames, grid: SomGrid) -> list[QeRow]:
-    """One QE row per manifest entry, scoring its preprocessed frame."""
-    rows = []
-    for entry, frame in zip(entries, frames):
-        result = quantization_error(frame, grid)
-        rows.append(
-            QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
-        )
-    return rows
+def score_frame(entry: ManifestEntry, frame: RasterImage, grid: SomGrid) -> QeRow:
+    """The QE row of one manifest entry, scoring its preprocessed frame."""
+    result = quantization_error(frame, grid)
+    return QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
 
 
 def qe_report(
@@ -451,19 +438,19 @@ def qe_report(
 
 def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
     """Full run: align, normalize, train on the anchor, score, fit the trend."""
-    frames = load_frames(manifest)
-    transforms, processed, residuals = prepare_frames(
-        frames, manifest.anchor_index, config
-    )
+    frames = preprocessed_frames(manifest, config)
+    first = next(frames)
     grid = fit_som(
-        processed[manifest.anchor_index],
-        config.grid_width,
-        config.grid_height,
-        config.training_params(),
+        first[3], config.grid_width, config.grid_height, config.training_params()
     )
+    scored = sorted(
+        (i, transform, residual, score_frame(manifest.entries[i], frame, grid))
+        for i, transform, residual, frame in itertools.chain([first], frames)
+    )
+    _, transforms, residuals, rows = zip(*scored)
     return qe_report(
         manifest.roi_name,
-        score_frames(manifest.entries, processed, grid),
+        rows,
         config.year_fix,
         grid=grid,
         transforms=transforms,
@@ -475,7 +462,8 @@ def correlate(report: QeReport, covariates) -> QeReport:
     """Report with each covariate correlated against the QE series.
 
     Pairing is by position, so covariate files must list one row per frame
-    in manifest order.
+    in manifest order; a covariate row whose year differs from its QE row's
+    year raises InputError.
     """
     qe_series = Series(
         "qe",
@@ -488,6 +476,14 @@ def correlate(report: QeReport, covariates) -> QeReport:
             raise InputError(
                 f"length mismatch: covariate {cov.label!r} has {cov.n} rows, "
                 f"the QE series has {len(report.rows)}"
+            )
+        differs = np.flatnonzero(cov.x != qe_series.x)
+        if differs.size:
+            k = differs[0]
+            raise InputError(
+                f"year mismatch: covariate {cov.label!r} row {k} is year "
+                f"{cov.x[k]:.10g}, QE row {k} ({report.rows[k].label}) is year "
+                f"{qe_series.x[k]:.10g}"
             )
         entries.append(CorrelationEntry(cov.label, cov.y, pearson(qe_series, cov)))
     return replace(report, correlations=tuple(entries))

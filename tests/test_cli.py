@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import somqe.pipeline as pipeline_module
 from somqe.cli import main
 from somqe.errors import RegistrationError
 from somqe.raster import RasterImage, save_image
@@ -121,6 +122,63 @@ def test_train_then_score_matches_run_report(tmp_path, capsys):
     report_lines = (run_out / "report.csv").read_text().splitlines()
     # identical preprocessing and map, so the qe rows agree byte for byte
     assert qe_lines == [l for l in report_lines if l.startswith("frame")]
+
+
+def test_train_reads_only_the_anchor_frame(tmp_path, monkeypatch):
+    manifest, _ = make_workspace(tmp_path)
+    common = ["--manifest", str(manifest), "--grid", "2x2",
+              "--iterations", "40", "--seed", "2"]
+    assert main(["run", *common, "--out", str(tmp_path / "run")]) == 0
+    loaded = []
+    real_load_image = pipeline_module.load_image
+
+    def counting_load_image(path):
+        loaded.append(path)
+        return real_load_image(path)
+
+    monkeypatch.setattr(pipeline_module, "load_image", counting_load_image)
+    assert main(["train", *common, "--out", str(tmp_path / "trained")]) == 0
+    assert [p.name for p in loaded] == ["img_2.ppm"]
+    assert (tmp_path / "trained" / "grid.txt").read_bytes() == (
+        tmp_path / "run" / "grid.txt"
+    ).read_bytes()
+
+
+def test_run_rejects_covariates_whose_years_differ_from_the_frames(tmp_path, capsys):
+    manifest, covariates = make_workspace(tmp_path)
+    rows = covariates.read_text().splitlines()
+    covariates.write_text("\n".join(rows[:1] + rows[:0:-1]) + "\n")
+    code = main([
+        "run", "--manifest", str(manifest), "--covariates", str(covariates),
+        "--grid", "2x2", "--iterations", "40", "--out", str(tmp_path / "out"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert_single_error_line(captured, "input")
+    assert "year mismatch: covariate 'heat' row 0 is year 2002" in captured.err
+
+
+def test_run_applies_the_year_fix_to_covariates(tmp_path, capsys):
+    manifest, covariates = make_workspace(tmp_path, n_frames=4)
+    years = [1989, 1991, 1991, 1992]
+    manifest.write_text("".join(
+        f"img_{k}.ppm\tframe{k}\t{year}\n" for k, year in enumerate(years)
+    ))
+    covariates.write_text("year,heat\n" + "".join(
+        f"{year},{10.0 + 2 * k}\n" for k, year in enumerate(years)
+    ))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="duplicate year 1991"):
+        code = main([
+            "run", "--manifest", str(manifest), "--covariates", str(covariates),
+            "--grid", "2x2", "--iterations", "40", "--year-fix", "relabel-1990",
+            "--out", str(out),
+        ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = (out / "report.csv").read_text()
+    assert "\nframe1,1990," in report
+    assert "\nheat," in report
 
 
 def test_score_without_out_prints_rows(tmp_path, capsys):

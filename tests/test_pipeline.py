@@ -1,5 +1,6 @@
 """Manifest/config plumbing and the end-to-end scoring run."""
 
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -20,7 +21,6 @@ from somqe.pipeline import (
     Manifest,
     ManifestEntry,
     RunConfig,
-    align_frames,
     apply_config_entries,
     apply_year_fix,
     correlate,
@@ -29,12 +29,13 @@ from somqe.pipeline import (
     ingest_covariates,
     load_config_file,
     parse_grid_size,
+    preprocessed_frames,
     read_manifest,
     read_qe_csv,
     report_csv_text,
     slugify,
 )
-from somqe.raster import RasterImage, save_image
+from somqe.raster import RasterImage, load_image, save_image
 from somqe.register import mean_square_residual, register_pair
 
 from conftest import random_image, smooth_image
@@ -404,33 +405,41 @@ def test_preprocessing_is_noop_on_aligned_normalized_frames(tmp_path):
         assert a.empty_models == b.empty_models
 
 
-def test_align_frames_anchors_last_frame():
+def as_uint8(image: RasterImage) -> np.ndarray:
+    return np.round(image.pixels).astype(np.uint8)
+
+
+def test_preprocessed_frames_yields_last_frame_anchor_first(tmp_path):
     anchor = smooth_image(8, size=64)
     frame0 = resample(anchor, RegistrationTransform("translation", 1.0, 0.0))
     frame1 = resample(anchor, RegistrationTransform("translation", 0.0, -2.0))
-    transforms, aligned, residuals = align_frames(
-        [frame0, frame1, anchor], 2, "translation"
-    )
-    results = list(zip(transforms, aligned))
-    assert len(results) == 3
-    t_anchor, img_anchor = results[-1]
+    manifest = write_frames(tmp_path, [as_uint8(f) for f in (frame0, frame1, anchor)])
+    anchor = load_image(manifest.entries[2].path)
+    items = list(preprocessed_frames(manifest, RunConfig(normalize=False)))
+    assert [i for i, _, _, _ in items] == [2, 0, 1]
+    _, t_anchor, _, img_anchor = items[0]
     assert t_anchor.dx == 0.0 and t_anchor.dy == 0.0
     assert np.array_equal(img_anchor.pixels, anchor.pixels)
-    for (t, moved), true_dx, true_dy in zip(results[:2], (-1.0, 0.0), (0.0, 2.0)):
+    for (_, t, residual, moved), true_dx, true_dy in zip(
+        items[1:], (-1.0, 0.0), (0.0, 2.0)
+    ):
         assert t.dx == pytest.approx(true_dx, abs=0.05)
         assert t.dy == pytest.approx(true_dy, abs=0.05)
         assert mean_square_residual(anchor, moved, t) < 1.0
-    assert residuals[:2] == [mean_square_residual(anchor, m, t) for t, m in results[:2]]
+        assert residual == mean_square_residual(anchor, moved, t)
 
 
-def test_align_frames_builds_the_anchor_pyramid_once(monkeypatch):
+def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatch):
     import somqe.register as register_module
 
     anchor = smooth_image(5, size=128)
-    frames = [
-        resample(anchor, RegistrationTransform("translation", dx, dy))
+    arrays = [
+        as_uint8(resample(anchor, RegistrationTransform("translation", dx, dy)))
         for dx, dy in ((1.0, 0.5), (-0.75, 2.0), (0.0, -1.25))
-    ] + [anchor]
+    ] + [as_uint8(anchor)]
+    manifest = write_frames(tmp_path, arrays)
+    frames = [load_image(e.path) for e in manifest.entries]
+    anchor = frames[3]
     halved = []
     real_halve = register_module._halve
 
@@ -439,35 +448,63 @@ def test_align_frames_builds_the_anchor_pyramid_once(monkeypatch):
         return real_halve(a)
 
     monkeypatch.setattr(register_module, "_halve", counting_halve)
-    transforms, _, residuals = align_frames(frames, 3, "translation")
-    assert sum(a is anchor.pixels for a in halved) == 1
+    items = sorted(preprocessed_frames(manifest, RunConfig()))
+    assert sum(np.array_equal(a, anchor.pixels) for a in halved) == 1
     # 128 -> 64 -> 32: two halvings per pyramid, one pyramid per frame
     assert len(halved) == 2 * len(frames)
     monkeypatch.undo()
-    for frame, transform, residual in zip(frames[:3], transforms, residuals):
+    for frame, (_, transform, residual, _) in zip(frames[:3], items):
         assert transform == register_pair(anchor, frame, "translation")
         assert residual == mean_square_residual(
             anchor, resample(frame, transform), transform
         )
 
 
-def test_align_frames_rejects_empty_and_mismatched():
+def test_preprocessed_frames_rejects_empty_and_mismatched(tmp_path):
     with pytest.raises(InputError, match="empty image stack"):
-        align_frames([], 0, "translation")
-    with pytest.raises(InputError, match="size mismatch"):
-        align_frames([random_image(0, 8, 8), random_image(1, 9, 8)], 1, "translation")
+        next(preprocessed_frames(Manifest((), "empty", 0), RunConfig()))
+    manifest = write_frames(
+        tmp_path, [as_uint8(random_image(0, 8, 8)), as_uint8(random_image(1, 9, 8))]
+    )
+    with pytest.raises(
+        InputError, match="size mismatch: frame 0 is 8x8, anchor frame 1 is 8x9"
+    ):
+        list(preprocessed_frames(manifest, RunConfig()))
 
 
-def test_align_frames_tags_failing_frame_index(monkeypatch):
+def test_preprocessed_frames_tags_failing_frame_index(tmp_path, monkeypatch):
     def always_fails(reference, test, mode="translation", *, reference_levels=None):
         raise RegistrationError("did not converge", transform=None, residual=9.9)
 
     monkeypatch.setattr(pipeline_module, "register_pair", always_fails)
-    frames = [random_image(i, 8, 8) for i in range(3)]
+    manifest = write_frames(tmp_path, [as_uint8(random_image(i, 8, 8)) for i in range(3)])
     with pytest.raises(RegistrationError) as info:
-        align_frames(frames, 2, "translation")
+        list(preprocessed_frames(manifest, RunConfig()))
     assert info.value.index == 0
     assert info.value.residual == 9.9
+
+
+@pytest.mark.parametrize("mode", ["none", "translation"])
+def test_run_pipeline_peak_memory_does_not_grow_with_stack_length(tmp_path, mode):
+    """Frames stream through the run, so a longer stack holds no more of them."""
+    frame = as_uint8(smooth_image(3, size=96))
+    config = RunConfig(
+        grid_width=2, grid_height=2, iterations=20, registration_mode=mode
+    )
+    manifests = []
+    for n in (4, 12):
+        (tmp_path / str(n)).mkdir()
+        manifests.append(write_frames(tmp_path / str(n), [frame] * n))
+    run_pipeline(manifests[0], config)  # one-time allocations stay out of the peaks
+    peaks = []
+    for manifest in manifests:
+        tracemalloc.start()
+        try:
+            run_pipeline(manifest, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < frame.size * np.dtype(np.float64).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +537,18 @@ def test_correlate_length_mismatch(tmp_path):
     short = Series("short", np.arange(2.0), np.arange(2.0))
     with pytest.raises(InputError, match="length mismatch"):
         correlate(report, [short])
+
+
+def test_correlate_rejects_covariate_years_that_differ_from_qe_years(tmp_path):
+    report = run_small_report(tmp_path)
+    years = np.array([r.year for r in report.rows])
+    shifted = years.copy()
+    shifted[3:] += 1.0
+    with pytest.raises(
+        InputError,
+        match=r"covariate 'heat' row 3 is year 2004, QE row 3 \(y2003\) is year 2003",
+    ):
+        correlate(report, [Series("heat", shifted, years * 2.0)])
 
 
 # ---------------------------------------------------------------------------
