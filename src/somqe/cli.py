@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import ComputationError, InputError
@@ -97,11 +98,16 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _covariates(config: RunConfig) -> list:
-    """The covariate series with the run's year fix applied, as for QE rows."""
-    return [
+    """Covariates year-fixed as the QE rows are; a year left duplicated warns."""
+    fixed = [
         apply_year_fix(series, config.year_fix)
         for series in ingest_covariates(config.covariates)
     ]
+    years = list(fixed[0].x)
+    for year in sorted({y for y in years if years.count(y) > 1}):
+        message = f"duplicate year {year:g} in {config.covariates}; keeping both rows"
+        warnings.warn(message, stacklevel=2)
+    return fixed
 
 
 def _out_dir(config: RunConfig) -> Path:

@@ -19,7 +19,6 @@ import io
 import itertools
 import os
 import re
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -235,7 +234,7 @@ def ingest_covariates(path) -> list[Series]:
     The field separator is sniffed from the header: ';' or tab when present,
     otherwise ','.  Numeric cells may use either decimal mark (which is why
     European-style files must use ';' or tab separators).  '#' lines are
-    comments.  A duplicated year raises a warning but both rows are kept.
+    comments.  A duplicated year keeps both rows.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -273,11 +272,6 @@ def ingest_covariates(path) -> list[Series]:
                 raise InputError(
                     f"unparseable cell at row {r}, column {c}: {cell.strip()!r}"
                 ) from None
-        if parsed[0] in years:
-            warnings.warn(
-                f"duplicate year {parsed[0]:g} in {path}; keeping both rows",
-                stacklevel=2,
-            )
         years.append(parsed[0])
         for c, value in enumerate(parsed[1:]):
             columns[c].append(value)
@@ -359,6 +353,8 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
         raise InputError("empty image stack")
     mode = config.registration_mode
     a = manifest.anchor_index
+    if not (0 <= a < len(manifest.entries)):
+        raise InputError(f"anchor index {a} outside 0..{len(manifest.entries) - 1}")
 
     def load(i):
         path = manifest.entries[i].path

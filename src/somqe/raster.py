@@ -3,10 +3,12 @@
 Binary PPM (P6, maxval 255) is the canonical interchange format.  Reads are
 value-exact and writes are byte-for-byte reproducible, which is what makes
 whole pipeline runs comparable by checksum.  8-bit PNG is accepted on input
-for convenience: the decoder handles color types 0, 2, 3, 4 and 6 with all
-five scanline filters, expands grayscale and palette to RGB, and drops any
-alpha channel.  Chunk CRCs are checked, and image data is inflated no
-further than the size the header implies.
+for convenience: the decoder handles color types 0, 2, 3, 4 and 6, expands
+grayscale and palette to RGB, and drops any alpha channel.  All five
+scanline filters predict a pixel only from its left, upper and upper-left
+neighbours, so they are undone exactly one pixel anti-diagonal at a time.
+Chunk CRCs are checked, and image data is inflated no further than the size
+the header implies.
 
 Pixel data lives in float64 arrays of shape (height, width, 3) with values in
 [0, 255].  Mid-pipeline stages (resampling, rescaling before the final round)
@@ -156,53 +158,36 @@ def _png_chunks(data: bytes):
             return
     raise InputError("truncated payload: missing IEND chunk")
 
-def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
-    rowbytes = width * channels
-    if len(raw) < height * (rowbytes + 1):
+def _unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """Undo the per-row PNG filters; returns (height, width, bpp) uint8.
+
+    Every filter predicts a byte from the same channel of the pixels left (a),
+    above (b) and above-left (c) of it (PNG specification, section 9), so one
+    numpy step per anti-diagonal y + x = k decodes any mix of filters exactly.
+    With a zero first row and column, an anti-diagonal's pixels lie `width`
+    apart in the flat buffer, and a, b and c lie 1, width + 1 and width + 2
+    before them.
+    """
+    size = height * (width * bpp + 1)
+    if len(raw) < size:
         raise InputError("truncated payload: inflated data shorter than image")
-    out = np.zeros((height, rowbytes), dtype=np.uint8)
-    prev = np.zeros(rowbytes, dtype=np.int64)
-    bpp = channels
-    for y in range(height):
-        offset = y * (rowbytes + 1)
-        ftype = raw[offset]
-        row = np.frombuffer(raw, dtype=np.uint8, count=rowbytes, offset=offset + 1)
-        row = row.astype(np.int64)
-        if ftype == 0:
-            cur = row
-        elif ftype == 1:
-            cur = row.copy()
-            for c in range(bpp):
-                cur[c::bpp] = np.cumsum(cur[c::bpp]) % 256
-        elif ftype == 2:
-            cur = (row + prev) % 256
-        elif ftype == 3:
-            # plain ints, with bpp zeros standing in left of the row
-            cur = [0] * bpp + row.tolist()
-            up = prev.tolist()
-            for i in range(rowbytes):
-                cur[i + bpp] = (cur[i + bpp] + ((cur[i] + up[i]) >> 1)) & 255
-            cur = np.array(cur[bpp:], dtype=np.int64)
-        elif ftype == 4:
-            cur = [0] * bpp + row.tolist()
-            up = [0] * bpp + prev.tolist()
-            for i in range(rowbytes):
-                a, b, c = cur[i], up[i + bpp], up[i]
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                if pa <= pb and pa <= pc:
-                    pred = a
-                elif pb <= pc:
-                    pred = b
-                else:
-                    pred = c
-                cur[i + bpp] = (cur[i + bpp] + pred) & 255
-            cur = np.array(cur[bpp:], dtype=np.int64)
-        else:
-            raise InputError(f"malformed header: unknown PNG filter type {ftype}")
-        out[y] = cur.astype(np.uint8)
-        prev = cur
-    return out
+    data = np.frombuffer(raw, dtype=np.uint8, count=size).reshape(height, -1)
+    ftypes = data[:, 0]
+    unknown = ftypes[ftypes > 4]
+    if unknown.size:
+        raise InputError(f"malformed header: unknown PNG filter type {unknown[0]}")
+    buf = np.zeros((height + 1, width + 1, bpp), dtype=np.int16)  # fits a + b - 2c
+    buf[1:, 1:] = data[:, 1:].reshape(height, width, bpp)
+    flat = buf.reshape(-1, bpp)  # pixel (y, x) is row (y + 1) * (width + 1) + x + 1
+    for k in range(height + width - 1):
+        y0, y1 = max(0, k - width + 1), min(height - 1, k)
+        at = np.arange((y0 + 1) * width + k + 2, (y1 + 1) * width + k + 3, width)
+        a, b, c = flat[at - 1], flat[at - width - 1], flat[at - width - 2]
+        pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(a + b - 2 * c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        pred = np.choose(ftypes[y0 : y1 + 1, None], (0, a, b, (a + b) >> 1, paeth))
+        flat[at] = (flat[at] + pred) & 255
+    return buf[1:, 1:].astype(np.uint8)
 
 def decode_png(data: bytes) -> RasterImage:
     if data[:8] != _PNG_SIGNATURE:
@@ -246,21 +231,17 @@ def decode_png(data: bytes) -> RasterImage:
         raise InputError(f"truncated payload: {exc}") from None
     except OverflowError:
         raise InputError(f"unsupported PNG: {width}x{height} is too large") from None
-    planes = _unfilter(raw, width, height, channels).reshape(height, width, channels)
-    if ctype_id == 0:
-        rgb = np.repeat(planes, 3, axis=2)
-    elif ctype_id == 2:
-        rgb = planes
-    elif ctype_id == 3:
+    planes = _unfilter(raw, width, height, channels)
+    if ctype_id == 3:
         if palette is None:
             raise InputError("malformed header: palette image without PLTE")
         idx = planes[:, :, 0]
         if idx.max() >= len(palette):
             raise InputError("malformed header: palette index out of range")
         rgb = palette[idx]
-    elif ctype_id == 4:
+    elif channels < 3:  # grey, with or without alpha
         rgb = np.repeat(planes[:, :, :1], 3, axis=2)
-    else:  # 6
+    else:  # RGB, with or without alpha
         rgb = planes[:, :, :3]
     return RasterImage.from_uint8(rgb)
 

@@ -11,7 +11,6 @@ the consistent labeling.
 
 from __future__ import annotations
 
-import warnings
 from importlib import resources
 
 from .pipeline import apply_year_fix, ingest_covariates
@@ -26,10 +25,7 @@ POPULATION = "population_thousands"
 def _load(name: str, year_fix: str) -> dict[str, Series]:
     path = resources.files("somqe.data") / name
     with resources.as_file(path) as real_path:
-        with warnings.catch_warnings():
-            # the doubled 1991 row is a documented quirk of the source table
-            warnings.simplefilter("ignore")
-            series = ingest_covariates(real_path)
+        series = ingest_covariates(real_path)
     return {s.label: apply_year_fix(s, year_fix) for s in series}
 
 

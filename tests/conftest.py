@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from somqe import RasterImage
+
+
+def pytest_collection_modifyitems(items):
+    """Any warning fails a test under tests/, so a stray one never reaches users.
+
+    A hook rather than `filterwarnings` in pyproject.toml, because that would
+    also fail the benchmark's self-tests in bench/tests, whose span reader
+    leaves its file to the garbage collector (a ResourceWarning).
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 def random_image(seed: int, height: int = 16, width: int = 16) -> RasterImage:

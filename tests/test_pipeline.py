@@ -213,11 +213,10 @@ def test_ingest_covariates_tab(tmp_path):
     assert series.y[0] == 1.5
 
 
-def test_ingest_covariates_duplicate_year_warns_keeps_both(tmp_path):
+def test_ingest_covariates_duplicate_year_keeps_both(tmp_path):
     path = tmp_path / "cov.csv"
     path.write_text("year,v\n1991,1\n1991,2\n")
-    with pytest.warns(UserWarning, match="duplicate year 1991"):
-        (series,) = ingest_covariates(path)
+    (series,) = ingest_covariates(path)
     assert list(series.x) == [1991.0, 1991.0]
     assert list(series.y) == [1.0, 2.0]
 
@@ -470,6 +469,16 @@ def test_preprocessed_frames_rejects_empty_and_mismatched(tmp_path):
         InputError, match="size mismatch: frame 0 is 8x8, anchor frame 1 is 8x9"
     ):
         list(preprocessed_frames(manifest, RunConfig()))
+
+
+@pytest.mark.parametrize("n_frames, anchor", [(1, 3), (4, -1)])
+def test_run_pipeline_rejects_an_anchor_outside_the_stack(tmp_path, n_frames, anchor):
+    arrays = [as_uint8(random_image(i, 8, 8)) for i in range(n_frames)]
+    manifest = Manifest(write_frames(tmp_path, arrays).entries, "synthetic", anchor)
+    with pytest.raises(
+        InputError, match=rf"^anchor index {anchor} outside 0\.\.{n_frames - 1}$"
+    ):
+        run_pipeline(manifest, RunConfig(registration_mode="none"))
 
 
 def test_preprocessed_frames_tags_failing_frame_index(tmp_path, monkeypatch):

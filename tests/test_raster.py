@@ -262,6 +262,15 @@ def test_png_interlaced_error_names_interlacing():
         decode_png(_png_from_ihdr(ihdr))
 
 
+def test_png_unknown_filter_type_rejected():
+    rows = [bytes([ftype]) + bytes(range(6)) for ftype in (0, 1, 5, 2)]
+    ihdr = struct.pack(">IIBBBBB", 2, 4, 8, 2, 0, 0, 0)
+    data = _png_from_ihdr(ihdr, zlib.compress(b"".join(rows)))
+    message = r"^malformed header: unknown PNG filter type 5$"
+    with pytest.raises(InputError, match=message):
+        decode_png(data)
+
+
 def test_png_dimensions_past_addressable_size_rejected():
     ihdr = struct.pack(">IIBBBBB", 2**32 - 1, 2**32 - 1, 8, 6, 0, 0, 0)
     with pytest.raises(InputError, match="too large"):
@@ -318,6 +327,87 @@ def test_png_filters_round_trip_property(color_type, height, width, seed, data):
     else:
         expected = array[:, :, :3]
     assert np.array_equal(decoded.pixels, expected.astype(float))
+
+
+# ---------------------------------------------------------------------------
+# mutated files
+
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, 2**16), st.just(0)),
+        st.tuples(
+            st.just("insert"), st.integers(0, 2**16), st.binary(min_size=1, max_size=8)
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutate(data: bytes, mutations, keep: int) -> bytes:
+    """Apply the mutations after the first `keep` bytes (the magic number)."""
+    out = bytearray(data)
+    for kind, position, value in mutations:
+        at = keep + position % (len(out) - keep + 1)
+        if kind == "flip" and at < len(out):
+            out[at] ^= value
+        elif kind == "truncate":
+            del out[at:]
+        elif kind == "insert":
+            out[at:at] = value
+    return bytes(out)
+
+
+def _mutate_chunk_bodies(data: bytes, mutations) -> bytes:
+    """Mutate the chunk bodies of a well-formed PNG, then rewrite each chunk
+    with a fresh length and CRC, so the mutations reach inflate and unfilter.
+    The mutation at `position` hits chunk `position % count`.
+    """
+    chunks, i = [], 8
+    while i < len(data):
+        (length,) = struct.unpack(">I", data[i : i + 4])
+        chunks.append([data[i + 4 : i + 8], data[i + 8 : i + 8 + length]])
+        i += 12 + length
+    for kind, position, value in mutations:
+        chunk = chunks[position % len(chunks)]
+        chunk[1] = _mutate(chunk[1], [(kind, position // len(chunks), value)], 0)
+    return data[:8] + b"".join(_chunk(ctype, body) for ctype, body in chunks)
+
+
+@given(st.sampled_from([None, 0, 2, 3, 4, 6]), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2**32 - 1), _MUTATIONS, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_mutated_files_decode_or_raise_input_error(
+    color_type, height, width, seed, mutations, fresh_crcs
+):
+    """Flipped, cut or grown PPM and PNG files end as an image or InputError.
+
+    `color_type` None draws a PPM.  Half of the PNG cases get fresh chunk
+    lengths and CRCs after the mutation, so they reach inflate and unfilter.
+    """
+    rng = np.random.default_rng(seed)
+    if color_type is None:
+        decode = decode_ppm
+        image = RasterImage.from_uint8(rng.integers(0, 256, (height, width, 3)))
+        data = _mutate(encode_ppm(image), mutations, 2)
+    else:
+        decode = decode_png
+        channels = {3: 1, **_CHANNELS}[color_type]
+        high = 16 if color_type == 3 else 256
+        array = rng.integers(0, high, (height, width, channels)).astype(np.uint8)
+        palette = rng.integers(0, 256, (16, 3)) if color_type == 3 else None
+        filters = [int(f) for f in rng.integers(0, 5, height)]
+        data = encode_png(array, color_type, filters, palette)
+        if fresh_crcs:
+            data = _mutate_chunk_bodies(data, mutations)
+        else:
+            data = _mutate(data, mutations, 8)
+    try:
+        decoded = decode(data)
+    except InputError:
+        return
+    assert isinstance(decoded, RasterImage)
 
 
 def test_load_image_rejects_unknown_magic(tmp_path):
