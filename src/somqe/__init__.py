@@ -24,12 +24,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .raster import RasterImage, load_image, normalize_contrast, save_image
-from .register import (
-    RegistrationTransform,
-    build_pyramid,
-    register_pair,
-    resample,
-)
+from .register import RegistrationTransform, register_pair, resample
 from .som import (
     MapSizeReport,
     QeResult,
@@ -79,7 +74,6 @@ __all__ = [
     "normalize_contrast",
     "save_image",
     "RegistrationTransform",
-    "build_pyramid",
     "register_pair",
     "resample",
     "MapSizeReport",

@@ -24,6 +24,8 @@ from pathlib import Path
 
 from .errors import ComputationError, InputError
 from .pipeline import (
+    REGISTRATION_MODES,
+    YEAR_FIX_MODES,
     RunConfig,
     apply_config_entries,
     apply_year_fix,
@@ -44,7 +46,7 @@ from .pipeline import (
 )
 from .raster import atomic_write_bytes, save_image
 from .register import write_transform_sidecar
-from .som import fit_som, load_grid, save_grid
+from .som import DECAY_MODES, fit_som, load_grid, save_grid
 from .stats import correlation_csv_row, linear_fit, regression_csv_row
 
 
@@ -62,13 +64,13 @@ def _add_common_flags(sub):
     sub.add_argument("--iterations", type=int, help="training presentations")
     sub.add_argument("--alpha", help="learning rate (default 0.2)")
     sub.add_argument("--radius", help="neighborhood radius (default 1.2)")
-    sub.add_argument("--decay", choices=["constant", "linear"],
+    sub.add_argument("--decay", choices=DECAY_MODES,
                      help="schedule for alpha and radius")
-    sub.add_argument("--mode", choices=["translation", "rigid"],
+    sub.add_argument("--mode", choices=REGISTRATION_MODES,
                      help="registration model")
     sub.add_argument("--out", type=Path, help="output directory")
     sub.add_argument("--covariates", type=Path, help="covariate CSV")
-    sub.add_argument("--year-fix", choices=["as-printed", "relabel-1990"],
+    sub.add_argument("--year-fix", choices=YEAR_FIX_MODES,
                      dest="year_fix", help="how to resolve duplicated years")
 
 
@@ -113,6 +115,16 @@ def _covariates(config: RunConfig) -> list:
 def _out_dir(config: RunConfig) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     return config.out_dir
+
+
+def _emit(args, config: RunConfig, name: str, text: str) -> None:
+    """Write `text` atomically to NAME in the --out directory, else to stdout."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    path = _out_dir(config) / name
+    atomic_write_bytes(path, text.encode("utf-8"))
+    print(f"wrote {path}")
 
 
 def _require(args, name: str):
@@ -174,12 +186,7 @@ def _cmd_score(args) -> int:
         for i, _, _, frame in preprocessed_frames(manifest, config)
     )
     text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(row for _, row in scored)
-    if args.out is not None:
-        out = _out_dir(config)
-        atomic_write_bytes(out / "qe.csv", text.encode("utf-8"))
-        print(f"wrote {out / 'qe.csv'}")
-    else:
-        sys.stdout.write(text)
+    _emit(args, config, "qe.csv", text)
     return 0
 
 
@@ -196,12 +203,7 @@ def _cmd_stats(args) -> int:
     else:
         raise InputError("stats needs --covariates or --qe")
     text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        out = _out_dir(config)
-        atomic_write_bytes(out / "stats.csv", text.encode("utf-8"))
-        print(f"wrote {out / 'stats.csv'}")
-    else:
-        sys.stdout.write(text)
+    _emit(args, config, "stats.csv", text)
     return 0
 
 
@@ -222,12 +224,7 @@ def _cmd_correlate(args) -> int:
     for entry in report.correlations:
         lines.append(correlation_csv_row(entry.label, entry.result))
     text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        out = _out_dir(config)
-        atomic_write_bytes(out / "correlations.csv", text.encode("utf-8"))
-        print(f"wrote {out / 'correlations.csv'}")
-    else:
-        sys.stdout.write(text)
+    _emit(args, config, "correlations.csv", text)
     return 0
 
 

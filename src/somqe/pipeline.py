@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, RegistrationError
-from .raster import RasterImage, atomic_write_bytes, load_image, normalize_contrast
+from .raster import (
+    RasterImage, atomic_write_bytes, load_image, normalize_contrast, read_text
+)
 from .register import (
     RegistrationTransform,
     identity_transform,
@@ -49,7 +51,7 @@ from .stats import (
 )
 
 YEAR_FIX_MODES = ("as-printed", "relabel-1990")
-_REGISTRATION_MODES = ("translation", "rigid", "none")
+REGISTRATION_MODES = ("translation", "rigid", "none")
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +86,32 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
     path = Path(path)
     entries = []
     seen_paths = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split("\t")
-            if len(fields) != 3:
-                raise InputError(
-                    f"manifest line {lineno}: expected 'path<TAB>label<TAB>year', "
-                    f"got {len(fields)} fields"
-                )
-            frame_path, label, year_text = (f.strip() for f in fields)
-            if not frame_path or not label:
-                raise InputError(f"manifest line {lineno}: empty path or label")
-            try:
-                year = parse_decimal(year_text)
-            except ValueError:
-                raise InputError(
-                    f"manifest line {lineno}: unparseable year {year_text!r}"
-                ) from None
-            resolved = Path(frame_path)
-            if not resolved.is_absolute():
-                resolved = path.parent / resolved
-            if resolved in seen_paths:
-                raise InputError(f"manifest line {lineno}: duplicate path {frame_path!r}")
-            seen_paths.add(resolved)
-            entries.append(ManifestEntry(resolved, label, year))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split("\t")
+        if len(fields) != 3:
+            raise InputError(
+                f"manifest line {lineno}: expected 'path<TAB>label<TAB>year', "
+                f"got {len(fields)} fields"
+            )
+        frame_path, label, year_text = (f.strip() for f in fields)
+        if not frame_path or not label:
+            raise InputError(f"manifest line {lineno}: empty path or label")
+        try:
+            year = parse_decimal(year_text)
+        except ValueError:
+            raise InputError(
+                f"manifest line {lineno}: unparseable year {year_text!r}"
+            ) from None
+        resolved = Path(frame_path)
+        if not resolved.is_absolute():
+            resolved = path.parent / resolved
+        if resolved in seen_paths:
+            raise InputError(f"manifest line {lineno}: duplicate path {frame_path!r}")
+        seen_paths.add(resolved)
+        entries.append(ManifestEntry(resolved, label, year))
     if not entries:
         raise InputError(f"manifest {path}: no frame entries")
     if anchor_index is None:
@@ -139,9 +140,9 @@ class RunConfig:
     covariates: Path | None = None
 
     def __post_init__(self):
-        if self.registration_mode not in _REGISTRATION_MODES:
+        if self.registration_mode not in REGISTRATION_MODES:
             raise InputError(
-                f"registration mode must be one of {_REGISTRATION_MODES}"
+                f"registration mode must be one of {REGISTRATION_MODES}"
             )
         if self.year_fix not in YEAR_FIX_MODES:
             raise InputError(f"year_fix must be one of {YEAR_FIX_MODES}")
@@ -164,15 +165,14 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 def load_config_file(path) -> dict[str, str]:
     """Parse 'key = value' lines; '#' comments and blank lines are skipped."""
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise InputError(f"config line {lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            entries[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise InputError(f"config line {lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -237,8 +237,8 @@ def ingest_covariates(path) -> list[Series]:
     comments.  A duplicated year keeps both rows.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = read_text(path).split("\n")
+    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise InputError(f"covariate file {path}: no data")
     header_line = lines[0]
@@ -248,7 +248,7 @@ def ingest_covariates(path) -> list[Series]:
         delimiter = "\t"
     else:
         delimiter = ","
-    rows = list(csv.reader(io.StringIO("".join(lines)), delimiter=delimiter))
+    rows = list(csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter))
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[0].lower() != "year":
         raise InputError(
@@ -544,29 +544,28 @@ def read_qe_csv(path):
     """
     roi = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                if stripped.startswith("# roi:"):
-                    roi = stripped[len("# roi:"):].strip()
-                continue
-            fields = next(csv.reader([stripped]))
-            if len(fields) != 4:
-                continue
-            try:
-                rows.append(
-                    QeRow(
-                        fields[0],
-                        parse_decimal(fields[1]),
-                        parse_decimal(fields[2]),
-                        int(fields[3]),
-                    )
+    for line in read_text(path).split("\n"):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if stripped.startswith("# roi:"):
+                roi = stripped[len("# roi:"):].strip()
+            continue
+        fields = next(csv.reader([stripped]))
+        if len(fields) != 4:
+            continue
+        try:
+            rows.append(
+                QeRow(
+                    fields[0],
+                    parse_decimal(fields[1]),
+                    parse_decimal(fields[2]),
+                    int(fields[3]),
                 )
-            except ValueError:
-                raise InputError(f"unparseable qe row: {stripped!r}") from None
+            )
+        except ValueError:
+            raise InputError(f"unparseable qe row: {stripped!r}") from None
     if not rows:
         raise InputError(f"{path}: no qe rows found")
     return roi, rows

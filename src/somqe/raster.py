@@ -40,7 +40,7 @@ class RasterImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = np.array(self.pixels, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise InputError("pixel array must have shape (height, width, 3)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -49,7 +49,6 @@ class RasterImage:
             raise InputError("pixel values must be finite")
         if arr.min() < 0.0 or arr.max() > 255.0:
             raise InputError("pixel values must lie in [0, 255]")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
@@ -67,7 +66,7 @@ class RasterImage:
 
     @classmethod
     def from_uint8(cls, data) -> "RasterImage":
-        return cls(np.asarray(data, dtype=np.uint8).astype(np.float64))
+        return cls(np.asarray(data, dtype=np.uint8))
 
     def to_uint8(self) -> np.ndarray:
         """Samples rounded half-up (floor(x + 0.5)) and clipped to 8 bits."""
@@ -75,9 +74,13 @@ class RasterImage:
         return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
 
     def luminance(self) -> np.ndarray:
-        """Rec. 601 luma plane: 0.299 R + 0.587 G + 0.114 B, float64."""
-        p = self.pixels
-        return 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
+        """Rec. 601 luma plane of the pixels, float64."""
+        return luminance_plane(self.pixels)
+
+
+def luminance_plane(pixels: np.ndarray) -> np.ndarray:
+    """Rec. 601 luma of an (h, w, 3) array: 0.299 R + 0.587 G + 0.114 B."""
+    return 0.299 * pixels[:, :, 0] + 0.587 * pixels[:, :, 1] + 0.114 * pixels[:, :, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,24 @@ def save_image(image: RasterImage, path) -> None:
     """Write as binary PPM, atomically (temp file then rename)."""
     atomic_write_bytes(path, encode_ppm(image))
 
+def read_text(path, encoding: str = "utf-8") -> str:
+    """A text input's contents, with CRLF and CR line ends read as LF.
+
+    A byte that does not decode raises InputError naming the file and its
+    offset, and so does a NUL, which no field (and no path) may hold,
+    naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        byte = f"byte {data[exc.start]:#04x} at offset {exc.start}"
+        raise InputError(f"{path}: {byte} is not {encoding}") from None
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise InputError(f"{path} line {line}: NUL character")
+    return text
+
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -292,13 +313,13 @@ def normalize_contrast(image: RasterImage) -> RasterImage:
     the identity on the result.
     """
     p = image.pixels
-    out = np.empty_like(p)
+    out = np.empty(p.shape, dtype=np.uint8)  # every result is an 8-bit integer
     for c in range(3):
         plane = p[:, :, c]
         lo = plane.min()
         hi = plane.max()
         if hi == lo:
-            out[:, :, c] = 0.0
+            out[:, :, c] = 0
         else:
             out[:, :, c] = np.floor((plane - lo) * 255.0 / (hi - lo) + 0.5)
     return RasterImage(out)

@@ -1,9 +1,10 @@
 """Subpixel alignment of equal-size frames by robust intensity descent.
 
 A translation (optionally translation plus rotation about the frame center)
-is fitted coarse to fine over a 2x2 box-filter pyramid.  At each level an
-iteratively reweighted Gauss-Newton loop fits the luminance of the moving
-frame, resampled through the current transform, to the fixed reference.
+is fitted coarse to fine over a pyramid of plain luminance planes, one per
+2x2 box-filter halving of the RGB frame.  At each level an iteratively
+reweighted Gauss-Newton loop fits the moving plane, resampled through the
+current transform, to the fixed reference plane.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, RegistrationError
-from .raster import RasterImage, atomic_write_bytes
+from .raster import RasterImage, atomic_write_bytes, luminance_plane, read_text
 
 _MODES = ("translation", "rigid")
 
@@ -111,22 +112,18 @@ def _halve(a: np.ndarray) -> np.ndarray:
     return (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2]) * 0.25
 
 
-def build_pyramid(image: RasterImage) -> tuple[RasterImage, ...]:
-    """Coarse-to-fine image stack; element 0 is the full-resolution frame.
-
-    Halves with a 2x2 box filter until the next level would drop below
-    32 pixels in either dimension."""
-    levels = [image]
-    current = image.pixels
-    while min(current.shape[0] // 2, current.shape[1] // 2) >= _MIN_PYRAMID_DIM:
-        current = _halve(current)
-        levels.append(RasterImage(current))
-    return tuple(levels)
-
-
 def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
-    """Luminance planes of `build_pyramid(image)`, finest first."""
-    return tuple(level.luminance() for level in build_pyramid(image))
+    """Luminance planes of a 2x2 box-filter pyramid, full resolution first.
+
+    The RGB pixels are halved until the next level would drop below 32
+    pixels in either dimension, and each level's plane is the luminance of
+    its halved RGB, which rounds differently from halving the luminance."""
+    current = image.pixels
+    planes = [luminance_plane(current)]
+    while min(current.shape[:2]) // 2 >= _MIN_PYRAMID_DIM:
+        current = _halve(current)
+        planes.append(luminance_plane(current))
+    return tuple(planes)
 
 
 def _inverse_sample_coords(height, width, dx, dy, theta):
@@ -192,19 +189,6 @@ def resample(image: RasterImage, transform: RegistrationTransform) -> RasterImag
     return RasterImage(_bilinear(image.pixels, sx, sy))
 
 
-def _inside(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
-    return (sx >= 0.0) & (sx <= width - 1.0), (sy >= 0.0) & (sy <= height - 1.0)
-
-
-def valid_mask(height: int, width: int, transform: RegistrationTransform) -> np.ndarray:
-    """Output pixels whose source sample lies fully inside the frame."""
-    sx, sy = _inverse_sample_coords(
-        height, width, transform.dx, transform.dy, transform.theta
-    )
-    inside_x, inside_y = _inside(sx, sy, height, width)
-    return inside_x & inside_y
-
-
 def _run(inside: np.ndarray) -> slice:
     # the True entries of a vector that holds one run of them
     where = np.flatnonzero(inside)
@@ -220,7 +204,8 @@ def _valid_selector(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
     j, so the coordinates never decrease along a row or a column.  The
     selection is then one rectangular slice, and the full mask is never
     built."""
-    inside_x, inside_y = _inside(sx, sy, height, width)
+    inside_x = (sx >= 0.0) & (sx <= width - 1.0)
+    inside_y = (sy >= 0.0) & (sy <= height - 1.0)
     if _separable(sx, sy):
         rows, cols = _run(inside_y[:, 0]), _run(inside_x[0])
         count = (rows.stop - rows.start) * (cols.stop - cols.start)
@@ -349,13 +334,15 @@ def mean_square_residual(
 
     `reference_luminance`, when given, is `reference.luminance()`, computed
     once by a caller that scores many frames against one reference."""
-    mask = valid_mask(reference.height, reference.width, transform)
-    if not mask.any():
+    h, w = reference.height, reference.width
+    sx, sy = _inverse_sample_coords(h, w, transform.dx, transform.dy, transform.theta)
+    select, count = _valid_selector(sx, sy, h, w)
+    if count == 0:
         return math.inf
     if reference_luminance is None:
         reference_luminance = reference.luminance()
-    diff = (aligned.luminance() - reference_luminance)[mask]
-    return float(diff @ diff) / diff.size
+    diff = select(aligned.luminance() - reference_luminance)
+    return float(diff @ diff) / count
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +374,21 @@ def write_transform_sidecar(path, records) -> None:
 def read_transform_sidecar(path):
     """Parse a sidecar back into [(index, transform, residual)]."""
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise InputError(f"transform sidecar line {lineno}: expected 6 fields")
-            try:
-                index = int(parts[0])
-                dx, dy, theta, residual = map(float, parts[2:])
-            except ValueError:
-                raise InputError(
-                    f"transform sidecar line {lineno}: non-numeric field"
-                ) from None
-            records.append(
-                (index, RegistrationTransform(parts[1], dx, dy, theta), residual)
-            )
+    for lineno, line in enumerate(read_text(path, "ascii").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise InputError(f"transform sidecar line {lineno}: expected 6 fields")
+        try:
+            index = int(parts[0])
+            dx, dy, theta, residual = map(float, parts[2:])
+        except ValueError:
+            raise InputError(
+                f"transform sidecar line {lineno}: non-numeric field"
+            ) from None
+        records.append(
+            (index, RegistrationTransform(parts[1], dx, dy, theta), residual)
+        )
     return records

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .raster import RasterImage
+from .raster import RasterImage, atomic_write_bytes, read_text
 from .rng import INIT_STREAM, SAMPLE_STREAM, SplitMix64, substream_seed
 
-_DECAY_MODES = ("constant", "linear")
+DECAY_MODES = ("constant", "linear")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class TrainingParams:
             raise InputError("neighborhood_radius must be positive")
         if self.iterations < 1:
             raise InputError("iterations must be at least 1")
-        if self.decay_mode not in _DECAY_MODES:
-            raise InputError(f"decay_mode must be one of {_DECAY_MODES}")
+        if self.decay_mode not in DECAY_MODES:
+            raise InputError(f"decay_mode must be one of {DECAY_MODES}")
         if self.seed < 0:
             raise InputError("seed must be non-negative")
 
@@ -367,11 +367,8 @@ def grid_from_text(text: str) -> SomGrid:
 
 
 def save_grid(grid: SomGrid, path) -> None:
-    from .raster import atomic_write_bytes
-
     atomic_write_bytes(path, grid_to_text(grid).encode("ascii"))
 
 
 def load_grid(path) -> SomGrid:
-    with open(path, "r", encoding="ascii") as fh:
-        return grid_from_text(fh.read())
+    return grid_from_text(read_text(path, "ascii"))

@@ -378,6 +378,53 @@ def test_score_requires_grid_file(tmp_path, capsys):
     assert "--grid-file is required" in captured.err
 
 
+@pytest.mark.parametrize("command, target, old, new, where", [
+    ("run", "frames.tsv", b"frame1", b"fr\xffame1", "offset"),
+    ("correlate", "cov.csv", b"heat", b"h\xffeat", "offset"),
+    ("stats", "run.cfg", b"grid", b"\xffgrid", "offset"),
+    ("score", "grid.txt", b"v1", b"v\xff1", "offset"),
+    ("run", "frames.tsv", b"img_2", b"img\x00_2", "line 3: NUL"),
+    ("stats", "run.cfg", b"cov.csv", b"cov\x00.csv", "line 2: NUL"),
+])
+def test_undecodable_or_nul_text_input_exits_1(
+    tmp_path, capsys, command, target, old, new, where
+):
+    manifest, covariates = make_workspace(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"grid = 2x2\ncovariates = {covariates}\n")
+    (tmp_path / "grid.txt").write_text("somqe-grid v1 1 1\n0.5 0.5 0.5\n")
+    qe = tmp_path / "qe.csv"
+    qe.write_text("a,2000,0.1,0\nb,2001,0.2,0\nc,2002,0.4,1\n")
+    path = tmp_path / target
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    argv = {
+        "run": ["--manifest", str(manifest), "--out", str(tmp_path / "o")],
+        "correlate": ["--qe", str(qe), "--covariates", str(covariates)],
+        "stats": ["--config", str(tmp_path / "run.cfg")],
+        "score": ["--grid-file", str(tmp_path / "grid.txt"), "--manifest", str(manifest)],
+    }[command]
+    assert main([command] + argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert f"{path}" in captured.err and where in captured.err
+
+
+def test_mode_none_flag_matches_the_config_key(tmp_path):
+    manifest, covariates = make_workspace(tmp_path)
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("mode = none\n")
+    common = [
+        "run", "--manifest", str(manifest), "--covariates", str(covariates),
+        "--grid", "2x2", "--iterations", "40",
+    ]
+    by_flag, by_file = tmp_path / "by_flag", tmp_path / "by_file"
+    assert main(common + ["--mode", "none", "--out", str(by_flag)]) == 0
+    assert main(common + ["--config", str(cfg), "--out", str(by_file)]) == 0
+    assert "registration none" in (by_flag / "report.csv").read_text()
+    for artifact in ("report.csv", "grid.txt", "transforms.txt",
+                     "plots/frames_qe_trend.svg", "plots/frames_vs_heat.svg"):
+        assert (by_flag / artifact).read_bytes() == (by_file / artifact).read_bytes()
+
+
 def test_registration_failure_exits_2(tmp_path, capsys, monkeypatch):
     manifest, _ = make_workspace(tmp_path)
 

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import somqe.pipeline as pipeline_module
 from somqe import (
@@ -36,7 +37,8 @@ from somqe.pipeline import (
     slugify,
 )
 from somqe.raster import RasterImage, load_image, save_image
-from somqe.register import mean_square_residual, register_pair
+from somqe.register import mean_square_residual, read_transform_sidecar, register_pair
+from somqe.som import load_grid
 
 from conftest import random_image, smooth_image
 
@@ -446,11 +448,21 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
         halved.append(a)
         return real_halve(a)
 
+    constructed = []
+    real_post_init = RasterImage.__post_init__
+
+    def counting_post_init(image):
+        constructed.append(image)
+        real_post_init(image)
+
     monkeypatch.setattr(register_module, "_halve", counting_halve)
+    monkeypatch.setattr(RasterImage, "__post_init__", counting_post_init)
     items = sorted(preprocessed_frames(manifest, RunConfig()))
     assert sum(np.array_equal(a, anchor.pixels) for a in halved) == 1
     # 128 -> 64 -> 32: two halvings per pyramid, one pyramid per frame
     assert len(halved) == 2 * len(frames)
+    # 4 loads, 3 resamples and 4 stretches; pyramid levels are plain planes
+    assert len(constructed) == 11
     monkeypatch.undo()
     for frame, (_, transform, residual, _) in zip(frames[:3], items):
         assert transform == register_pair(anchor, frame, "translation")
@@ -641,3 +653,84 @@ def test_emit_svg_plots(tmp_path):
         body = path.read_text()
         assert "<circle" in body
         assert "<line" in body  # fit line present for these non-degenerate fits
+
+
+# ---------------------------------------------------------------------------
+# mutated text inputs
+
+_TEXT_SEEDS = {
+    "manifest": b"# path\tlabel\tyear\nimg_0.ppm\tframe 0\t2000\nsub/img_1.png\tframe 1\t2001,5\n",
+    "config": (
+        b"# run\nseed = 3\ngrid = 2x2\niterations = 10\nalpha = 0,25\nradius = 1.5\n"
+        b"decay = linear\nmode = none\nnormalize = off\nyear_fix = relabel-1990\n"
+        b"out = o\ncovariates = c.csv\n"
+    ),
+    "covariates": b"year;heat;rain\n# note\n2000;1,5;3\n2001;2;4\r\n2001;2.5;\"5\"\n",
+    "qe": b"# roi: patch\n# qe rows: label,year,qe,empty_models\n\"a,b\",2000,0.1,0\nc,2001,0.25,1\n",
+    "grid": b"somqe-grid v1 2 1\n0.5 0.25 0\n1 0.75 1e-3\n",
+    "sidecar": (
+        b"# somqe-transforms v1\n# columns: index mode dx dy theta residual\n"
+        b"0 translation 0.5 -1 0 2.5\n1 rigid 0 0 0.01 0\n"
+    ),
+}
+
+_TEXT_READERS = {
+    "manifest": read_manifest,
+    "config": lambda path: apply_config_entries(RunConfig(), load_config_file(path)),
+    "covariates": ingest_covariates,
+    "qe": read_qe_csv,
+    "grid": load_grid,
+    "sidecar": read_transform_sidecar,
+}
+
+_TEXT_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 2**12), st.integers(1, 255)),
+        st.tuples(st.just("delete"), st.integers(0, 2**12), st.integers(1, 8)),
+        st.tuples(
+            st.just("insert"),
+            st.integers(0, 2**12),
+            st.one_of(
+                st.binary(min_size=1, max_size=4),
+                st.text(min_size=1, max_size=3).map(lambda t: t.encode("utf-8")),
+                st.sampled_from([b"\t", b"\n", b"\r", b",", b";", b"=", b"#", b"x"]),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(st.sampled_from(sorted(_TEXT_SEEDS)), _TEXT_EDITS)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mutated_text_inputs_parse_or_raise_input_error(tmp_path, kind, edits):
+    """Bytes flipped, deleted or inserted (non-ASCII ones too) in a valid
+    manifest, config, covariate CSV, QE CSV, grid or sidecar end as a value
+    or InputError, never another exception."""
+    data = bytearray(_TEXT_SEEDS[kind])
+    for edit, position, value in edits:
+        at = position % (len(data) + 1)
+        if edit == "flip" and at < len(data):
+            data[at] ^= value
+        elif edit == "delete":
+            del data[at : at + value]
+        elif edit == "insert":
+            data[at:at] = value
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(bytes(data))
+    try:
+        _TEXT_READERS[kind](path)
+    except InputError:
+        pass
+
+
+def test_every_text_seed_parses(tmp_path):
+    for kind, data in _TEXT_SEEDS.items():
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(data)
+        assert _TEXT_READERS[kind](path)

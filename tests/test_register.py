@@ -10,7 +10,6 @@ from somqe import (
     InputError,
     RasterImage,
     RegistrationTransform,
-    build_pyramid,
     register_pair,
     resample,
 )
@@ -20,9 +19,9 @@ from somqe.register import (
     _gn_level,
     _valid_selector,
     identity_transform,
+    luminance_pyramid,
     mean_square_residual,
     read_transform_sidecar,
-    valid_mask,
     write_transform_sidecar,
 )
 
@@ -78,39 +77,43 @@ def test_unknown_mode_rejected():
 
 def test_pyramid_levels_halve_until_32():
     img = smooth_image(1, size=256)
-    pyr = build_pyramid(img)
-    dims = [(lvl.height, lvl.width) for lvl in pyr]
+    pyr = luminance_pyramid(img)
+    dims = [lvl.shape for lvl in pyr]
     assert dims == [(256, 256), (128, 128), (64, 64), (32, 32)]
 
 
 def test_pyramid_odd_dimensions_floor():
     img = RasterImage(np.zeros((65, 130, 3)))
-    pyr = build_pyramid(img)
-    dims = [(lvl.height, lvl.width) for lvl in pyr]
+    pyr = luminance_pyramid(img)
+    dims = [lvl.shape for lvl in pyr]
     # halving (32, 65) again would drop below 32 rows, so it is the coarsest
     assert dims == [(65, 130), (32, 65)]
 
 
 def test_pyramid_small_image_single_level():
     img = RasterImage(np.zeros((40, 63, 3)))
-    assert len(build_pyramid(img)) == 1
+    assert len(luminance_pyramid(img)) == 1
 
 
 def test_pyramid_blocks_are_exact_means():
     pixels = np.zeros((2, 4, 3))
     pixels[:, :, 0] = [[10, 20, 100, 100], [30, 40, 100, 104]]
-    pyr = build_pyramid(RasterImage(np.tile(pixels, (32, 16, 1))))
-    level1 = pyr[1].pixels
-    assert level1[0, 0, 0] == 25.0
-    assert level1[0, 1, 0] == 101.0
+    pixels[:, :, 1] = [[1, 2, 3, 4], [5, 6, 7, 9]]
+    pixels[:, :, 2] = [[7, 0, 255, 3], [11, 2, 1, 0]]
+    pyr = luminance_pyramid(RasterImage(np.tile(pixels, (32, 16, 1))))
+    level1 = pyr[1]
+    # the luminance of the RGB block means; halving the luminance plane
+    # instead rounds the second block differently
+    assert level1[0, 0] == 0.299 * 25.0 + 0.587 * 3.5 + 0.114 * 5.0
+    assert level1[0, 1] == 0.299 * 101.0 + 0.587 * 5.75 + 0.114 * 64.75
 
 
 def test_pyramid_preserves_mean_within_one_gray_level():
     img = random_image(9, 64, 64)
-    pyr = build_pyramid(img)
-    full_mean = img.pixels.mean()
+    pyr = luminance_pyramid(img)
+    full_mean = img.luminance().mean()
     for lvl in pyr:
-        assert abs(lvl.pixels.mean() - full_mean) < 1.0
+        assert abs(lvl.mean() - full_mean) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +155,30 @@ def test_rotation_by_quarter_turn_about_center():
 
 
 def test_valid_mask_for_pure_shift():
-    mask = valid_mask(4, 6, RegistrationTransform("translation", 2.0, -1.0))
+    sx, sy = _inverse_sample_coords(4, 6, 2.0, -1.0, 0.0)
+    select, count = _valid_selector(sx, sy, 4, 6)
     # source x = out x - 2 must be >= 0; source y = out y + 1 must be <= 3
     expected = np.zeros((4, 6), dtype=bool)
     expected[0:3, 2:6] = True
-    assert np.array_equal(mask, expected)
+    plane = np.arange(24.0).reshape(4, 6)
+    assert count == expected.sum()
+    assert np.array_equal(select(plane), plane[expected])
+
+
+@pytest.mark.parametrize("transform", [
+    RegistrationTransform("translation", 2.25, -1.5),
+    RegistrationTransform("rigid", 0.5, 1.0, 0.05),
+    RegistrationTransform("translation", 40.0, 0.0),
+])
+def test_mean_square_residual_matches_the_dense_mask(transform):
+    h, w = 20, 24
+    reference, moving = random_image(3, h, w), random_image(4, h, w)
+    aligned = resample(moving, transform)
+    sx, sy = dense_sample_coords(h, w, transform.dx, transform.dy, transform.theta)
+    mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+    diff = (aligned.luminance() - reference.luminance())[mask]
+    expected = float(diff @ diff) / diff.size if diff.size else math.inf
+    assert mean_square_residual(reference, aligned, transform) == expected
 
 
 def _assert_warp_matches_dense_oracle(image, transform):
@@ -169,11 +191,7 @@ def _assert_warp_matches_dense_oracle(image, transform):
     expected = dense_bilinear(image.pixels, dense_sx, dense_sy)
     assert _bilinear(image.pixels, dense_sx, dense_sy).tobytes() == expected.tobytes()
     assert resample(image, transform).pixels.tobytes() == expected.tobytes()
-    dense_mask = (
-        (dense_sx >= 0.0) & (dense_sx <= w - 1.0)
-        & (dense_sy >= 0.0) & (dense_sy <= h - 1.0)
-    )
-    assert np.array_equal(valid_mask(h, w, transform), dense_mask)
+    _assert_window_matches_dense_mask(*args[2:], h, w)
 
 
 @pytest.mark.parametrize("mode,theta", [
