@@ -105,6 +105,14 @@ def _covariates(config: RunConfig) -> list:
         apply_year_fix(series, config.year_fix)
         for series in ingest_covariates(config.covariates)
     ]
+    by_name = {}
+    for series in fixed:
+        other = by_name.setdefault(slugify(series.label), series)
+        if other is not series:
+            raise InputError(
+                f"covariate columns {other.label!r} and {series.label!r} in "
+                f"{config.covariates} share the plot name {slugify(series.label)!r}"
+            )
     years = list(fixed[0].x)
     for year in sorted({y for y in years if years.count(y) > 1}):
         message = f"duplicate year {year:g} in {config.covariates}; keeping both rows"

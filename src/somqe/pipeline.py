@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import os
 import re
 from dataclasses import dataclass, replace
@@ -237,18 +236,24 @@ def ingest_covariates(path) -> list[Series]:
     comments.  A duplicated year keeps both rows.
     """
     path = Path(path)
-    lines = read_text(path).split("\n")
-    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    numbered = enumerate(read_text(path).split("\n"), start=1)
+    kept = [(n, ln) for n, ln in numbered if ln.strip() and ln.lstrip()[0] != "#"]
+    if not kept:
         raise InputError(f"covariate file {path}: no data")
-    header_line = lines[0]
+    header_line = kept[0][1]
     if ";" in header_line:
         delimiter = ";"
     elif "\t" in header_line:
         delimiter = "\t"
     else:
         delimiter = ","
-    rows = list(csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter))
+    text = "\n".join(ln for _, ln in kept)
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        lineno = kept[reader.line_num - 1][0]
+        raise InputError(f"covariate file {path}, line {lineno}: {exc}") from None
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[0].lower() != "year":
         raise InputError(
@@ -434,16 +439,16 @@ def qe_report(
 
 def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
     """Full run: align, normalize, train on the anchor, score, fit the trend."""
-    frames = preprocessed_frames(manifest, config)
-    first = next(frames)
-    grid = fit_som(
-        first[3], config.grid_width, config.grid_height, config.training_params()
-    )
-    scored = sorted(
-        (i, transform, residual, score_frame(manifest.entries[i], frame, grid))
-        for i, transform, residual, frame in itertools.chain([first], frames)
-    )
-    _, transforms, residuals, rows = zip(*scored)
+    grid = None
+    scored = []
+    for i, transform, residual, frame in preprocessed_frames(manifest, config):
+        if grid is None:  # the anchor; rebinding `frame` lets it go once scored
+            grid = fit_som(
+                frame, config.grid_width, config.grid_height, config.training_params()
+            )
+        row = score_frame(manifest.entries[i], frame, grid)
+        scored.append((i, transform, residual, row))
+    _, transforms, residuals, rows = zip(*sorted(scored))
     return qe_report(
         manifest.roi_name,
         rows,
@@ -544,7 +549,7 @@ def read_qe_csv(path):
     """
     roi = None
     rows = []
-    for line in read_text(path).split("\n"):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -552,7 +557,10 @@ def read_qe_csv(path):
             if stripped.startswith("# roi:"):
                 roi = stripped[len("# roi:"):].strip()
             continue
-        fields = next(csv.reader([stripped]))
+        try:
+            fields = next(csv.reader([stripped]))
+        except csv.Error as exc:
+            raise InputError(f"{path}, line {lineno}: {exc}") from None
         if len(fields) != 4:
             continue
         try:

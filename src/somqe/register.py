@@ -2,21 +2,24 @@
 
 A translation (optionally translation plus rotation about the frame center)
 is fitted coarse to fine over a pyramid of plain luminance planes, one per
-2x2 box-filter halving of the RGB frame.  At each level an iteratively
-reweighted Gauss-Newton loop fits the moving plane, resampled through the
-current transform, to the fixed reference plane.
+2x2 box-filter halving of the RGB frame.  At each level an inverse-
+compositional, iteratively reweighted Gauss-Newton loop (Baker & Matthews,
+IJCV 2004) fits the moving plane, resampled through the held transform, to
+the fixed reference plane.  Each step is solved as a motion of the
+reference, so the Jacobian is the reference's own gradient, built once per
+level, and the inverse of the step is composed into the held transform.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
-(robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker
-& Matthews, IJCV 2004).  The weights' scale is 4.685 x the normal-equivalent
-spread 1.4826 x median |residual|, fixed at a level's first iteration.  The
-median runs over the pixels where the reference has a gradient, because a
-constant ground matches exactly at any shift, and the spread is floored at
-0.27 grey, the spread of two independently rounded 8-bit frames, so that
-rounding alone never leaves the informative pixels without weight.  Only
-pixels whose inverse-mapped source position lands fully inside the moving
-frame contribute to the residual, so borders swept in from outside never
-bias the fit.
+(robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker,
+Gross & Matthews, CMU-RI-TR-03-01, 2003).  The weights' scale is 4.685 x
+the normal-equivalent spread 1.4826 x median |residual|, fixed at a level's
+first iteration.  The median runs over the pixels where the reference has a
+gradient, because a constant ground matches exactly at any shift, and the
+spread is floored at 0.27 grey, the spread of two independently rounded
+8-bit frames, so that rounding alone never leaves the informative pixels
+without weight.  Only pixels whose inverse-mapped source position lands
+fully inside the moving frame contribute to the residual, so borders swept
+in from outside never bias the fit.
 
 Conventions, shared with `resample`:
   * pixel (row y, col x), x grows right, y grows down
@@ -214,39 +217,34 @@ def _valid_selector(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
     return (lambda a: a[mask]), int(mask.sum())
 
 
-def _params_to_transform(p: np.ndarray, mode: str) -> RegistrationTransform:
-    theta = float(p[2]) if mode == "rigid" else 0.0
-    return RegistrationTransform(mode, float(p[0]), float(p[1]), theta)
-
-
 def _update_is_small(delta: np.ndarray) -> bool:
     if math.hypot(delta[0], delta[1]) >= _CONVERGED_PX:
         return False
     return len(delta) < 3 or abs(delta[2]) < _CONVERGED_RAD
 
 
-def _gn_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
-    """One pyramid level of iteratively reweighted Gauss-Newton on luminance.
+def _gn_level(reference: np.ndarray, moving: np.ndarray, start: RegistrationTransform):
+    """One pyramid level of inverse-compositional, reweighted Gauss-Newton.
 
-    Returns (parameters, mean-square residual, converged).  Each iteration
-    warps the moving plane once and linearizes the warp through its own
-    gradient (gx, gy): d/d(dx, dy) is (-gx, -gy) and d/dtheta is
-    gx uy - gy ux, with (ux, uy) = (x, y) - c - (dx, dy), exact for any
-    theta.  Convergence is declared as soon as the proposed update drops
-    below the thresholds, so a pair already at its optimum (for one, two
-    identical frames at zero) returns the starting parameters bit for bit.
-    """
+    Returns (transform, mean-square residual, converged).  A step of (dx,
+    dy, theta) moves the reference by (-gx, -gy) and gx uy - gy ux, with
+    (gx, gy) its gradient and (ux, uy) = (x, y) - c.  A proposed step below
+    the thresholds ends the loop, so a pair already at its optimum (two
+    identical frames at zero) returns the start itself."""
     h, w = reference.shape
-    rigid = p0.size == 3
-    p = p0.astype(np.float64).copy()
+    gy, gx = np.gradient(reference)
+    planes = [-gx, -gy]
+    if start.mode == "rigid":
+        ux = np.arange(w) - (w - 1) / 2.0
+        uy = np.arange(h)[:, None] - (h - 1) / 2.0
+        planes.append(gx * uy - gy * ux)
+    t = start
     for iteration in range(_MAX_GN_ITERATIONS + 1):
-        theta = p[2] if rigid else 0.0
-        sx, sy = _inverse_sample_coords(h, w, p[0], p[1], theta)
+        sx, sy = _inverse_sample_coords(h, w, t.dx, t.dy, t.theta)
         select, count = _valid_selector(sx, sy, h, w)
         if count == 0:
-            return p, math.inf, False
-        warped = _bilinear(moving, sx, sy)
-        residual = select(warped - reference)
+            return t, math.inf, False
+        residual = select(_bilinear(moving, sx, sy) - reference)
         cost = float(residual @ residual) / count
         if iteration == 0:
             # fixed for the level: a scale recomputed every step changes the
@@ -254,30 +252,23 @@ def _gn_level(reference: np.ndarray, moving: np.ndarray, p0: np.ndarray):
             # truth.  Measured where the reference has a gradient; on a
             # constant ground the residuals are 0 at any shift and would
             # shrink the scale until no textured pixel counts
-            ry, rx = np.gradient(reference)
-            spread = np.abs(residual[select((rx != 0.0) | (ry != 0.0))])
+            spread = np.abs(residual[select((gx != 0.0) | (gy != 0.0))])
             sigma = _MAD_TO_SIGMA * float(np.median(spread)) if spread.size else 0.0
             scale = _TUKEY_C * max(sigma, _SIGMA_FLOOR)
         elif iteration == _MAX_GN_ITERATIONS:
             break
-        gy, gx = np.gradient(warped)
-        columns = [-select(gx), -select(gy)]
-        if rigid:
-            ux = np.arange(w) - (w - 1) / 2.0 - p[0]
-            uy = np.arange(h)[:, None] - (h - 1) / 2.0 - p[1]
-            columns.append(select(gx * uy - gy * ux))
-        jacobian = np.stack(columns, axis=1)
         weight = np.square(np.maximum(0.0, 1.0 - np.square(residual / scale)))
+        jacobian = np.stack([select(plane) for plane in planes], axis=1)
         weighted = jacobian.T * weight
-        normal = weighted @ jacobian + 1e-12 * np.eye(p.size)
+        normal = weighted @ jacobian + 1e-12 * np.eye(len(planes))
         try:
             delta = np.linalg.solve(normal, -(weighted @ residual))
         except np.linalg.LinAlgError:
-            return p, cost, False
+            return t, cost, False
         if _update_is_small(delta):
-            return p, cost, True
-        p += delta
-    return p, cost, False
+            return t, cost, True
+        t = RegistrationTransform(t.mode, *(-delta).tolist()).inverse().compose(t)
+    return t, cost, False
 
 
 def register_pair(
@@ -289,38 +280,31 @@ def register_pair(
 ) -> RegistrationTransform:
     """Transform T such that resample(test, T) best matches the reference.
 
-    Solved coarse to fine; the translation estimate doubles between levels.
+    Solved coarse to fine from the identity, doubling the shift per level.
     `reference_levels`, when given, is `luminance_pyramid(reference)`,
     built once by a caller that registers many frames to one reference.
     Raises RegistrationError (carrying the best transform and its residual)
     when the finest level fails to converge.
     """
-    if mode not in _MODES:
-        raise InputError(f"mode must be one of {_MODES}")
+    t = identity_transform(mode)  # an unknown mode raises InputError here
     if (reference.height, reference.width) != (test.height, test.width):
         raise InputError(
             f"size mismatch: reference {reference.width}x{reference.height}, "
             f"test {test.width}x{test.height}"
         )
-    nparams = 2 if mode == "translation" else 3
     if reference_levels is None:
         reference_levels = luminance_pyramid(reference)
     test_levels = luminance_pyramid(test)
-    p = np.zeros(nparams)
-    cost = math.inf
-    converged = True
-    for level in range(len(reference_levels) - 1, -1, -1):
-        if level != len(reference_levels) - 1:
-            p[:2] *= 2.0
-        p, cost, converged = _gn_level(reference_levels[level], test_levels[level], p)
+    for plane, moving in zip(reference_levels[::-1], test_levels[::-1]):
+        t = RegistrationTransform(mode, 2.0 * t.dx, 2.0 * t.dy, t.theta)
+        t, cost, converged = _gn_level(plane, moving, t)
     if not converged:
-        best = _params_to_transform(p, mode)
         raise RegistrationError(
             "registration did not converge at the finest pyramid level",
-            transform=best,
+            transform=t,
             residual=cost,
         )
-    return _params_to_transform(p, mode)
+    return t
 
 
 def mean_square_residual(

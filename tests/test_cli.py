@@ -436,3 +436,19 @@ def test_registration_failure_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert_single_error_line(captured, "computation")
     assert "frame 0" in captured.err
+
+
+def test_covariate_labels_sharing_a_plot_name_exit_1(tmp_path, capsys):
+    qe = tmp_path / "qe.csv"
+    qe.write_text("a,2000,0.10,0\nb,2001,0.14,0\nc,2002,0.19,1\n")
+    covariates = tmp_path / "cov.csv"
+    covariates.write_text(
+        "year,heat,Visitors,visitors\n2000,5,1,2\n2001,6,3,3\n2002,8,4,6\n"
+    )
+    plots = tmp_path / "plots"
+    argv = ["--qe", str(qe), "--covariates", str(covariates)]
+    assert main(["plot", *argv, "--out", str(plots)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert "'Visitors' and 'visitors'" in captured.err
+    assert not plots.exists()

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -38,7 +39,7 @@ from somqe.pipeline import (
 )
 from somqe.raster import RasterImage, load_image, save_image
 from somqe.register import mean_square_residual, read_transform_sidecar, register_pair
-from somqe.som import load_grid
+from somqe.som import load_grid, quantization_error
 
 from conftest import random_image, smooth_image
 
@@ -236,6 +237,13 @@ def test_ingest_covariates_errors(tmp_path):
 
     path.write_text("year,v\n1984,twelve\n")
     with pytest.raises(InputError, match="row 2, column 2: 'twelve'"):
+        ingest_covariates(path)
+
+
+def test_ingest_covariates_oversized_field_names_its_line(tmp_path):
+    path = tmp_path / "cov.csv"
+    path.write_text("# visitors\nyear,v\n\n1984,1\n1985," + "9" * 200_000 + "\n")
+    with pytest.raises(InputError, match=r"cov\.csv, line 5: field larger"):
         ingest_covariates(path)
 
 
@@ -528,6 +536,28 @@ def test_run_pipeline_peak_memory_does_not_grow_with_stack_length(tmp_path, mode
     assert peaks[1] - peaks[0] < frame.size * np.dtype(np.float64).itemsize
 
 
+def test_run_pipeline_releases_the_stretched_anchor_once_scored(tmp_path, monkeypatch):
+    """After the anchor's own score no call holds its stretched frame."""
+    stretched, alive = [], []
+    stretch = pipeline_module.normalize_contrast
+
+    def normalize(image):
+        out = stretch(image)
+        stretched.append(weakref.ref(out))
+        return out
+
+    def score(image, grid):
+        alive.append(stretched[0]() is not None)
+        return quantization_error(image, grid)
+
+    monkeypatch.setattr(pipeline_module, "normalize_contrast", normalize)
+    monkeypatch.setattr(pipeline_module, "quantization_error", score)
+    frames = [as_uint8(smooth_image(5, size=48))] * 4
+    config = RunConfig(grid_width=2, grid_height=2, iterations=20)
+    run_pipeline(write_frames(tmp_path, frames), config)
+    assert alive == [True, False, False, False]
+
+
 # ---------------------------------------------------------------------------
 # correlations
 
@@ -630,6 +660,13 @@ def test_read_qe_csv_errors(tmp_path):
         read_qe_csv(path)
     path.write_text("label,bad-year,0.5,3\n")
     with pytest.raises(InputError, match="unparseable qe row"):
+        read_qe_csv(path)
+
+
+def test_read_qe_csv_oversized_field_names_its_line(tmp_path):
+    path = tmp_path / "qe.csv"
+    path.write_text("# roi: x\na,2000,0.1,0\nb,2001,0.2," + "0" * 200_000 + "\n")
+    with pytest.raises(InputError, match=r"qe\.csv, line 3: field larger"):
         read_qe_csv(path)
 
 

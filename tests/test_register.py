@@ -1,5 +1,6 @@
 """Alignment: transform algebra, pyramids, resampling, recovery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from somqe import (
     InputError,
     RasterImage,
+    RegistrationError,
     RegistrationTransform,
     register_pair,
     resample,
 )
+from somqe import register
 from somqe.register import (
     _bilinear,
     _inverse_sample_coords,
@@ -292,9 +295,12 @@ def _assert_window_matches_dense_mask(dx, dy, theta, height, width):
 
 def test_gn_level_without_valid_pixels_returns_inf():
     reference = random_plane(1, 16, 16)
-    for p0 in ([16.0, 0.0], [0.0, -15.5], [-40.0, 40.0]):
-        p, cost, converged = _gn_level(reference, reference, np.array(p0))
-        assert list(p) == p0
+    for mode, p0 in itertools.product(
+        ("translation", "rigid"), ([16.0, 0.0], [0.0, -15.5], [-40.0, 40.0])
+    ):
+        start = RegistrationTransform(mode, *p0)
+        t, cost, converged = _gn_level(reference, reference, start)
+        assert t is start
         assert cost == math.inf
         assert not converged
 
@@ -345,7 +351,7 @@ def test_frame_with_new_colour_registers_to_its_truth(mode, seed, share, ground)
     theta = float(rng.uniform(-0.02, 0.02)) if mode == "rigid" else 0.0
     anchor = sample(share=share, ground=True) if ground else sample()
     got = register_pair(anchor, sample(dx, dy, theta, share, ground), mode)
-    assert math.hypot(got.dx - dx, got.dy - dy) <= 0.1
+    assert math.hypot(got.dx - dx, got.dy - dy) <= 0.025
     assert abs(got.theta - theta) <= 1e-3
 
 
@@ -379,6 +385,20 @@ def test_flat_anchor_with_sparse_change_registers_to_exact_zero(mode, changed):
     frame.reshape(-1, 3)[spots] = rng.integers(120, 256, (spots.size, 3))
     got = register_pair(RasterImage(anchor), RasterImage(frame), mode)
     assert (got.dx, got.dy, got.theta) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["translation", "rigid"])
+def test_register_pair_out_of_iterations_raises_with_its_estimate(monkeypatch, mode):
+    ref = smooth_image(21, size=128)
+    moved = resample(ref, RegistrationTransform("translation", -2.3, 1.7))
+    monkeypatch.setattr(register, "_MAX_GN_ITERATIONS", 1)
+    with pytest.raises(RegistrationError) as info:
+        register_pair(ref, moved, mode)
+    exc = info.value
+    assert isinstance(exc.transform, RegistrationTransform)
+    assert exc.transform.mode == mode
+    assert (exc.transform.dx, exc.transform.dy) != (0.0, 0.0)
+    assert math.isfinite(exc.residual)
 
 
 def test_register_pair_size_mismatch():
