@@ -3,8 +3,8 @@
 InputError covers everything a caller handed us that cannot be used as given
 (malformed files, out-of-range parameters, mismatched series).  It doubles as
 a ValueError so library users who never import this module still catch it the
-obvious way.  ComputationError marks a numeric procedure that ran but failed,
-currently only registration that did not converge.
+obvious way.  ComputationError marks a numeric procedure that ran but failed:
+registration, or the t-tail continued fraction, that did not converge.
 """
 
 from __future__ import annotations

@@ -249,12 +249,14 @@ def ingest_covariates(path) -> list[Series]:
         delimiter = ","
     text = "\n".join(ln for _, ln in kept)
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows = []  # (file line, fields)
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append((kept[reader.line_num - 1][0], row))
     except csv.Error as exc:
         lineno = kept[reader.line_num - 1][0]
         raise InputError(f"covariate file {path}, line {lineno}: {exc}") from None
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if len(header) < 2 or header[0].lower() != "year":
         raise InputError(
             f"covariate file {path}: first column must be 'year', "
@@ -263,11 +265,11 @@ def ingest_covariates(path) -> list[Series]:
     names = header[1:]
     years: list[float] = []
     columns: list[list[float]] = [[] for _ in names]
-    for r, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise InputError(
-                f"covariate file {path}, row {r}: expected {len(header)} fields, "
-                f"got {len(row)}"
+                f"covariate file {path}, line {lineno}: expected {len(header)} "
+                f"fields, got {len(row)}"
             )
         parsed = []
         for c, cell in enumerate(row, start=1):
@@ -275,7 +277,8 @@ def ingest_covariates(path) -> list[Series]:
                 parsed.append(parse_decimal(cell))
             except ValueError:
                 raise InputError(
-                    f"unparseable cell at row {r}, column {c}: {cell.strip()!r}"
+                    f"covariate file {path}: unparseable cell at line {lineno}, "
+                    f"column {c}: {cell.strip()!r}"
                 ) from None
         years.append(parsed[0])
         for c, value in enumerate(parsed[1:]):
@@ -543,11 +546,13 @@ def emit_csv(report: QeReport, path, config: RunConfig | None = None) -> None:
 def read_qe_csv(path):
     """Parse the qe-rows section of a report (or a bare qe CSV) back in.
 
-    Returns (roi name or None, list of QeRow).  Comment lines are skipped;
-    regression and correlation rows, which have more fields, are ignored so
-    a full report round-trips.
+    Returns (roi name or None, list of QeRow).  Comment lines are skipped.
+    Rows under a report's '# regression:' and '# correlations:' headers are
+    ignored so a full report round-trips; anywhere else a row must have the
+    four qe fields.
     """
     roi = None
+    in_qe_rows = True
     rows = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.strip()
@@ -556,13 +561,21 @@ def read_qe_csv(path):
         if stripped.startswith("#"):
             if stripped.startswith("# roi:"):
                 roi = stripped[len("# roi:"):].strip()
+            elif stripped.startswith(("# regression:", "# correlations:")):
+                in_qe_rows = False
+            elif stripped.startswith("# qe rows:"):
+                in_qe_rows = True
+            continue
+        if not in_qe_rows:
             continue
         try:
             fields = next(csv.reader([stripped]))
         except csv.Error as exc:
             raise InputError(f"{path}, line {lineno}: {exc}") from None
         if len(fields) != 4:
-            continue
+            raise InputError(
+                f"{path}, line {lineno}: expected 4 qe fields, got {len(fields)}"
+            )
         try:
             rows.append(
                 QeRow(
@@ -573,7 +586,9 @@ def read_qe_csv(path):
                 )
             )
         except ValueError:
-            raise InputError(f"unparseable qe row: {stripped!r}") from None
+            raise InputError(
+                f"{path}, line {lineno}: unparseable qe row: {stripped!r}"
+            ) from None
     if not rows:
         raise InputError(f"{path}: no qe rows found")
     return roi, rows

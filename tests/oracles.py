@@ -3,8 +3,9 @@
 Everything here deliberately takes a different route from the library code:
 the generator is re-derived step by step from its five constants, sums are
 exact rationals or 50-digit mpmath, the t-tail probability is numerical
-integration of the density rather than an incomplete-beta identity, and the
-OLS oracle uses raw (uncentered) textbook sums.  The scoring and warping
+integration of the density or mpmath's hypergeometric incomplete beta rather
+than the library's continued fraction, and the OLS oracle uses raw
+(uncentered) textbook sums.  The scoring and warping
 kernels are kept here in their first, dense form, which the fast kernels
 must match bit for bit.
 """
@@ -215,3 +216,15 @@ def t_tail_by_integration(t: float, df: int) -> float:
         )
 
     return float(2 * mp.quad(density, [t, mp.inf]))
+
+
+def t_tail_by_betainc(t: float, df: int) -> float:
+    """Two-tailed P(|T| >= t) as the 50-digit I_x(df/2, 1/2), x = df/(df+t^2).
+
+    The argument is formed from the exact binary t, so x near 1 keeps all of
+    1 - x.  mpmath raises ValueError at t = 100 for df >= 1e5, where p lies far
+    below the library's floor; it evaluates every t up to 30 for df <= 1e6.
+    """
+    t = mp.mpf(t)
+    x = df / (df + t * t)
+    return float(mp.betainc(mp.mpf(df) / 2, mp.mpf(1) / 2, 0, x, regularized=True))

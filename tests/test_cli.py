@@ -318,6 +318,15 @@ def test_stats_and_correlate_from_qe_rows(tmp_path, capsys):
     assert names == ["patch_qe_trend.svg", "patch_vs_heat.svg"]
 
 
+def test_stats_on_a_qe_row_missing_a_field_exits_1(tmp_path, capsys):
+    qe = tmp_path / "qe.csv"
+    qe.write_text("a,2000,0.1,0\nb,2001,0.2\nc,2002,0.3,1\nd,2003,0.5,1\n")
+    assert main(["stats", "--qe", str(qe)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "qe.csv, line 2: expected 4 qe fields, got 3" in captured.err
+
+
 def test_config_file_with_flag_override(tmp_path):
     manifest, _ = make_workspace(tmp_path)
     cfg = tmp_path / "run.cfg"

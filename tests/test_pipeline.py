@@ -232,11 +232,11 @@ def test_ingest_covariates_errors(tmp_path):
         ingest_covariates(path)
 
     path.write_text("year,v\n1984,1,9\n")
-    with pytest.raises(InputError, match="row 2"):
+    with pytest.raises(InputError, match="line 2: expected 2 fields, got 3"):
         ingest_covariates(path)
 
     path.write_text("year,v\n1984,twelve\n")
-    with pytest.raises(InputError, match="row 2, column 2: 'twelve'"):
+    with pytest.raises(InputError, match="line 2, column 2: 'twelve'"):
         ingest_covariates(path)
 
 
@@ -244,6 +244,17 @@ def test_ingest_covariates_oversized_field_names_its_line(tmp_path):
     path = tmp_path / "cov.csv"
     path.write_text("# visitors\nyear,v\n\n1984,1\n1985," + "9" * 200_000 + "\n")
     with pytest.raises(InputError, match=r"cov\.csv, line 5: field larger"):
+        ingest_covariates(path)
+
+
+def test_ingest_covariates_errors_name_the_file_line(tmp_path):
+    """Comment and blank lines count: the bad row is on line 5, data row 3."""
+    path = tmp_path / "cov.csv"
+    path.write_text("# visitors\n\nyear,v\n1984,1\n1985,1,9\n")
+    with pytest.raises(InputError, match=r"cov\.csv, line 5: expected 2 fields"):
+        ingest_covariates(path)
+    path.write_text("# visitors\n\nyear,v\n1984,1\n1985,twelve\n")
+    with pytest.raises(InputError, match="line 5, column 2: 'twelve'"):
         ingest_covariates(path)
 
 
@@ -667,6 +678,34 @@ def test_read_qe_csv_oversized_field_names_its_line(tmp_path):
     path = tmp_path / "qe.csv"
     path.write_text("# roi: x\na,2000,0.1,0\nb,2001,0.2," + "0" * 200_000 + "\n")
     with pytest.raises(InputError, match=r"qe\.csv, line 3: field larger"):
+        read_qe_csv(path)
+
+
+def test_read_qe_csv_short_row_names_its_line(tmp_path):
+    """A qe row missing a field is an error, not dropped from the fit."""
+    path = tmp_path / "qe.csv"
+    path.write_text("a,2000,0.1,0\nb,2001,0.2\nc,2002,0.3,0\nd,2003,0.4,0\n")
+    with pytest.raises(InputError, match=r"qe\.csv, line 2: expected 4 qe fields"):
+        read_qe_csv(path)
+    path.write_text(
+        "# roi: x\n# qe rows: label,year,qe,empty_models\n"
+        "a,2000,0.1,0\nb,2001,0.2,0,7\n"
+    )
+    with pytest.raises(InputError, match=r"qe\.csv, line 4: expected 4 qe fields"):
+        read_qe_csv(path)
+
+
+def test_read_qe_csv_skips_only_the_fit_sections(tmp_path):
+    report = run_small_report(tmp_path)
+    years = np.array([r.year for r in report.rows])
+    report = correlate(report, [Series("heat", years, years * 2.0)])
+    path = tmp_path / "report.csv"
+    emit_csv(report, path)
+    roi, rows = read_qe_csv(path)
+    assert roi == "synthetic"
+    assert [(r.label, r.year) for r in rows] == [(r.label, r.year) for r in report.rows]
+    path.write_text(path.read_text() + "# qe rows: label,year,qe,empty_models\nz,1\n")
+    with pytest.raises(InputError, match=r"line \d+: expected 4 qe fields, got 2"):
         read_qe_csv(path)
 
 

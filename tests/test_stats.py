@@ -1,10 +1,18 @@
 """Fits and significance against exact-arithmetic oracles."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import somqe.stats as stats_module
 from somqe import (
+    ComputationError,
     CorrelationResult,
     InputError,
     RegressionResult,
@@ -14,13 +22,19 @@ from somqe import (
     two_tailed_p,
 )
 from somqe.stats import (
+    DF_MAX,
     P_FLOOR,
     correlation_csv_row,
     parse_decimal,
     regression_csv_row,
 )
 
-from oracles import ols_oracle, pearson_oracle, t_tail_by_integration
+from oracles import (
+    ols_oracle,
+    pearson_oracle,
+    t_tail_by_betainc,
+    t_tail_by_integration,
+)
 
 
 def make_series(seed: int, n: int = 12) -> Series:
@@ -130,6 +144,67 @@ def test_p_edge_cases():
 def test_p_is_monotone_in_t():
     values = [two_tailed_p(t, 11) for t in np.linspace(0, 8, 30)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _t_grid(df):
+    """t from 0.01 to 30 in 140 log steps, a tiny t, and both sides of the
+    point where the tail switches to the symmetric continued fraction."""
+    switch = math.sqrt(3.0 * df / (df + 2.0))
+    return (
+        [1e-6]
+        + [0.01 * 10 ** (k / 40) for k in range(140)]
+        + [switch * (1.0 + d) for d in (-1e-9, 0.0, 1e-9)]
+    )
+
+
+@pytest.mark.parametrize(
+    "df, rel",
+    [(df, 1e-13) for df in (1, 2, 5, 23, 39, 40, 41, 60, 1000)]
+    + [(df, 1e-12) for df in (2000, 10_000, 100_000, DF_MAX)],
+)
+def test_p_relative_error_against_50_digit_beta(df, rel):
+    for t in _t_grid(df):
+        exact = t_tail_by_betainc(t, df)
+        if exact > P_FLOOR:
+            assert two_tailed_p(t, df) == pytest.approx(exact, rel=rel, abs=0), t
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])  # symmetric and direct fraction
+def test_p_out_of_terms_raises(monkeypatch, t):
+    monkeypatch.setattr(stats_module, "_MAX_TERMS", 1)
+    with pytest.raises(ComputationError, match="did not converge in 1 terms"):
+        two_tailed_p(t, 10)
+
+
+def test_p_rejects_df_above_the_bound_and_nan_t():
+    assert 0.0 < two_tailed_p(2.0, DF_MAX) < 1.0
+    with pytest.raises(InputError, match=f"df must be between 1 and {DF_MAX}"):
+        two_tailed_p(2.0, DF_MAX + 1)
+    with pytest.raises(InputError, match="t must be a number"):
+        two_tailed_p(float("nan"), 5)
+
+
+def test_fits_run_without_scipy():
+    """A fresh interpreter in which importing scipy fails still imports the
+    CLI and fits a trend and a correlation."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import somqe.cli\n"
+        "from somqe import Series, linear_fit, pearson\n"
+        "x = np.arange(6.0)\n"
+        "y = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0])\n"
+        "assert 0.0 < linear_fit(Series('y', x, y)).p < 1.0\n"
+        "assert 0.0 < pearson(Series('x', x, x), Series('y', x, y)).p < 1.0\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------
