@@ -6,9 +6,11 @@ whole pipeline runs comparable by checksum.  8-bit PNG is accepted on input
 for convenience: the decoder handles color types 0, 2, 3, 4 and 6, expands
 grayscale and palette to RGB, and drops any alpha channel.  All five
 scanline filters predict a pixel only from its left, upper and upper-left
-neighbours, so they are undone exactly one pixel anti-diagonal at a time.
-Chunk CRCs are checked, and image data is inflated no further than the size
-the header implies.
+neighbours, so they are undone exactly one pixel anti-diagonal at a time,
+each diagonal a contiguous slice of a diagonal-major buffer whose columns
+follow the shorter image side.  Chunk CRCs are checked, a header over
+MAX_PNG_PIXELS pixels is refused, and image data is inflated no further than
+the size the header implies.
 
 Pixel data lives in float64 arrays of shape (height, width, 3) with values in
 [0, 255].  Mid-pipeline stages (resampling, rescaling before the final round)
@@ -31,6 +33,10 @@ _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 # channels per pixel for the PNG color types we accept
 _PNG_CHANNELS = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
+
+# largest PNG frame accepted, above a full Landsat TM scene (about 7,000 x
+# 8,000 pixels); a larger header is refused before anything is inflated
+MAX_PNG_PIXELS = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +172,18 @@ def _unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
 
     Every filter predicts a byte from the same channel of the pixels left (a),
     above (b) and above-left (c) of it (PNG specification, section 9), so one
-    numpy step per anti-diagonal y + x = k decodes any mix of filters exactly.
-    With a zero first row and column, an anti-diagonal's pixels lie `width`
-    apart in the flat buffer, and a, b and c lie 1, width + 1 and width + 2
-    before them.
+    numpy step per anti-diagonal decodes any mix of filters exactly.
+
+    The filtered bytes are copied once into a zero-padded int16 buffer laid
+    out diagonal-major: pixel (y, x) sits in row d = y + x + 2, and its
+    column j runs along the shorter image side (j = y + 1 when the image is
+    no taller than wide, else x + 1).  Each diagonal is then a contiguous
+    slice of row d.  Of a and b, one is the same column of row d - 1 (a when
+    j follows rows, b when it follows columns) and the other the column
+    before it; c is the column before on row d - 2.  Keying the columns to
+    the shorter side keeps the buffer at (h + w + 1) x (min(h, w) + 1)
+    pixels, about twice the image's count; keyed to the longer side it
+    would grow as the square of that side.
     """
     size = height * (width * bpp + 1)
     if len(raw) < size:
@@ -179,18 +193,51 @@ def _unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
     unknown = ftypes[ftypes > 4]
     if unknown.size:
         raise InputError(f"malformed header: unknown PNG filter type {unknown[0]}")
-    buf = np.zeros((height + 1, width + 1, bpp), dtype=np.int16)  # fits a + b - 2c
-    buf[1:, 1:] = data[:, 1:].reshape(height, width, bpp)
-    flat = buf.reshape(-1, bpp)  # pixel (y, x) is row (y + 1) * (width + 1) + x + 1
-    for k in range(height + width - 1):
-        y0, y1 = max(0, k - width + 1), min(height - 1, k)
-        at = np.arange((y0 + 1) * width + k + 2, (y1 + 1) * width + k + 3, width)
-        a, b, c = flat[at - 1], flat[at - width - 1], flat[at - width - 2]
-        pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(a + b - 2 * c)
-        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        pred = np.choose(ftypes[y0 : y1 + 1, None], (0, a, b, (a + b) >> 1, paeth))
-        flat[at] = (flat[at] + pred) & 255
-    return buf[1:, 1:].astype(np.uint8)
+    by_rows = height <= width  # column j follows rows, else columns
+    short, long_side = (height, width) if by_rows else (width, height)
+    buf = np.zeros((height + width + 1, short + 1, bpp), dtype=np.int16)  # fits a + b - 2c
+    down, across, channel = buf.strides
+    steps = (down + across, down) if by_rows else (down, down + across)
+    pixels = np.lib.stride_tricks.as_strided(
+        buf[2, 1], (height, width, bpp), (*steps, channel)
+    )
+    pixels[...] = data[:, 1:].reshape(height, width, bpp)
+    # every pixel's first guess is Paeth; each other filter that occurs
+    # overwrites it on its own rows, whose masks run in column order
+    rows = ftypes if by_rows else ftypes[::-1]
+    masks = [(t, (rows == t)[:, None]) for t in range(4) if t in ftypes]
+    scratch = np.empty((4, short, bpp), dtype=np.int16)
+    wins = np.empty((short, bpp), dtype=bool)
+    for d in range(2, height + width + 1):
+        lo, hi = max(1, d - long_side), min(short, d - 1) + 1
+        n = hi - lo
+        cur, same, back = buf[d, lo:hi], buf[d - 1, lo:hi], buf[d - 1, lo - 1 : hi - 1]
+        a, b = (same, back) if by_rows else (back, same)
+        c = buf[d - 2, lo - 1 : hi - 1]
+        pa, pb, pc, p = scratch[:, :n]
+        m = wins[:n]
+        np.subtract(b, c, out=pa)
+        np.subtract(a, c, out=pb)
+        np.add(pa, pb, out=pc)
+        np.abs(pa, out=pa)
+        np.abs(pb, out=pb)
+        np.abs(pc, out=pc)
+        np.copyto(p, c)  # Paeth's tie order: a, then b, then c
+        np.less_equal(pb, pc, out=m)
+        np.copyto(p, b, where=m)
+        np.minimum(pb, pc, out=pb)
+        np.less_equal(pa, pb, out=m)
+        np.copyto(p, a, where=m)
+        # row of column j: j - 1 down the rows, or its mirror down the columns
+        first = lo - 1 if by_rows else height - d + lo
+        for t, mask in masks:
+            if t == 3:
+                np.add(a, b, out=pc)
+                np.right_shift(pc, 1, out=pc)
+            np.copyto(p, (0, a, b, pc)[t], where=mask[first : first + n])
+        np.add(cur, p, out=cur)
+        np.bitwise_and(cur, 255, out=cur)
+    return pixels.astype(np.uint8, order="C")
 
 def decode_png(data: bytes) -> RasterImage:
     if data[:8] != _PNG_SIGNATURE:
@@ -222,6 +269,11 @@ def decode_png(data: bytes) -> RasterImage:
         raise InputError("unsupported PNG: interlaced (Adam7)")
     if ctype_id not in _PNG_CHANNELS:
         raise InputError(f"malformed header: unknown PNG color type {ctype_id}")
+    if width * height > MAX_PNG_PIXELS:
+        raise InputError(
+            f"unsupported PNG: {width}x{height} is too large"
+            f" (over {MAX_PNG_PIXELS} pixels)"
+        )
     if not idat:
         raise InputError("truncated payload: no IDAT data")
     channels = _PNG_CHANNELS[ctype_id]
@@ -232,8 +284,6 @@ def decode_png(data: bytes) -> RasterImage:
         )
     except zlib.error as exc:
         raise InputError(f"truncated payload: {exc}") from None
-    except OverflowError:
-        raise InputError(f"unsupported PNG: {width}x{height} is too large") from None
     planes = _unfilter(raw, width, height, channels)
     if ctype_id == 3:
         if palette is None:

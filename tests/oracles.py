@@ -5,7 +5,8 @@ the generator is re-derived step by step from its five constants, sums are
 exact rationals or 50-digit mpmath, the t-tail probability is numerical
 integration of the density or mpmath's hypergeometric incomplete beta rather
 than the library's continued fraction, and the OLS oracle uses raw
-(uncentered) textbook sums.  The scoring and warping
+(uncentered) textbook sums, and PNG scanlines are unfiltered byte by byte
+as the specification states it.  The scoring and warping
 kernels are kept here in their first, dense form, which the fast kernels
 must match bit for bit.
 """
@@ -62,6 +63,53 @@ def adjacent_pairs_sum(values) -> float:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+# ---------------------------------------------------------------------------
+# PNG unfilter
+
+def png_unfilter_bytewise(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """PNG specification section 9, one byte at a time; (height, width, bpp) uint8.
+
+    `raw` is the inflated image data: each scanline is a filter-type byte
+    followed by width * bpp filtered bytes.  a, b and c are the bytes of the
+    same channel to the left, above and above-left, 0 outside the image;
+    the Paeth predictor breaks ties in the order a, b, c.
+    """
+    stride = width * bpp
+    prior = [0] * stride
+    out = []
+    for y in range(height):
+        start = y * (stride + 1)
+        ftype = raw[start]
+        line = list(raw[start + 1 : start + 1 + stride])
+        for i in range(stride):
+            a = line[i - bpp] if i >= bpp else 0
+            b = prior[i]
+            c = prior[i - bpp] if i >= bpp else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            elif ftype == 4:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                if pa <= pb and pa <= pc:
+                    pred = a
+                elif pb <= pc:
+                    pred = b
+                else:
+                    pred = c
+            else:
+                raise ValueError(f"filter type {ftype}")
+            line[i] = (line[i] + pred) % 256
+        out.append(line)
+        prior = line
+    return np.array(out, dtype=np.uint8).reshape(height, width, bpp)
 
 
 # ---------------------------------------------------------------------------

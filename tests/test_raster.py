@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from somqe import InputError, RasterImage, load_image, normalize_contrast, save_image
-from somqe.raster import decode_png, decode_ppm, encode_ppm
+from somqe import raster
+from somqe.raster import MAX_PNG_PIXELS, decode_png, decode_ppm, encode_ppm
 
 from conftest import random_image
+from oracles import png_unfilter_bytewise
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +279,18 @@ def test_png_dimensions_past_addressable_size_rejected():
         decode_png(_png_from_ihdr(ihdr))
 
 
+def test_png_over_the_pixel_limit_rejected_before_inflating(monkeypatch):
+    def no_inflate(*args, **kwargs):
+        raise AssertionError("image data inflated")
+
+    monkeypatch.setattr(raster.zlib, "decompressobj", no_inflate)
+    assert 8193 * 8192 > MAX_PNG_PIXELS == 2**26
+    ihdr = struct.pack(">IIBBBBB", 8193, 8192, 8, 2, 0, 0, 0)
+    message = r"^unsupported PNG: 8193x8192 is too large \(over 67108864 pixels\)$"
+    with pytest.raises(InputError, match=message):
+        decode_png(_png_from_ihdr(ihdr, zlib.compress(bytes(8))))
+
+
 def test_png_crc_mismatch_rejected():
     good = encode_png(np.zeros((2, 2, 3), dtype=np.uint8), 2)
     body = good.index(b"IDAT") + 4
@@ -327,6 +341,50 @@ def test_png_filters_round_trip_property(color_type, height, width, seed, data):
     else:
         expected = array[:, :, :3]
     assert np.array_equal(decoded.pixels, expected.astype(float))
+
+
+_SIDES = st.one_of(
+    st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    st.tuples(st.integers(32, 64), st.integers(1, 3)),  # h >> w
+    st.tuples(st.integers(1, 3), st.integers(32, 64)),  # w >> h
+)
+
+
+@given(st.sampled_from([0, 2, 4, 6]), _SIDES,
+       st.sets(st.integers(0, 4), min_size=1), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_png_random_residuals_match_bytewise_oracle(color_type, sides, kinds, seed):
+    """Random filtered bytes, not an encoder's output, decode as section 9 says.
+
+    Each row draws its filter type from `kinds`, so runs of one type and every
+    mix of types occur; the residual bytes are uniform, so predictions wrap.
+    """
+    height, width = sides
+    channels = _CHANNELS[color_type]
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 256, (height, 1 + width * channels), dtype=np.uint8)
+    rows[:, 0] = rng.choice(sorted(kinds), height)
+    raw = rows.tobytes()
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
+    decoded = decode_png(_png_from_ihdr(ihdr, zlib.compress(raw)))
+    planes = png_unfilter_bytewise(raw, width, height, channels)
+    expected = np.repeat(planes[:, :, :1], 3, axis=2) if channels < 3 else planes[:, :, :3]
+    assert np.array_equal(decoded.pixels, expected.astype(float))
+
+
+@pytest.mark.parametrize("height,width", [(4096, 2), (2, 4096)])
+def test_png_extreme_aspect_ratio_decodes_in_little_memory(height, width):
+    """The unfilter buffer follows the shorter side, so a strip stays small."""
+    array = np.random.default_rng(height).integers(0, 256, (height, width, 3))
+    data = encode_png(array.astype(np.uint8), 2, filters=[4] * height)
+    tracemalloc.start()
+    try:
+        decoded = decode_png(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded.pixels, array.astype(float))
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
