@@ -10,7 +10,9 @@ normal on smooth scenes.
 import numpy as np
 
 from somqe import RasterImage, register_pair, resample
-from somqe.register import RegistrationTransform, mean_square_residual
+from somqe.register import (
+    RegistrationTransform, luminance_pyramid, mean_square_residual
+)
 
 rng = np.random.default_rng(3)
 
@@ -33,11 +35,13 @@ def smooth_scene(size: int = 256) -> RasterImage:
 
 
 anchor = smooth_scene()
+# the anchor's luminance pyramid, built once for every registration below
+anchor_levels = luminance_pyramid(anchor)
 
 true_shift = RegistrationTransform("translation", dx=3.6, dy=-2.25, theta=0.0)
 moving = resample(anchor, true_shift.inverse())
 
-found = register_pair(anchor, moving, "translation")
+found = register_pair(anchor_levels, moving, "translation")
 print(f"true shift   dx {true_shift.dx:+.3f}  dy {true_shift.dy:+.3f}")
 print(f"recovered    dx {found.dx:+.3f}  dy {found.dy:+.3f}")
 print(
@@ -45,12 +49,12 @@ print(
     % (abs(found.dx - true_shift.dx), abs(found.dy - true_shift.dy))
 )
 realigned = resample(moving, found)
-print(f"residual     {mean_square_residual(anchor, realigned, found):.4f}\n")
+print(f"residual     {mean_square_residual(anchor_levels[0], realigned, found):.4f}\n")
 
 # rigid mode adds a rotation angle about the image center
 true_rigid = RegistrationTransform("rigid", dx=1.5, dy=-0.75, theta=0.02)
 rotated = resample(anchor, true_rigid.inverse())
-found_rigid = register_pair(anchor, rotated, "rigid")
+found_rigid = register_pair(anchor_levels, rotated, "rigid")
 print(f"true rigid   theta {true_rigid.theta:+.5f} rad")
 print(f"recovered    theta {found_rigid.theta:+.5f} rad")
 
@@ -60,6 +64,6 @@ stack = [resample(anchor, RegistrationTransform(
     for d in (2, 4)] + [anchor]
 print("\nstack alignment (anchor is the last frame):")
 for i, frame in enumerate(stack):
-    t = register_pair(anchor, frame, "translation")
-    residual = mean_square_residual(anchor, resample(frame, t), t)
+    t = register_pair(anchor_levels, frame, "translation")
+    residual = mean_square_residual(anchor_levels[0], resample(frame, t), t)
     print(f"  frame {i}: dx {t.dx:+.3f}  dy {t.dy:+.3f}  residual {residual:.4f}")

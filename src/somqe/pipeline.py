@@ -3,7 +3,7 @@
 A manifest lists image frames with labels and years.  `preprocessed_frames`
 streams them: the anchor (last entry unless overridden) first, then the
 others in manifest order, each loaded, aligned to the anchor and contrast
-stretched, holding only the anchor, its luminance pyramid and the frame in
+stretched, holding only the anchor's luminance pyramid and the frame in
 hand.  A run trains a map on the anchor, scores each frame's quantization
 error as it arrives, fits the QE-versus-year trend, and optionally
 correlates the QE series with year-checked covariate series from CSV.
@@ -352,10 +352,10 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
     Each frame is loaded, checked against the anchor's size, registered to
     the anchor, resampled, scored for its mean-square residual and, when
     `config.normalize` is set, contrast stretched.  The anchor, and every
-    frame in mode 'none', passes through with an identity transform.  Only
-    the anchor, its luminance pyramid (built once and shared by every pair)
-    and the frame in hand are held.  A non-converging pair re-raises with
-    the offending frame index attached.
+    frame in mode 'none', passes through with an identity transform.  Once
+    the anchor has been yielded, only its luminance pyramid (built once and
+    shared by every pair) and the frame in hand are held.  A non-converging
+    pair re-raises with the offending frame index attached.
     """
     if not manifest.entries:
         raise InputError("empty image stack")
@@ -376,21 +376,23 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
         anchor_levels = (anchor.luminance(),)
     else:
         anchor_levels = luminance_pyramid(anchor)
+    height, width = anchor_levels[0].shape
     identity = identity_transform("translation" if mode == "none" else mode)
     for i in [a] + [j for j in range(len(manifest.entries)) if j != a]:
-        frame = anchor if i == a else load(i)
-        if (frame.height, frame.width) != (anchor.height, anchor.width):
+        if i == a:  # the generator holds the decoded anchor no longer
+            frame, anchor = anchor, None
+        else:
+            frame = load(i)
+        if (frame.height, frame.width) != (height, width):
             raise InputError(
                 f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
-                f"anchor frame {a} is {anchor.width}x{anchor.height}"
+                f"anchor frame {a} is {width}x{height}"
             )
         if mode == "none" or i == a:
             transform = identity
         else:
             try:
-                transform = register_pair(
-                    anchor, frame, mode, reference_levels=anchor_levels
-                )
+                transform = register_pair(anchor_levels, frame, mode)
             except RegistrationError as exc:
                 raise RegistrationError(
                     f"frame {i}: {exc}",
@@ -399,9 +401,7 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
                     index=i,
                 ) from exc
             frame = resample(frame, transform)
-        residual = mean_square_residual(
-            anchor, frame, transform, reference_luminance=anchor_levels[0]
-        )
+        residual = mean_square_residual(anchor_levels[0], frame, transform)
         if config.normalize:
             frame = normalize_contrast(frame)
         yield i, transform, residual, frame

@@ -272,28 +272,25 @@ def _gn_level(reference: np.ndarray, moving: np.ndarray, start: RegistrationTran
 
 
 def register_pair(
-    reference: RasterImage,
+    reference_levels: tuple[np.ndarray, ...],
     test: RasterImage,
     mode: str = "translation",
-    *,
-    reference_levels: tuple[np.ndarray, ...] | None = None,
 ) -> RegistrationTransform:
     """Transform T such that resample(test, T) best matches the reference.
 
-    Solved coarse to fine from the identity, doubling the shift per level.
-    `reference_levels`, when given, is `luminance_pyramid(reference)`,
-    built once by a caller that registers many frames to one reference.
-    Raises RegistrationError (carrying the best transform and its residual)
-    when the finest level fails to converge.
+    `reference_levels` is `luminance_pyramid(reference)`, built once by a
+    caller that registers many frames to one reference, which then need not
+    hold the reference image itself.  Solved coarse to fine from the
+    identity, doubling the shift per level.  Raises RegistrationError
+    (carrying the best transform and its residual) when the finest level
+    fails to converge.
     """
     t = identity_transform(mode)  # an unknown mode raises InputError here
-    if (reference.height, reference.width) != (test.height, test.width):
+    h, w = reference_levels[0].shape
+    if (h, w) != (test.height, test.width):
         raise InputError(
-            f"size mismatch: reference {reference.width}x{reference.height}, "
-            f"test {test.width}x{test.height}"
+            f"size mismatch: reference {w}x{h}, test {test.width}x{test.height}"
         )
-    if reference_levels is None:
-        reference_levels = luminance_pyramid(reference)
     test_levels = luminance_pyramid(test)
     for plane, moving in zip(reference_levels[::-1], test_levels[::-1]):
         t = RegistrationTransform(mode, 2.0 * t.dx, 2.0 * t.dy, t.theta)
@@ -308,23 +305,19 @@ def register_pair(
 
 
 def mean_square_residual(
-    reference: RasterImage,
+    reference_luminance: np.ndarray,
     aligned: RasterImage,
     transform: RegistrationTransform,
-    *,
-    reference_luminance: np.ndarray | None = None,
 ) -> float:
     """Mean squared luminance difference over the transform's valid pixels.
 
-    `reference_luminance`, when given, is `reference.luminance()`, computed
-    once by a caller that scores many frames against one reference."""
-    h, w = reference.height, reference.width
+    `reference_luminance` is the reference's luminance plane, the first
+    level of its `luminance_pyramid`."""
+    h, w = reference_luminance.shape
     sx, sy = _inverse_sample_coords(h, w, transform.dx, transform.dy, transform.theta)
     select, count = _valid_selector(sx, sy, h, w)
     if count == 0:
         return math.inf
-    if reference_luminance is None:
-        reference_luminance = reference.luminance()
     diff = select(aligned.luminance() - reference_luminance)
     return float(diff @ diff) / count
 

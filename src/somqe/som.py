@@ -11,7 +11,9 @@ outside), distances between grid cells are Euclidean in (row, col), and the
 winner is the model nearest the pixel in RGB, lowest row-major index on ties.
 
 An image is scored against a trained map by its quantization error: the mean
-RGB distance from each pixel to its best-matching model.  A map that scores
+RGB distance from each pixel to its best-matching model.  Scoring walks the
+pixels in fixed-size blocks and passes each block through every model while
+it sits in cache; the bits do not depend on the block size.  A map that scores
 the image it was trained on with no empty models (models never chosen as a
 winner) is considered large enough for that image; the size search below
 automates that trial-and-error.
@@ -33,6 +35,10 @@ from .raster import RasterImage, atomic_write_bytes, read_text
 from .rng import INIT_STREAM, SAMPLE_STREAM, SplitMix64, substream_seed
 
 DECAY_MODES = ("constant", "linear")
+
+# pixels per scoring block: a block's planes and scratch, about 1.6 MB of
+# float64, stay in a core's L2 while every model passes over them
+_SCORE_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -231,32 +237,45 @@ def fit_som(image: RasterImage, width: int, height: int, params: TrainingParams)
 def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
     """Mean distance from each pixel to its best-matching model.
 
-    Each model is compared against whole R, G and B planes in turn; squared
-    channel terms are summed as (r + g) + b, and a later model replaces the
-    running best only when strictly closer, so the lowest row-major index
-    wins ties.  The mean uses the adjacent-pairs summation above, so the
-    value is a pure function of the pixels and models.  Assignment counts
-    record how many pixels each model won.
+    Pixels are taken in row-major blocks of _SCORE_BLOCK, and each block's
+    R, G and B planes go through every model while they are still in cache.
+    Per pixel, squared channel terms are summed as (r + g) + b, and a later
+    model replaces the running best only when strictly closer, so the lowest
+    row-major index wins ties.  The mean uses the adjacent-pairs summation
+    above over all pixels at once, so the value is a pure function of the
+    pixels and models and does not depend on the block size.  Assignment
+    counts record how many pixels each model won.
     """
-    planes = [(image.pixels[:, :, c] / 255.0).ravel() for c in range(3)]
-    n = planes[0].size
-    best, d2, term = np.empty(n), np.empty(n), np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    winners = np.zeros(n, dtype=np.int64)
-    for k, model in enumerate(grid.models.tolist()):
-        dist = d2 if k else best
-        np.subtract(planes[0], model[0], out=dist)
-        np.multiply(dist, dist, out=dist)
-        for plane, component in zip(planes[1:], model[1:]):
-            np.subtract(plane, component, out=term)
-            np.multiply(term, term, out=term)
-            dist += term
-        if k:
-            np.less(d2, best, out=closer)
-            np.minimum(best, d2, out=best)
-            winners[closer] = k
-    counts = np.bincount(winners, minlength=grid.model_count)
-    qe = pairwise_sum(np.sqrt(best)) / n
+    pixels = image.pixels.reshape(-1, 3)
+    n = pixels.shape[0]
+    size = min(n, _SCORE_BLOCK)
+    scratch = np.empty((5, size))  # a block's R, G and B planes, d2 and term
+    closer = np.empty(size, dtype=bool)
+    winners = np.empty(size, dtype=np.int64)
+    best = np.empty(n)
+    counts = np.zeros(grid.model_count, dtype=np.int64)
+    models = grid.models.tolist()
+    for start in range(0, n, size):
+        block = slice(start, min(start + size, n))
+        m = block.stop - start
+        planes, (d2, term) = scratch[:3, :m], scratch[3:, :m]
+        np.divide(pixels[block].T, 255.0, out=planes)
+        nearest, won, chosen = best[block], closer[:m], winners[:m]
+        chosen.fill(0)
+        for k, model in enumerate(models):
+            dist = d2 if k else nearest
+            np.subtract(planes[0], model[0], out=dist)
+            np.multiply(dist, dist, out=dist)
+            for plane, component in zip(planes[1:], model[1:]):
+                np.subtract(plane, component, out=term)
+                np.multiply(term, term, out=term)
+                dist += term
+            if k:
+                np.less(d2, nearest, out=won)
+                np.minimum(nearest, d2, out=nearest)
+                chosen[won] = k
+        counts += np.bincount(chosen, minlength=grid.model_count)
+    qe = pairwise_sum(np.sqrt(best, out=best)) / n
     return QeResult(qe=qe, pixel_count=n, assignment_counts=counts)
 
 

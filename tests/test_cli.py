@@ -437,7 +437,7 @@ def test_mode_none_flag_matches_the_config_key(tmp_path):
 def test_registration_failure_exits_2(tmp_path, capsys, monkeypatch):
     manifest, _ = make_workspace(tmp_path)
 
-    def explode(anchor, moving, mode, *, reference_levels=None):
+    def explode(anchor_levels, moving, mode):
         raise RegistrationError("no convergence", residual=9.9)
 
     monkeypatch.setattr("somqe.pipeline.register_pair", explode)

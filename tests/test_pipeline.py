@@ -38,7 +38,9 @@ from somqe.pipeline import (
     slugify,
 )
 from somqe.raster import RasterImage, load_image, save_image
-from somqe.register import mean_square_residual, read_transform_sidecar, register_pair
+from somqe.register import (
+    luminance_pyramid, mean_square_residual, read_transform_sidecar, register_pair
+)
 from somqe.som import load_grid, quantization_error
 
 from conftest import random_image, smooth_image
@@ -445,8 +447,8 @@ def test_preprocessed_frames_yields_last_frame_anchor_first(tmp_path):
     ):
         assert t.dx == pytest.approx(true_dx, abs=0.05)
         assert t.dy == pytest.approx(true_dy, abs=0.05)
-        assert mean_square_residual(anchor, moved, t) < 1.0
-        assert residual == mean_square_residual(anchor, moved, t)
+        assert mean_square_residual(anchor.luminance(), moved, t) < 1.0
+        assert residual == mean_square_residual(anchor.luminance(), moved, t)
 
 
 def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatch):
@@ -484,9 +486,9 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
     assert len(constructed) == 11
     monkeypatch.undo()
     for frame, (_, transform, residual, _) in zip(frames[:3], items):
-        assert transform == register_pair(anchor, frame, "translation")
+        assert transform == register_pair(luminance_pyramid(anchor), frame, "translation")
         assert residual == mean_square_residual(
-            anchor, resample(frame, transform), transform
+            anchor.luminance(), resample(frame, transform), transform
         )
 
 
@@ -513,7 +515,7 @@ def test_run_pipeline_rejects_an_anchor_outside_the_stack(tmp_path, n_frames, an
 
 
 def test_preprocessed_frames_tags_failing_frame_index(tmp_path, monkeypatch):
-    def always_fails(reference, test, mode="translation", *, reference_levels=None):
+    def always_fails(reference_levels, test, mode="translation"):
         raise RegistrationError("did not converge", transform=None, residual=9.9)
 
     monkeypatch.setattr(pipeline_module, "register_pair", always_fails)
@@ -567,6 +569,36 @@ def test_run_pipeline_releases_the_stretched_anchor_once_scored(tmp_path, monkey
     config = RunConfig(grid_width=2, grid_height=2, iterations=20)
     run_pipeline(write_frames(tmp_path, frames), config)
     assert alive == [True, False, False, False]
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("mode", ["translation", "none"])
+def test_preprocessed_frames_releases_the_decoded_anchor(
+    tmp_path, monkeypatch, mode, normalize
+):
+    """Once the second frame is yielded, only the anchor's planes are held."""
+    anchor = smooth_image(5, size=64)
+    arrays = [
+        as_uint8(resample(anchor, RegistrationTransform("translation", dx, 0.5)))
+        for dx in (1.0, -0.75)
+    ] + [as_uint8(anchor)]
+    manifest = write_frames(tmp_path, arrays)
+    decoded = {}
+    load = pipeline_module.load_image
+
+    def recording_load(path):
+        image = load(path)
+        decoded[path] = weakref.ref(image)
+        return image
+
+    monkeypatch.setattr(pipeline_module, "load_image", recording_load)
+    frames = preprocessed_frames(
+        manifest, RunConfig(registration_mode=mode, normalize=normalize)
+    )
+    assert next(frames)[0] == 2
+    assert next(frames)[0] == 0
+    assert decoded[manifest.entries[2].path]() is None
+    assert [i for i, _, _, _ in frames] == [1]
 
 
 # ---------------------------------------------------------------------------

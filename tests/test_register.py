@@ -181,7 +181,7 @@ def test_mean_square_residual_matches_the_dense_mask(transform):
     mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
     diff = (aligned.luminance() - reference.luminance())[mask]
     expected = float(diff @ diff) / diff.size if diff.size else math.inf
-    assert mean_square_residual(reference, aligned, transform) == expected
+    assert mean_square_residual(reference.luminance(), aligned, transform) == expected
 
 
 def _assert_warp_matches_dense_oracle(image, transform):
@@ -310,25 +310,25 @@ def test_gn_level_without_valid_pixels_returns_inf():
 
 def test_identical_pair_registers_to_exact_zero():
     img = smooth_image(4, size=128)
-    t = register_pair(img, img, "translation")
+    t = register_pair(luminance_pyramid(img), img, "translation")
     assert t.dx == 0.0 and t.dy == 0.0
 
 
 def test_translation_recovery_subpixel():
     ref = smooth_image(21, size=128)
     moved = resample(ref, RegistrationTransform("translation", -2.3, 1.7))
-    got = register_pair(ref, moved, "translation")
+    got = register_pair(luminance_pyramid(ref), moved, "translation")
     assert got.dx == pytest.approx(2.3, abs=0.05)
     assert got.dy == pytest.approx(-1.7, abs=0.05)
     aligned = resample(moved, got)
-    assert mean_square_residual(ref, aligned, got) < 1.0
+    assert mean_square_residual(ref.luminance(), aligned, got) < 1.0
 
 
 def test_rigid_recovery_small_rotation():
     ref = smooth_image(33, size=128)
     true = RegistrationTransform("rigid", 1.2, -0.8, 0.02)
     moved = resample(ref, true.inverse())
-    got = register_pair(ref, moved, "rigid")
+    got = register_pair(luminance_pyramid(ref), moved, "rigid")
     assert got.theta == pytest.approx(0.02, abs=0.005)
     assert got.dx == pytest.approx(1.2, abs=0.1)
     assert got.dy == pytest.approx(-0.8, abs=0.1)
@@ -350,7 +350,9 @@ def test_frame_with_new_colour_registers_to_its_truth(mode, seed, share, ground)
     dx, dy = rng.uniform(-6.0, 6.0, 2)
     theta = float(rng.uniform(-0.02, 0.02)) if mode == "rigid" else 0.0
     anchor = sample(share=share, ground=True) if ground else sample()
-    got = register_pair(anchor, sample(dx, dy, theta, share, ground), mode)
+    got = register_pair(
+        luminance_pyramid(anchor), sample(dx, dy, theta, share, ground), mode
+    )
     assert math.hypot(got.dx - dx, got.dy - dy) <= 0.025
     assert abs(got.theta - theta) <= 1e-3
 
@@ -365,7 +367,7 @@ def test_rounded_frames_register_near_an_integer_shift(mode, seed):
     sample = sinusoid_sampler(np.random.default_rng(seed), 128)
     anchor = RasterImage(np.round(sample().pixels))
     frame = RasterImage(np.round(sample(3.05, -1.97).pixels))
-    got = register_pair(anchor, frame, mode)
+    got = register_pair(luminance_pyramid(anchor), frame, mode)
     assert math.hypot(got.dx - 3.05, got.dy + 1.97) <= 0.025
     assert abs(got.theta) <= 1e-3
 
@@ -383,7 +385,9 @@ def test_flat_anchor_with_sparse_change_registers_to_exact_zero(mode, changed):
     frame = anchor.copy()
     spots = rng.choice(side * side, size=int(changed * side * side), replace=False)
     frame.reshape(-1, 3)[spots] = rng.integers(120, 256, (spots.size, 3))
-    got = register_pair(RasterImage(anchor), RasterImage(frame), mode)
+    got = register_pair(
+        luminance_pyramid(RasterImage(anchor)), RasterImage(frame), mode
+    )
     assert (got.dx, got.dy, got.theta) == (0.0, 0.0, 0.0)
 
 
@@ -393,7 +397,7 @@ def test_register_pair_out_of_iterations_raises_with_its_estimate(monkeypatch, m
     moved = resample(ref, RegistrationTransform("translation", -2.3, 1.7))
     monkeypatch.setattr(register, "_MAX_GN_ITERATIONS", 1)
     with pytest.raises(RegistrationError) as info:
-        register_pair(ref, moved, mode)
+        register_pair(luminance_pyramid(ref), moved, mode)
     exc = info.value
     assert isinstance(exc.transform, RegistrationTransform)
     assert exc.transform.mode == mode
@@ -403,13 +407,13 @@ def test_register_pair_out_of_iterations_raises_with_its_estimate(monkeypatch, m
 
 def test_register_pair_size_mismatch():
     with pytest.raises(InputError, match="size mismatch"):
-        register_pair(random_image(1, 8, 8), random_image(1, 8, 9))
+        register_pair(luminance_pyramid(random_image(1, 8, 8)), random_image(1, 8, 9))
 
 
 def test_register_pair_unknown_mode():
     img = random_image(2, 8, 8)
     with pytest.raises(InputError, match="mode"):
-        register_pair(img, img, "projective")
+        register_pair(luminance_pyramid(img), img, "projective")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from somqe import (
     train,
     train_step,
 )
+from somqe import som
 from somqe.som import as_pixel_vectors, grid_from_text, grid_to_text, pairwise_sum
 from somqe.rng import INIT_STREAM, SAMPLE_STREAM, substream_seed
 
@@ -324,23 +325,70 @@ def test_qe_is_bit_identical_to_broadcast_oracle(case):
     _assert_qe_matches_broadcast_oracle(*case)
 
 
-@pytest.mark.parametrize(
+QE_EDGE_CASES = pytest.mark.parametrize(
     "height,width,gw,gh,duplicates",
     [(1, 1, 1, 1, False), (1, 97, 1, 1, False), (1, 97, 8, 8, True),
      (31, 29, 8, 8, False), (31, 29, 8, 8, True), (5, 7, 4, 4, True)],
 )
-def test_qe_oracle_edge_cases(height, width, gw, gh, duplicates):
+
+
+def _edge_case(height, width, gw, gh, duplicates):
     rng = np.random.default_rng(height * 1000 + width + gw)
     image = random_image(width + height, height, width)
     models = rng.random((gw * gh, 3))
     if duplicates:
         models = models[rng.integers(0, 3, gw * gh)]
-    _assert_qe_matches_broadcast_oracle(image, SomGrid(gw, gh, models))
+    return image, SomGrid(gw, gh, models)
+
+
+@QE_EDGE_CASES
+def test_qe_oracle_edge_cases(height, width, gw, gh, duplicates):
+    _assert_qe_matches_broadcast_oracle(*_edge_case(height, width, gw, gh, duplicates))
+
+
+# block sizes that split every test image, none a divisor of most pixel counts
+SCORE_BLOCKS = pytest.mark.parametrize("block", [1, 7, 64])
+
+
+@SCORE_BLOCKS
+@given(case=images_and_grids())
+@settings(max_examples=30, deadline=None)
+def test_qe_across_block_edges_is_bit_identical_to_broadcast_oracle(block, case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(som, "_SCORE_BLOCK", block)
+        _assert_qe_matches_broadcast_oracle(*case)
+
+
+@SCORE_BLOCKS
+@QE_EDGE_CASES
+def test_qe_oracle_edge_cases_across_block_edges(
+    monkeypatch, block, height, width, gw, gh, duplicates
+):
+    monkeypatch.setattr(som, "_SCORE_BLOCK", block)
+    _assert_qe_matches_broadcast_oracle(*_edge_case(height, width, gw, gh, duplicates))
+
+
+@SCORE_BLOCKS
+def test_qe_ties_across_block_edges_go_to_the_lowest_index(monkeypatch, block):
+    # 101 black or white pixels; black is matched exactly by models 0 and 3,
+    # white by 2 and 5, so every pixel ties and the lower index must win it
+    # in every block
+    monkeypatch.setattr(som, "_SCORE_BLOCK", block)
+    pixels = np.zeros((1, 101, 3))
+    pixels[0, 1::3] = 255.0
+    models = np.array([[0, 0, 0], [0.5, 0.5, 0.5], [1, 1, 1],
+                       [0, 0, 0], [0.25, 0.5, 1], [1, 1, 1]], dtype=np.float64)
+    image, grid = RasterImage(pixels), SomGrid(3, 2, models)
+    result = quantization_error(image, grid)
+    assert result.qe == 0.0
+    assert list(result.assignment_counts) == [67, 0, 34, 0, 0, 0]
+    _assert_qe_matches_broadcast_oracle(image, grid)
 
 
 def test_qe_traced_peak_stays_linear_in_pixels():
     # 256x256 pixels against 64 models: an (N, K, 3) float64 block would
-    # be 100 MB; the per-model loop holds a few N-length planes
+    # be 100 MB.  Scoring holds one N-length float64 array and the fixed
+    # block scratch; full-length planes or masks would pass 8 N floats
     image = random_image(3, 256, 256)
     grid = small_grid(3, 8, 8)
     tracemalloc.start()
@@ -349,7 +397,7 @@ def test_qe_traced_peak_stays_linear_in_pixels():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * image.pixel_count * 8
+    assert peak < 8 * image.pixel_count * 8
 
 
 # ---------------------------------------------------------------------------
