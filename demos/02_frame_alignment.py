@@ -11,7 +11,7 @@ import numpy as np
 
 from somqe import RasterImage, register_pair, resample
 from somqe.register import (
-    RegistrationTransform, luminance_pyramid, mean_square_residual
+    RegistrationTransform, mean_square_residual, reference_pyramid
 )
 
 rng = np.random.default_rng(3)
@@ -35,8 +35,9 @@ def smooth_scene(size: int = 256) -> RasterImage:
 
 
 anchor = smooth_scene()
-# the anchor's luminance pyramid, built once for every registration below
-anchor_levels = luminance_pyramid(anchor)
+# the anchor's luminance pyramid and its gradients, built once for every
+# registration below
+anchor_levels = reference_pyramid(anchor)
 
 true_shift = RegistrationTransform("translation", dx=3.6, dy=-2.25, theta=0.0)
 moving = resample(anchor, true_shift.inverse())
@@ -49,7 +50,7 @@ print(
     % (abs(found.dx - true_shift.dx), abs(found.dy - true_shift.dy))
 )
 realigned = resample(moving, found)
-print(f"residual     {mean_square_residual(anchor_levels[0], realigned, found):.4f}\n")
+print(f"residual     {mean_square_residual(anchor_levels[0].plane, realigned, found):.4f}\n")
 
 # rigid mode adds a rotation angle about the image center
 true_rigid = RegistrationTransform("rigid", dx=1.5, dy=-0.75, theta=0.02)
@@ -65,5 +66,5 @@ stack = [resample(anchor, RegistrationTransform(
 print("\nstack alignment (anchor is the last frame):")
 for i, frame in enumerate(stack):
     t = register_pair(anchor_levels, frame, "translation")
-    residual = mean_square_residual(anchor_levels[0], resample(frame, t), t)
+    residual = mean_square_residual(anchor_levels[0].plane, resample(frame, t), t)
     print(f"  frame {i}: dx {t.dx:+.3f}  dy {t.dy:+.3f}  residual {residual:.4f}")

@@ -3,11 +3,11 @@
 A manifest lists image frames with labels and years.  `preprocessed_frames`
 streams them: the anchor (last entry unless overridden) first, then the
 others in manifest order, each loaded, aligned to the anchor and contrast
-stretched, holding only the anchor's luminance pyramid and the frame in
-hand.  A run trains a map on the anchor, scores each frame's quantization
-error as it arrives, fits the QE-versus-year trend, and optionally
-correlates the QE series with year-checked covariate series from CSV.
-Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
+stretched, holding only the anchor's luminance pyramid, its gradients and
+the frame in hand.  A run trains a map on the anchor, scores each frame's
+quantization error as it arrives, fits the QE-versus-year trend, and
+optionally correlates the QE series with year-checked covariate series from
+CSV.  Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
 written atomically and is byte identical across reruns with the same inputs
 and seed.
 """
@@ -30,8 +30,8 @@ from .raster import (
 from .register import (
     RegistrationTransform,
     identity_transform,
-    luminance_pyramid,
     mean_square_residual,
+    reference_pyramid,
     register_pair,
     resample,
 )
@@ -353,9 +353,10 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
     the anchor, resampled, scored for its mean-square residual and, when
     `config.normalize` is set, contrast stretched.  The anchor, and every
     frame in mode 'none', passes through with an identity transform.  Once
-    the anchor has been yielded, only its luminance pyramid (built once and
-    shared by every pair) and the frame in hand are held.  A non-converging
-    pair re-raises with the offending frame index attached.
+    the anchor has been yielded, only its `reference_pyramid` (built once
+    and shared by every pair; its plane alone in mode 'none') and the frame
+    in hand are held.  A non-converging pair re-raises with the offending
+    frame index attached.
     """
     if not manifest.entries:
         raise InputError("empty image stack")
@@ -373,10 +374,11 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
 
     anchor = load(a)
     if mode == "none":
-        anchor_levels = (anchor.luminance(),)
+        anchor_luminance = anchor.luminance()
     else:
-        anchor_levels = luminance_pyramid(anchor)
-    height, width = anchor_levels[0].shape
+        anchor_levels = reference_pyramid(anchor)
+        anchor_luminance = anchor_levels[0].plane
+    height, width = anchor_luminance.shape
     identity = identity_transform("translation" if mode == "none" else mode)
     for i in [a] + [j for j in range(len(manifest.entries)) if j != a]:
         if i == a:  # the generator holds the decoded anchor no longer
@@ -401,7 +403,7 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig):
                     index=i,
                 ) from exc
             frame = resample(frame, transform)
-        residual = mean_square_residual(anchor_levels[0], frame, transform)
+        residual = mean_square_residual(anchor_luminance, frame, transform)
         if config.normalize:
             frame = normalize_contrast(frame)
         yield i, transform, residual, frame

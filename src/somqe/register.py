@@ -7,7 +7,10 @@ compositional, iteratively reweighted Gauss-Newton loop (Baker & Matthews,
 IJCV 2004) fits the moving plane, resampled through the held transform, to
 the fixed reference plane.  Each step is solved as a motion of the
 reference, so the Jacobian is the reference's own gradient, built once per
-level, and the inverse of the step is composed into the held transform.
+stack by `reference_pyramid`, and the inverse of the step is composed into
+the held transform.  The normal equations are summed column by column with
+`np.einsum`, which runs in one thread, so the estimates do not depend on how
+many threads BLAS would have split a dot product across.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker,
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +133,32 @@ def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
     return tuple(planes)
 
 
+class ReferenceLevel(NamedTuple):
+    """A reference level's plane, its gradient and where that is nonzero."""
+
+    plane: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    textured: np.ndarray
+
+
+def reference_pyramid(image: RasterImage) -> tuple[ReferenceLevel, ...]:
+    """The levels of `luminance_pyramid(image)` with their gradients.
+
+    They depend on the reference alone, so a caller that registers many
+    frames to one reference builds them once."""
+    if min(image.height, image.width) < 2:
+        raise InputError(
+            f"cannot register {image.width}x{image.height} frames: a gradient "
+            "needs 2 pixels along each side"
+        )
+    levels = []
+    for plane in luminance_pyramid(image):
+        gy, gx = np.gradient(plane)
+        levels.append(ReferenceLevel(plane, gx, gy, (gx != 0.0) | (gy != 0.0)))
+    return tuple(levels)
+
+
 def _inverse_sample_coords(height, width, dx, dy, theta):
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
@@ -199,22 +229,23 @@ def _run(inside: np.ndarray) -> slice:
 
 
 def _valid_selector(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
-    """(select, count): `select(a)` lists the valid pixels of an (h, w) plane.
+    """(select, count): `select(a)` holds the valid pixels of an (h, w) plane.
 
     They come in row-major order, as indexing by the boolean mask gives
-    them.  At theta = 0 the mask is a row mask times a column mask, and
-    each is one run: every rounding step of `j - c - d + c` is monotone in
-    j, so the coordinates never decrease along a row or a column.  The
-    selection is then one rectangular slice, and the full mask is never
-    built."""
+    them, in a 2-D array.  At theta = 0 the mask is a row mask times a
+    column mask, and each is one run: every rounding step of `j - c - d + c`
+    is monotone in j, so the coordinates never decrease along a row or a
+    column.  The selection is then one rectangular slice, a view that
+    copies nothing, and the full mask is never built.  Otherwise it is one
+    row of the masked pixels."""
     inside_x = (sx >= 0.0) & (sx <= width - 1.0)
     inside_y = (sy >= 0.0) & (sy <= height - 1.0)
     if _separable(sx, sy):
         rows, cols = _run(inside_y[:, 0]), _run(inside_x[0])
         count = (rows.stop - rows.start) * (cols.stop - cols.start)
-        return (lambda a: a[rows, cols].ravel()), count
+        return (lambda a: a[rows, cols]), count
     mask = inside_x & inside_y
-    return (lambda a: a[mask]), int(mask.sum())
+    return (lambda a: a[mask][None]), int(mask.sum())
 
 
 def _update_is_small(delta: np.ndarray) -> bool:
@@ -223,46 +254,63 @@ def _update_is_small(delta: np.ndarray) -> bool:
     return len(delta) < 3 or abs(delta[2]) < _CONVERGED_RAD
 
 
-def _gn_level(reference: np.ndarray, moving: np.ndarray, start: RegistrationTransform):
+def _dot(*factors: np.ndarray) -> float:
+    # the sum of the 2-D factors' elementwise product, in one thread: BLAS
+    # splits a long dot product across threads, and its rounding then
+    # depends on how many it was given
+    return float(np.einsum(",".join(["ij"] * len(factors)) + "->", *factors))
+
+
+def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: RegistrationTransform):
     """One pyramid level of inverse-compositional, reweighted Gauss-Newton.
 
     Returns (transform, mean-square residual, converged).  A step of (dx,
     dy, theta) moves the reference by (-gx, -gy) and gx uy - gy ux, with
-    (gx, gy) its gradient and (ux, uy) = (x, y) - c.  A proposed step below
-    the thresholds ends the loop, so a pair already at its optimum (two
-    identical frames at zero) returns the start itself."""
-    h, w = reference.shape
-    gy, gx = np.gradient(reference)
-    planes = [-gx, -gy]
+    (gx, gy) its gradient and (ux, uy) = (x, y) - c.  The Jacobian columns
+    are their negations, gx, gy and gy ux - gx uy, so the step solves
+    J'WJ step = J'Wr for the residual r = moving - reference.  A proposed
+    step below the thresholds ends the loop, so a pair already at its
+    optimum (two identical frames at zero) returns the start itself."""
+    plane, gx, gy, textured = reference
+    h, w = plane.shape
+    planes = [gx, gy]
     if start.mode == "rigid":
         ux = np.arange(w) - (w - 1) / 2.0
         uy = np.arange(h)[:, None] - (h - 1) / 2.0
-        planes.append(gx * uy - gy * ux)
+        planes.append(gy * ux - gx * uy)
+    k = len(planes)
     t = start
     for iteration in range(_MAX_GN_ITERATIONS + 1):
         sx, sy = _inverse_sample_coords(h, w, t.dx, t.dy, t.theta)
         select, count = _valid_selector(sx, sy, h, w)
         if count == 0:
             return t, math.inf, False
-        residual = select(_bilinear(moving, sx, sy) - reference)
-        cost = float(residual @ residual) / count
+        residual = select(_bilinear(moving, sx, sy)) - select(plane)
+        cost = _dot(residual, residual) / count
         if iteration == 0:
             # fixed for the level: a scale recomputed every step changes the
             # cost between steps, and the estimates settle further from the
             # truth.  Measured where the reference has a gradient; on a
             # constant ground the residuals are 0 at any shift and would
             # shrink the scale until no textured pixel counts
-            spread = np.abs(residual[select((gx != 0.0) | (gy != 0.0))])
+            spread = np.abs(residual[select(textured)])
             sigma = _MAD_TO_SIGMA * float(np.median(spread)) if spread.size else 0.0
             scale = _TUKEY_C * max(sigma, _SIGMA_FLOOR)
         elif iteration == _MAX_GN_ITERATIONS:
             break
-        weight = np.square(np.maximum(0.0, 1.0 - np.square(residual / scale)))
-        jacobian = np.stack([select(plane) for plane in planes], axis=1)
-        weighted = jacobian.T * weight
-        normal = weighted @ jacobian + 1e-12 * np.eye(len(planes))
+        weight = residual / scale
+        np.square(weight, out=weight)
+        np.subtract(1.0, weight, out=weight)
+        np.maximum(0.0, weight, out=weight)
+        np.square(weight, out=weight)
+        columns = [select(p) for p in planes]
+        normal = np.empty((k, k))
+        for a in range(k):
+            for b in range(a, k):
+                normal[a, b] = normal[b, a] = _dot(weight, columns[a], columns[b])
+        normal += 1e-12 * np.eye(k)
         try:
-            delta = np.linalg.solve(normal, -(weighted @ residual))
+            delta = np.linalg.solve(normal, [_dot(weight, c, residual) for c in columns])
         except np.linalg.LinAlgError:
             return t, cost, False
         if _update_is_small(delta):
@@ -272,13 +320,13 @@ def _gn_level(reference: np.ndarray, moving: np.ndarray, start: RegistrationTran
 
 
 def register_pair(
-    reference_levels: tuple[np.ndarray, ...],
+    reference_levels: tuple[ReferenceLevel, ...],
     test: RasterImage,
     mode: str = "translation",
 ) -> RegistrationTransform:
     """Transform T such that resample(test, T) best matches the reference.
 
-    `reference_levels` is `luminance_pyramid(reference)`, built once by a
+    `reference_levels` is `reference_pyramid(reference)`, built once by a
     caller that registers many frames to one reference, which then need not
     hold the reference image itself.  Solved coarse to fine from the
     identity, doubling the shift per level.  Raises RegistrationError
@@ -286,15 +334,15 @@ def register_pair(
     fails to converge.
     """
     t = identity_transform(mode)  # an unknown mode raises InputError here
-    h, w = reference_levels[0].shape
+    h, w = reference_levels[0].plane.shape
     if (h, w) != (test.height, test.width):
         raise InputError(
             f"size mismatch: reference {w}x{h}, test {test.width}x{test.height}"
         )
     test_levels = luminance_pyramid(test)
-    for plane, moving in zip(reference_levels[::-1], test_levels[::-1]):
+    for level, moving in zip(reference_levels[::-1], test_levels[::-1]):
         t = RegistrationTransform(mode, 2.0 * t.dx, 2.0 * t.dy, t.theta)
-        t, cost, converged = _gn_level(plane, moving, t)
+        t, cost, converged = _gn_level(level, moving, t)
     if not converged:
         raise RegistrationError(
             "registration did not converge at the finest pyramid level",
@@ -318,8 +366,8 @@ def mean_square_residual(
     select, count = _valid_selector(sx, sy, h, w)
     if count == 0:
         return math.inf
-    diff = select(aligned.luminance() - reference_luminance)
-    return float(diff @ diff) / count
+    diff = select(aligned.luminance()) - select(reference_luminance)
+    return _dot(diff, diff) / count
 
 
 # ---------------------------------------------------------------------------

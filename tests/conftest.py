@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from somqe import RasterImage
+
+# Hypothesis imports this module, and libcst with it, only once a property
+# test has failed, while the test's "error" filter below is in force.  The
+# import's one DeprecationWarning (libcst uses mypy_extensions.TypedDict)
+# would then turn the falsifying example into an INTERNALERROR that ends
+# the pytest run.  Imported once here, with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message=r"mypy_extensions\.", category=DeprecationWarning
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_collection_modifyitems(items):

@@ -17,7 +17,7 @@ from somqe import reference
 from somqe.cli import main as cli_main
 from somqe.pipeline import Manifest, ManifestEntry, RunConfig, read_manifest, run_pipeline
 from somqe.raster import RasterImage, normalize_contrast, save_image
-from somqe.register import luminance_pyramid, register_pair
+from somqe.register import reference_pyramid, register_pair
 from somqe.som import (
     SomGrid,
     TrainingParams,
@@ -305,7 +305,7 @@ def test_criterion_05_registration_accuracy():
         anchor = sample()
         dx = float(rng.uniform(-8.0, 8.0))
         dy = float(rng.uniform(-8.0, 8.0))
-        got = register_pair(luminance_pyramid(anchor), sample(dx=dx, dy=dy), "translation")
+        got = register_pair(reference_pyramid(anchor), sample(dx=dx, dy=dy), "translation")
         worst = max(worst, abs(got.dx - dx), abs(got.dy - dy))
         assert worst <= 0.1
     elapsed = time.perf_counter() - t0
@@ -313,7 +313,7 @@ def test_criterion_05_registration_accuracy():
 
     sample = sinusoid_sampler(np.random.default_rng(99))
     rigid = register_pair(
-        luminance_pyramid(sample()), sample(dx=1.5, dy=-0.75, theta=0.02), "rigid"
+        reference_pyramid(sample()), sample(dx=1.5, dy=-0.75, theta=0.02), "rigid"
     )
     assert abs(rigid.theta - 0.02) <= 0.005
     _verdict(

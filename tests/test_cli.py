@@ -1,15 +1,22 @@
 """End-to-end command-line flows in temporary directories."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import somqe
 import somqe.pipeline as pipeline_module
 from somqe.cli import main
 from somqe.errors import RegistrationError
 from somqe.raster import RasterImage, save_image
 from somqe.register import read_transform_sidecar
+
+from conftest import sinusoid_sampler
 
 
 def make_workspace(tmp_path, n_frames: int = 3, side: int = 48):
@@ -78,6 +85,36 @@ def test_run_is_repeatable_byte_for_byte(tmp_path):
         ]) == 0
         outs.append(out)
     for artifact in ("report.csv", "grid.txt", "transforms.txt"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
+    """OpenBLAS splits a long dot product across its threads, and the sum
+    then rounds by their number; no artifact may depend on it.
+
+    At 160 px the finest pyramid level's 25,600 pixels are past the length
+    where OpenBLAS 0.3 splits a dot product across two threads."""
+    sample = sinusoid_sampler(np.random.default_rng(11), 160)
+    lines = []
+    for k, (dx, dy) in enumerate([(2.3, -1.6), (-3.7, 0.45), (0.0, 0.0)]):
+        pixels = np.round(sample(dx, dy).pixels).astype(np.uint8)
+        save_image(RasterImage.from_uint8(pixels), tmp_path / f"img_{k}.ppm")
+        lines.append(f"img_{k}.ppm\tframe{k}\t{2000 + k}")
+    (tmp_path / "frames.tsv").write_text("\n".join(lines) + "\n")
+    src = str(Path(somqe.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "somqe", "run", "--manifest", "frames.tsv",
+             "--grid", "2x2", "--iterations", "40", "--out", out.name],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for artifact in ("transforms.txt", "report.csv"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 

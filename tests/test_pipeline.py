@@ -39,7 +39,7 @@ from somqe.pipeline import (
 )
 from somqe.raster import RasterImage, load_image, save_image
 from somqe.register import (
-    luminance_pyramid, mean_square_residual, read_transform_sidecar, register_pair
+    mean_square_residual, read_transform_sidecar, reference_pyramid, register_pair
 )
 from somqe.som import load_grid, quantization_error
 
@@ -486,10 +486,53 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
     assert len(constructed) == 11
     monkeypatch.undo()
     for frame, (_, transform, residual, _) in zip(frames[:3], items):
-        assert transform == register_pair(luminance_pyramid(anchor), frame, "translation")
+        assert transform == register_pair(reference_pyramid(anchor), frame, "translation")
         assert residual == mean_square_residual(
             anchor.luminance(), resample(frame, transform), transform
         )
+
+
+@pytest.mark.parametrize("mode, builds", [("translation", 1), ("rigid", 1), ("none", 0)])
+def test_preprocessed_frames_builds_the_reference_gradients_once(
+    tmp_path, monkeypatch, mode, builds
+):
+    anchor = smooth_image(6, size=64)
+    arrays = [
+        as_uint8(resample(anchor, RegistrationTransform("translation", dx, dy)))
+        for dx, dy in ((1.0, 0.5), (-0.75, 2.0), (0.0, -1.25))
+    ] + [as_uint8(anchor)]
+    manifest = write_frames(tmp_path, arrays)
+    built, gradients = [], []
+    real_gradient = np.gradient
+
+    def counting_pyramid(image):
+        built.append(image)
+        return reference_pyramid(image)
+
+    def counting_gradient(plane):
+        gradients.append(plane.shape)
+        return real_gradient(plane)
+
+    monkeypatch.setattr(pipeline_module, "reference_pyramid", counting_pyramid)
+    monkeypatch.setattr(np, "gradient", counting_gradient)
+    items = list(preprocessed_frames(manifest, RunConfig(registration_mode=mode)))
+    assert len(items) == 4
+    assert len(built) == builds
+    # one gradient per anchor level (64 and 32 px), none per pair
+    assert gradients == [(64, 64), (32, 32)] * builds
+
+
+@pytest.mark.parametrize("height, width", [(1, 40), (40, 1)])
+@pytest.mark.parametrize("n_frames", [1, 2])
+def test_preprocessed_frames_rejects_frames_too_thin_to_register(
+    tmp_path, height, width, n_frames
+):
+    arrays = [as_uint8(random_image(i, height, width)) for i in range(n_frames)]
+    manifest = write_frames(tmp_path, arrays)
+    with pytest.raises(InputError, match=f"cannot register {width}x{height} frames"):
+        list(preprocessed_frames(manifest, RunConfig()))
+    items = list(preprocessed_frames(manifest, RunConfig(registration_mode="none")))
+    assert len(items) == n_frames
 
 
 def test_preprocessed_frames_rejects_empty_and_mismatched(tmp_path):
