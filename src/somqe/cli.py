@@ -10,15 +10,19 @@ Subcommands mirror the pipeline stages so each step can run standalone:
     plot        render SVG scatter plots from a QE row file
     run         the whole pipeline into one output directory
 
-Exit codes: 0 success, 1 unusable input, 2 computation failure (currently
-only registration that does not converge).  Errors print exactly one line
-to stderr of the form 'somqe: error: <category>: <message>'.
+Exit codes: 0 success, 1 unusable input, 2 computation failure
+(registration that does not converge, or a frame worker process that died).
+Errors print exactly one line to stderr of the form
+'somqe: error: <category>: <message>'.  `run --trace FILE` also writes the
+seconds each frame spent in each stage, as JSONL.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -150,11 +154,15 @@ def _cmd_register(args) -> int:
     manifest = read_manifest(_require(args, "manifest"))
     out = _out_dir(config)
     names = [f"{i:03d}_{slugify(e.label)}.ppm" for i, e in enumerate(manifest.entries)]
-    records = []
-    for i, transform, residual, frame in preprocessed_frames(manifest, config):
-        save_image(frame, out / names[i])
-        records.append((i, transform, residual))
-    write_transform_sidecar(out / "transforms.txt", sorted(records))
+
+    def save(i, frame, timed):
+        timed("save", save_image, frame, out / names[i])
+
+    records = sorted(
+        (s.index, s.transform, s.residual)
+        for s in preprocessed_frames(manifest, config, save)
+    )
+    write_transform_sidecar(out / "transforms.txt", records)
     manifest_lines = ["# path\tlabel\tyear"] + [
         f"{name}\t{e.label}\t{e.year:.10g}" for name, e in zip(names, manifest.entries)
     ]
@@ -169,14 +177,18 @@ def _cmd_register(args) -> int:
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
+
+    def train(i, anchor, timed):
+        grid = timed(
+            "train", fit_som, anchor, config.grid_width, config.grid_height,
+            config.training_params(),
+        )
+        return grid, timed("score", score_frame, manifest.entries[i], anchor, grid)
+
     # the stream yields the anchor first; no other frame is loaded
-    _, _, _, anchor = next(preprocessed_frames(manifest, config))
-    grid = fit_som(
-        anchor, config.grid_width, config.grid_height, config.training_params()
-    )
+    grid, row = next(preprocessed_frames(manifest, config, train)).result
     out = _out_dir(config)
     save_grid(grid, out / "grid.txt")
-    row = score_frame(manifest.entries[manifest.anchor_index], anchor, grid)
     print(
         f"trained {config.grid_width}x{config.grid_height} map on "
         f"{row.label}: anchor qe {row.qe:.6g}, {row.empty_models} empty models, "
@@ -189,9 +201,12 @@ def _cmd_score(args) -> int:
     config = _config_from_args(args)
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
+
+    def score(i, frame, timed):
+        return timed("score", score_frame, manifest.entries[i], frame, grid)
+
     scored = sorted(
-        (i, score_frame(manifest.entries[i], frame, grid))
-        for i, _, _, frame in preprocessed_frames(manifest, config)
+        (s.index, s.result) for s in preprocessed_frames(manifest, config, score)
     )
     text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(row for _, row in scored)
     _emit(args, config, "qe.csv", text)
@@ -248,10 +263,12 @@ def _cmd_plot(args) -> int:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
-    report = run_pipeline(manifest, config)
+    staged = [] if args.trace is not None else None
+    report = run_pipeline(manifest, config, staged)
     if config.covariates is not None:
         report = correlate(report, _covariates(config))
     out = _out_dir(config)
+    emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)
     if report.grid is not None:
         save_grid(report.grid, out / "grid.txt")
@@ -263,6 +280,8 @@ def _cmd_run(args) -> int:
         ],
     )
     plots = emit_svg_plots(report, out / "plots")
+    if staged is not None:
+        _write_trace(args.trace, staged, time.perf_counter() - emit_start)
     print(
         f"{report.roi_name}: {len(report.rows)} frames, trend slope "
         f"{report.regression.slope:.6g} per year (r2 {report.regression.r2:.4f}, "
@@ -270,6 +289,34 @@ def _cmd_run(args) -> int:
         f"{len(plots)} plots in {out}"
     )
     return 0
+
+
+def _write_trace(path: Path, staged, emit_s: float) -> None:
+    """JSONL: one line per frame in stack order, then one for this process.
+
+    A frame's line holds its index, the pid of the process that ran its
+    stage, each stage's seconds and, for a registered frame, that its solve
+    converged (a frame that did not ends the run instead).  The last line
+    holds this process's anchor stage (the anchor's own line less training),
+    training and artifact emit seconds.
+    """
+    import json
+
+    lines = []
+    for s in staged:
+        record = {"frame": s.index, "pid": s.pid}
+        record.update((f"{name}_s", seconds) for name, seconds in s.seconds.items())
+        record["converged"] = True if "register" in s.seconds else None
+        lines.append(json.dumps(record))
+    anchor = dict(staged[0].seconds)
+    train_s = anchor.pop("train", 0.0)
+    lines.append(json.dumps({
+        "pid": os.getpid(),
+        "anchor_s": sum(anchor.values()),
+        "train_s": train_s,
+        "emit_s": emit_s,
+    }))
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         extra=[("--qe", dict(type=Path, help="QE row file from 'score'"))])
     add("plot", _cmd_plot, "render SVG plots from QE rows",
         extra=[("--qe", dict(type=Path, help="QE row file from 'score'"))])
-    add("run", _cmd_run, "full pipeline into an output directory")
+    add("run", _cmd_run, "full pipeline into an output directory",
+        extra=[("--trace", dict(type=Path, help="write per-frame stage "
+                                                "seconds as JSONL"))])
     return parser
 
 

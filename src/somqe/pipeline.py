@@ -1,15 +1,17 @@
 """Manifest-to-report orchestration.
 
 A manifest lists image frames with labels and years.  `preprocessed_frames`
-streams them: the anchor (last entry unless overridden) first, then the
-others in manifest order, each loaded, aligned to the anchor and contrast
-stretched, holding only the anchor's luminance pyramid, its gradients and
-the frame in hand.  A run trains a map on the anchor, scores each frame's
-quantization error as it arrives, fits the QE-versus-year trend, and
-optionally correlates the QE series with year-checked covariate series from
-CSV.  Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
+runs every frame through one `FrameStage`: loaded, aligned to the anchor,
+contrast stretched and handed to a command's tail (scoring, or writing the
+aligned frame).  The anchor (last entry unless overridden) goes first, in
+this process; the other frames follow in forked worker processes, one per
+usable CPU, each holding only the anchor's luminance pyramid, its gradients
+and the frame in hand.  A run trains a map on the anchor, scores each
+frame's quantization error, fits the QE-versus-year trend, and optionally
+correlates the QE series with year-checked covariate series from CSV.
+Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
 written atomically and is byte identical across reruns with the same inputs
-and seed.
+and seed, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ import csv
 import io
 import os
 import re
+import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, RegistrationError
+from .errors import ComputationError, InputError, RegistrationError
 from .raster import (
     RasterImage, atomic_write_bytes, load_image, normalize_contrast, read_text
 )
@@ -346,67 +351,185 @@ class QeReport:
     residuals: tuple[float, ...] = ()
 
 
-def preprocessed_frames(manifest: Manifest, config: RunConfig):
-    """Yield (index, transform, residual, frame) per manifest frame, anchor first.
+class StagedFrame(NamedTuple):
+    """One frame through the frame stage: its registration and its tail's result."""
 
-    Each frame is loaded, checked against the anchor's size, registered to
-    the anchor, resampled, scored for its mean-square residual and, when
-    `config.normalize` is set, contrast stretched.  The anchor, and every
-    frame in mode 'none', passes through with an identity transform.  Once
-    the anchor has been yielded, only its `reference_pyramid` (built once
-    and shared by every pair; its plane alone in mode 'none') and the frame
-    in hand are held.  A non-converging pair re-raises with the offending
-    frame index attached.
+    index: int
+    transform: RegistrationTransform
+    residual: float
+    result: object  # what the stage's tail returned for this frame
+    pid: int  # the process that ran the stage
+    seconds: dict  # stage name -> wall seconds, in the order the stages ran
+
+
+class FrameStage:
+    """Load, register, resample, residual, stretch and tail of one frame.
+
+    Calling it on the anchor index first builds the anchor's reference: its
+    `reference_pyramid` (its luminance plane alone in mode 'none').  Every
+    later call loads one frame, checks it against the anchor's size,
+    registers it to that reference and resamples it, takes its mean-square
+    residual and, when `config.normalize` is set, stretches its contrast.
+    `tail(index, frame, timed)` then turns the frame into the call's
+    result; `timed(name, fn, *args)` runs one of its steps and records that
+    step's seconds.  Only the reference stays held between calls, so a call
+    on another frame needs nothing but its index.
     """
-    if not manifest.entries:
-        raise InputError("empty image stack")
-    mode = config.registration_mode
-    a = manifest.anchor_index
-    if not (0 <= a < len(manifest.entries)):
-        raise InputError(f"anchor index {a} outside 0..{len(manifest.entries) - 1}")
 
-    def load(i):
-        path = manifest.entries[i].path
+    def __init__(self, manifest: Manifest, config: RunConfig, tail):
+        if not manifest.entries:
+            raise InputError("empty image stack")
+        a = manifest.anchor_index
+        if not (0 <= a < len(manifest.entries)):
+            raise InputError(f"anchor index {a} outside 0..{len(manifest.entries) - 1}")
+        self.manifest = manifest
+        self.mode = config.registration_mode
+        self.normalize = config.normalize
+        self.tail = tail
+        self.identity = identity_transform(
+            "translation" if self.mode == "none" else self.mode
+        )
+        self.levels = None
+        self.luminance = None
+
+    def __call__(self, i: int) -> StagedFrame:
+        seconds = {}
+
+        def timed(name, fn, *args):
+            start = time.perf_counter()
+            out = fn(*args)
+            seconds[name] = time.perf_counter() - start
+            return out
+
+        frame = timed("load", self._load, i)
+        transform = self.identity
+        if i == self.manifest.anchor_index:
+            if self.mode == "none":
+                self.luminance = frame.luminance()
+            else:
+                self.levels = timed("pyramid", reference_pyramid, frame)
+                self.luminance = self.levels[0].plane
+        else:
+            height, width = self.luminance.shape
+            if (frame.height, frame.width) != (height, width):
+                raise InputError(
+                    f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
+                    f"anchor frame {self.manifest.anchor_index} is {width}x{height}"
+                )
+            if self.mode != "none":
+                try:
+                    transform = timed("register", register_pair, self.levels, frame, self.mode)
+                except RegistrationError as exc:
+                    raise RegistrationError(
+                        f"frame {i}: {exc}",
+                        transform=exc.transform,
+                        residual=exc.residual,
+                        index=i,
+                    ) from exc
+                frame = timed("resample", resample, frame, transform)
+        residual = timed("residual", mean_square_residual, self.luminance, frame, transform)
+        if self.normalize:
+            frame = timed("normalize", normalize_contrast, frame)
+        result = self.tail(i, frame, timed)
+        return StagedFrame(i, transform, residual, result, os.getpid(), seconds)
+
+    def _load(self, i: int) -> RasterImage:
+        path = self.manifest.entries[i].path
         try:
             return load_image(path)
-        except OSError as exc:
+        except (OSError, InputError) as exc:
             raise InputError(f"frame {i} ({path}): {exc}") from None
 
-    anchor = load(a)
-    if mode == "none":
-        anchor_luminance = anchor.luminance()
-    else:
-        anchor_levels = reference_pyramid(anchor)
-        anchor_luminance = anchor_levels[0].plane
-    height, width = anchor_luminance.shape
-    identity = identity_transform("translation" if mode == "none" else mode)
-    for i in [a] + [j for j in range(len(manifest.entries)) if j != a]:
-        if i == a:  # the generator holds the decoded anchor no longer
-            frame, anchor = anchor, None
-        else:
-            frame = load(i)
-        if (frame.height, frame.width) != (height, width):
-            raise InputError(
-                f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
-                f"anchor frame {a} is {width}x{height}"
+
+def preprocessed_frames(manifest: Manifest, config: RunConfig, tail):
+    """Yield the `StagedFrame` of every manifest frame: anchor first, then the rest.
+
+    The anchor runs through the `FrameStage` in this process, so whatever its
+    `tail` keeps (a map trained on it, say) is in place before the other
+    frames run.  They follow in manifest order, through `_map_frames`.
+    A failing frame raises as it would in this process: the first one in
+    that order wins, and a non-converging pair re-raises with the offending
+    frame index attached.
+    """
+    stage = FrameStage(manifest, config, tail)
+    yield stage(manifest.anchor_index)
+    others = [i for i in range(len(manifest.entries)) if i != manifest.anchor_index]
+    yield from _map_frames(stage, others)
+
+
+def _map_frames(stage: FrameStage, indices: list[int]):
+    """Yield `stage(i)` for each index in order, on every CPU this process may use.
+
+    With one usable CPU, or one index, the stage runs here through `map`.
+    Otherwise it runs in a pool of forked worker processes, one per CPU up
+    to one per index.  Fork hands every worker the stage with its reference
+    and tail as they stand, so only an index goes out and only the small
+    `StagedFrame` comes back.  Workers ignore SIGINT, so an interrupt ends
+    the run from this process alone, and exit if this process dies.  The
+    first failure in index order is raised; frames not yet started are
+    cancelled and the pool's processes are joined before the generator
+    returns or raises.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = 1
+    workers = min(cpus, len(indices))
+    if workers <= 1:
+        yield from map(stage, indices)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(stage, os.getpid()),
+    )
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on any fork once numpy's BLAS threads exist;
+            # OpenBLAS rebuilds its pool in the child, and the stage's sums
+            # are one-thread einsums
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
-        if mode == "none" or i == a:
-            transform = identity
-        else:
+            futures = [pool.submit(_run_stage, i) for i in indices]
+        for future in futures:
             try:
-                transform = register_pair(anchor_levels, frame, mode)
-            except RegistrationError as exc:
-                raise RegistrationError(
-                    f"frame {i}: {exc}",
-                    transform=exc.transform,
-                    residual=exc.residual,
-                    index=i,
-                ) from exc
-            frame = resample(frame, transform)
-        residual = mean_square_residual(anchor_luminance, frame, transform)
-        if config.normalize:
-            frame = normalize_contrast(frame)
-        yield i, transform, residual, frame
+                staged = future.result()
+            except BrokenProcessPool as exc:
+                raise ComputationError(f"a frame worker process died: {exc}") from None
+            yield staged
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+_worker_stage = None  # the FrameStage a forked worker runs, set as it starts
+
+
+def _start_worker(stage: FrameStage, parent: int) -> None:
+    import signal
+    import threading
+
+    global _worker_stage
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_stage = stage
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent: int) -> None:
+    # a parent killed by SIGTERM or SIGKILL never shuts the pool down, and
+    # its workers would wait on their call queue forever
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _run_stage(i: int) -> StagedFrame:
+    return _worker_stage(i)
 
 
 def score_frame(entry: ManifestEntry, frame: RasterImage, grid: SomGrid) -> QeRow:
@@ -442,25 +565,34 @@ def qe_report(
     )
 
 
-def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
-    """Full run: align, normalize, train on the anchor, score, fit the trend."""
+def run_pipeline(manifest: Manifest, config: RunConfig, trace: list | None = None) -> QeReport:
+    """Full run: align, normalize, train on the anchor, score, fit the trend.
+
+    When `trace` is a list, the `StagedFrame` of every frame is appended to
+    it in stack order, anchor first.
+    """
     grid = None
-    scored = []
-    for i, transform, residual, frame in preprocessed_frames(manifest, config):
-        if grid is None:  # the anchor; rebinding `frame` lets it go once scored
-            grid = fit_som(
-                frame, config.grid_width, config.grid_height, config.training_params()
+
+    def score(i, frame, timed):
+        nonlocal grid
+        if grid is None:  # the anchor, in this process; workers inherit its map
+            grid = timed(
+                "train", fit_som, frame, config.grid_width, config.grid_height,
+                config.training_params(),
             )
-        row = score_frame(manifest.entries[i], frame, grid)
-        scored.append((i, transform, residual, row))
-    _, transforms, residuals, rows = zip(*sorted(scored))
+        return timed("score", score_frame, manifest.entries[i], frame, grid)
+
+    staged = list(preprocessed_frames(manifest, config, score))
+    if trace is not None:
+        trace.extend(staged)
+    staged.sort(key=lambda s: s.index)
     return qe_report(
         manifest.roi_name,
-        rows,
+        [s.result for s in staged],
         config.year_fix,
         grid=grid,
-        transforms=transforms,
-        residuals=residuals,
+        transforms=[s.transform for s in staged],
+        residuals=[s.residual for s in staged],
     )
 
 

@@ -9,7 +9,6 @@ annotation of the fit.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 _WIDTH = 640
 _HEIGHT = 440
@@ -17,6 +16,11 @@ _MARGIN_LEFT = 72
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 44
 _MARGIN_BOTTOM = 56
+
+
+def _escape(text: str) -> str:
+    """XML-escape '&', '<' and '>', in that order, for element text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
@@ -76,7 +80,7 @@ def scatter_svg(
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" fill="#111111">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
     ]
     # frame
     parts.append(
@@ -92,7 +96,7 @@ def scatter_svg(
         parts.append(
             f'<text x="{tx:.2f}" y="{_MARGIN_TOP + plot_h + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#333333">{escape("%.10g" % tick)}</text>'
+            f'fill="#333333">{_escape("%.10g" % tick)}</text>'
         )
     for tick in _nice_ticks(y_lo, y_hi):
         ty = py(tick)
@@ -103,7 +107,7 @@ def scatter_svg(
         parts.append(
             f'<text x="{_MARGIN_LEFT - 9}" y="{ty + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="#333333">'
-            f'{escape("%.10g" % tick)}</text>'
+            f'{_escape("%.10g" % tick)}</text>'
         )
     if line is not None:
         slope, intercept = line
@@ -121,19 +125,19 @@ def scatter_svg(
     parts.append(
         f'<text x="{_WIDTH / 2:.2f}" y="{_HEIGHT - 14}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="#111111">'
-        f"{escape(xlabel)}</text>"
+        f"{_escape(xlabel)}</text>"
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="#111111" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.2f})">'
-        f"{escape(ylabel)}</text>"
+        f"{_escape(ylabel)}</text>"
     )
     if annotation:
         parts.append(
             f'<text x="{_MARGIN_LEFT + 8}" y="{_MARGIN_TOP + 16}" '
             f'font-family="sans-serif" font-size="11" fill="#555555">'
-            f"{escape(annotation)}</text>"
+            f"{_escape(annotation)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import warnings
 from pathlib import Path
 
@@ -33,6 +35,20 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if here in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error"))
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Every frame runs in this process, where a test can watch its calls."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Frames after the anchor run in two forked workers, whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def random_image(seed: int, height: int = 16, width: int = 16) -> RasterImage:

@@ -20,6 +20,7 @@ from somqe import (
 )
 from somqe.errors import RegistrationError
 from somqe.pipeline import (
+    FrameStage,
     Manifest,
     ManifestEntry,
     RunConfig,
@@ -41,7 +42,7 @@ from somqe.raster import RasterImage, load_image, save_image
 from somqe.register import (
     mean_square_residual, read_transform_sidecar, reference_pyramid, register_pair
 )
-from somqe.som import load_grid, quantization_error
+from somqe.som import fit_som, load_grid, quantization_error
 
 from conftest import random_image, smooth_image
 
@@ -431,13 +432,26 @@ def as_uint8(image: RasterImage) -> np.ndarray:
     return np.round(image.pixels).astype(np.uint8)
 
 
-def test_preprocessed_frames_yields_last_frame_anchor_first(tmp_path):
+def keep_frame(i, frame, timed):
+    """A stage tail that hands the preprocessed frame back."""
+    return frame
+
+
+def stage_items(manifest, config):
+    """(index, transform, residual, frame) of every staged frame, in stack order."""
+    return [
+        (s.index, s.transform, s.residual, s.result)
+        for s in preprocessed_frames(manifest, config, keep_frame)
+    ]
+
+
+def test_preprocessed_frames_yields_last_frame_anchor_first(tmp_path, two_cpus):
     anchor = smooth_image(8, size=64)
     frame0 = resample(anchor, RegistrationTransform("translation", 1.0, 0.0))
     frame1 = resample(anchor, RegistrationTransform("translation", 0.0, -2.0))
     manifest = write_frames(tmp_path, [as_uint8(f) for f in (frame0, frame1, anchor)])
     anchor = load_image(manifest.entries[2].path)
-    items = list(preprocessed_frames(manifest, RunConfig(normalize=False)))
+    items = stage_items(manifest, RunConfig(normalize=False))
     assert [i for i, _, _, _ in items] == [2, 0, 1]
     _, t_anchor, _, img_anchor = items[0]
     assert t_anchor.dx == 0.0 and t_anchor.dy == 0.0
@@ -451,7 +465,7 @@ def test_preprocessed_frames_yields_last_frame_anchor_first(tmp_path):
         assert residual == mean_square_residual(anchor.luminance(), moved, t)
 
 
-def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatch):
+def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatch, one_cpu):
     import somqe.register as register_module
 
     anchor = smooth_image(5, size=128)
@@ -478,7 +492,7 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(register_module, "_halve", counting_halve)
     monkeypatch.setattr(RasterImage, "__post_init__", counting_post_init)
-    items = sorted(preprocessed_frames(manifest, RunConfig()))
+    items = sorted(stage_items(manifest, RunConfig()), key=lambda item: item[0])
     assert sum(np.array_equal(a, anchor.pixels) for a in halved) == 1
     # 128 -> 64 -> 32: two halvings per pyramid, one pyramid per frame
     assert len(halved) == 2 * len(frames)
@@ -494,7 +508,7 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("mode, builds", [("translation", 1), ("rigid", 1), ("none", 0)])
 def test_preprocessed_frames_builds_the_reference_gradients_once(
-    tmp_path, monkeypatch, mode, builds
+    tmp_path, monkeypatch, one_cpu, mode, builds
 ):
     anchor = smooth_image(6, size=64)
     arrays = [
@@ -515,7 +529,7 @@ def test_preprocessed_frames_builds_the_reference_gradients_once(
 
     monkeypatch.setattr(pipeline_module, "reference_pyramid", counting_pyramid)
     monkeypatch.setattr(np, "gradient", counting_gradient)
-    items = list(preprocessed_frames(manifest, RunConfig(registration_mode=mode)))
+    items = stage_items(manifest, RunConfig(registration_mode=mode))
     assert len(items) == 4
     assert len(built) == builds
     # one gradient per anchor level (64 and 32 px), none per pair
@@ -530,21 +544,21 @@ def test_preprocessed_frames_rejects_frames_too_thin_to_register(
     arrays = [as_uint8(random_image(i, height, width)) for i in range(n_frames)]
     manifest = write_frames(tmp_path, arrays)
     with pytest.raises(InputError, match=f"cannot register {width}x{height} frames"):
-        list(preprocessed_frames(manifest, RunConfig()))
-    items = list(preprocessed_frames(manifest, RunConfig(registration_mode="none")))
+        stage_items(manifest, RunConfig())
+    items = stage_items(manifest, RunConfig(registration_mode="none"))
     assert len(items) == n_frames
 
 
 def test_preprocessed_frames_rejects_empty_and_mismatched(tmp_path):
     with pytest.raises(InputError, match="empty image stack"):
-        next(preprocessed_frames(Manifest((), "empty", 0), RunConfig()))
+        next(preprocessed_frames(Manifest((), "empty", 0), RunConfig(), keep_frame))
     manifest = write_frames(
         tmp_path, [as_uint8(random_image(0, 8, 8)), as_uint8(random_image(1, 9, 8))]
     )
     with pytest.raises(
         InputError, match="size mismatch: frame 0 is 8x8, anchor frame 1 is 8x9"
     ):
-        list(preprocessed_frames(manifest, RunConfig()))
+        stage_items(manifest, RunConfig())
 
 
 @pytest.mark.parametrize("n_frames, anchor", [(1, 3), (4, -1)])
@@ -557,20 +571,20 @@ def test_run_pipeline_rejects_an_anchor_outside_the_stack(tmp_path, n_frames, an
         run_pipeline(manifest, RunConfig(registration_mode="none"))
 
 
-def test_preprocessed_frames_tags_failing_frame_index(tmp_path, monkeypatch):
+def test_preprocessed_frames_tags_failing_frame_index(tmp_path, monkeypatch, two_cpus):
     def always_fails(reference_levels, test, mode="translation"):
         raise RegistrationError("did not converge", transform=None, residual=9.9)
 
     monkeypatch.setattr(pipeline_module, "register_pair", always_fails)
     manifest = write_frames(tmp_path, [as_uint8(random_image(i, 8, 8)) for i in range(3)])
     with pytest.raises(RegistrationError) as info:
-        list(preprocessed_frames(manifest, RunConfig()))
+        stage_items(manifest, RunConfig())
     assert info.value.index == 0
     assert info.value.residual == 9.9
 
 
 @pytest.mark.parametrize("mode", ["none", "translation"])
-def test_run_pipeline_peak_memory_does_not_grow_with_stack_length(tmp_path, mode):
+def test_run_pipeline_peak_memory_does_not_grow_with_stack_length(tmp_path, mode, one_cpu):
     """Frames stream through the run, so a longer stack holds no more of them."""
     frame = as_uint8(smooth_image(3, size=96))
     config = RunConfig(
@@ -592,7 +606,38 @@ def test_run_pipeline_peak_memory_does_not_grow_with_stack_length(tmp_path, mode
     assert peaks[1] - peaks[0] < frame.size * np.dtype(np.float64).itemsize
 
 
-def test_run_pipeline_releases_the_stretched_anchor_once_scored(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode, frames", [("translation", 6), ("rigid", 10), ("none", 4)])
+def test_frame_stage_holds_one_frames_working_set(tmp_path, mode, frames):
+    """A worker's peak is one stage call: a few float64 frames, whatever the stack.
+
+    The bound, in float64 frames, is what loading, registering, resampling,
+    stretching and scoring one 96 px frame allocates at most."""
+    base = smooth_image(3, size=96)
+    arrays = [
+        as_uint8(resample(base, RegistrationTransform("rigid", dx, 0.25, theta)))
+        for dx, theta in ((1.5, 0.01), (-0.5, -0.005))
+    ] + [as_uint8(base)]
+    manifest = write_frames(tmp_path, arrays)
+    config = RunConfig(registration_mode=mode)
+    grid = fit_som(base, 2, 2, RunConfig(iterations=20).training_params())
+    stage = FrameStage(
+        manifest, config,
+        lambda i, frame, timed: quantization_error(frame, grid).qe,
+    )
+    stage(2)  # the anchor's reference, and one-time allocations, stay out of the peak
+    stage(0)
+    tracemalloc.start()
+    try:
+        stage(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frames * base.pixels.nbytes
+
+
+def test_run_pipeline_releases_the_stretched_anchor_once_scored(
+    tmp_path, monkeypatch, one_cpu
+):
     """After the anchor's own score no call holds its stretched frame."""
     stretched, alive = [], []
     stretch = pipeline_module.normalize_contrast
@@ -617,7 +662,7 @@ def test_run_pipeline_releases_the_stretched_anchor_once_scored(tmp_path, monkey
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("mode", ["translation", "none"])
 def test_preprocessed_frames_releases_the_decoded_anchor(
-    tmp_path, monkeypatch, mode, normalize
+    tmp_path, monkeypatch, one_cpu, mode, normalize
 ):
     """Once the second frame is yielded, only the anchor's planes are held."""
     anchor = smooth_image(5, size=64)
@@ -636,12 +681,12 @@ def test_preprocessed_frames_releases_the_decoded_anchor(
 
     monkeypatch.setattr(pipeline_module, "load_image", recording_load)
     frames = preprocessed_frames(
-        manifest, RunConfig(registration_mode=mode, normalize=normalize)
+        manifest, RunConfig(registration_mode=mode, normalize=normalize), keep_frame
     )
-    assert next(frames)[0] == 2
-    assert next(frames)[0] == 0
+    assert next(frames).index == 2
+    assert next(frames).index == 0
     assert decoded[manifest.entries[2].path]() is None
-    assert [i for i, _, _, _ in frames] == [1]
+    assert [s.index for s in frames] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +849,17 @@ def test_emit_svg_plots(tmp_path):
         body = path.read_text()
         assert "<circle" in body
         assert "<line" in body  # fit line present for these non-degenerate fits
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt\"' x\u00e9"), max_size=30))
+def test_svg_escape_matches_the_standard_library(text):
+    """The plots' escape is xml.sax.saxutils.escape without its import cost,
+    so every SVG keeps its bytes."""
+    from xml.sax.saxutils import escape
+
+    from somqe.report import _escape
+
+    assert _escape(text) == escape(text)
 
 
 # ---------------------------------------------------------------------------

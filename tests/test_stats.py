@@ -207,6 +207,25 @@ def test_fits_run_without_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cli_loads_no_xml_or_process_pool_modules():
+    """A fresh `import somqe.cli` stays cheap: the SVG escape is three
+    replaces, and the frame pool's modules load only when frames are mapped."""
+    code = (
+        "import sys\n"
+        "import somqe.cli\n"
+        "heavy = ('xml.sax', 'multiprocessing', 'concurrent.futures')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # correlation
 
