@@ -11,7 +11,8 @@ Subcommands mirror the pipeline stages so each step can run standalone:
     run         the whole pipeline into one output directory
 
 Exit codes: 0 success, 1 unusable input, 2 computation failure
-(registration that does not converge, or a frame worker process that died).
+(registration that does not converge, or a frame worker process that died),
+130 interrupted (SIGINT, as Ctrl-C sends it).
 Errors print exactly one line to stderr of the form
 'somqe: error: <category>: <message>'.  `run --trace FILE` also writes the
 seconds each frame spent in each stage, as JSONL.
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from .errors import ComputationError, InputError
 from .pipeline import (
+    CONFIG_KEYS,
     REGISTRATION_MODES,
     YEAR_FIX_MODES,
     RunConfig,
@@ -79,28 +81,15 @@ def _add_common_flags(sub):
 
 
 def _config_from_args(args) -> RunConfig:
+    """The --config file's settings, then every flag given, which wins."""
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config = apply_config_entries(config, load_config_file(args.config))
-    overrides = {}
-    for flag, key in [
-        ("seed", "seed"),
-        ("grid", "grid"),
-        ("iterations", "iterations"),
-        ("alpha", "alpha"),
-        ("radius", "radius"),
-        ("decay", "decay"),
-        ("mode", "mode"),
-        ("year_fix", "year_fix"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = str(args.out)
-    if getattr(args, "covariates", None) is not None:
-        overrides["covariates"] = str(args.covariates)
-    return apply_config_entries(config, overrides)
+    flags = {
+        key: str(value) for key, value in vars(args).items()
+        if key in CONFIG_KEYS and value is not None
+    }
+    return apply_config_entries(config, flags)
 
 
 def _covariates(config: RunConfig) -> list:
@@ -180,13 +169,14 @@ def _cmd_train(args) -> int:
 
     def train(i, anchor, timed):
         grid = timed(
-            "train", fit_som, anchor, config.grid_width, config.grid_height,
-            config.training_params(),
+            "train", fit_som, anchor, config.grid_width, config.grid_height, config
         )
         return grid, timed("score", score_frame, manifest.entries[i], anchor, grid)
 
-    # the stream yields the anchor first; no other frame is loaded
-    grid, row = next(preprocessed_frames(manifest, config, train)).result
+    # the stream yields the anchor first; no other frame is loaded, and
+    # mode 'none' skips the anchor's reference, which only registration reads
+    anchor_only = apply_config_entries(config, {"mode": "none"})
+    grid, row = next(preprocessed_frames(manifest, anchor_only, train)).result
     out = _out_dir(config)
     save_grid(grid, out / "grid.txt")
     print(
@@ -366,9 +356,11 @@ def main(argv=None) -> int:
         return _fail(1, "input", exc)
     except ComputationError as exc:
         return _fail(2, "computation", exc)
+    except KeyboardInterrupt:  # the frame pool was shut down as this unwound
+        return _fail(130, "interrupted", "stopped by SIGINT")
 
 
-def _fail(code: int, category: str, exc: BaseException) -> int:
+def _fail(code: int, category: str, exc: BaseException | str) -> int:
     message = " ".join(str(exc).split())
     print(f"somqe: error: {category}: {message}", file=sys.stderr)
     return code

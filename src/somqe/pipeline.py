@@ -129,14 +129,11 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
 # run configuration
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(TrainingParams):
+    """The map's training parameters plus the rest of a run's settings."""
+
     grid_width: int = 4
     grid_height: int = 4
-    learning_rate: float = 0.2
-    neighborhood_radius: float = 1.2
-    iterations: int = 1000
-    decay_mode: str = "constant"
-    seed: int = 0
     registration_mode: str = "translation"
     normalize: bool = True
     year_fix: str = "as-printed"
@@ -144,26 +141,13 @@ class RunConfig:
     covariates: Path | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.registration_mode not in REGISTRATION_MODES:
             raise InputError(
                 f"registration mode must be one of {REGISTRATION_MODES}"
             )
         if self.year_fix not in YEAR_FIX_MODES:
             raise InputError(f"year_fix must be one of {YEAR_FIX_MODES}")
-        self.training_params()  # validates the numeric knobs
-
-    def training_params(self) -> TrainingParams:
-        return TrainingParams(
-            learning_rate=self.learning_rate,
-            neighborhood_radius=self.neighborhood_radius,
-            iterations=self.iterations,
-            seed=self.seed,
-            decay_mode=self.decay_mode,
-        )
-
-
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -180,53 +164,63 @@ def load_config_file(path) -> dict[str, str]:
     return entries
 
 
-def apply_config_entries(config: RunConfig, entries: dict[str, str]) -> RunConfig:
-    """Overlay string-typed settings (from a file or CLI flags) on a config."""
-    updates = {}
-    for key, value in entries.items():
-        try:
-            if key == "seed":
-                updates["seed"] = int(value)
-            elif key == "grid":
-                updates["grid_width"], updates["grid_height"] = parse_grid_size(value)
-            elif key == "iterations":
-                updates["iterations"] = int(value)
-            elif key == "alpha":
-                updates["learning_rate"] = parse_decimal(value)
-            elif key == "radius":
-                updates["neighborhood_radius"] = parse_decimal(value)
-            elif key == "decay":
-                updates["decay_mode"] = value
-            elif key == "mode":
-                updates["registration_mode"] = value
-            elif key == "normalize":
-                lowered = value.lower()
-                if lowered in _TRUE_WORDS:
-                    updates["normalize"] = True
-                elif lowered in _FALSE_WORDS:
-                    updates["normalize"] = False
-                else:
-                    raise ValueError(value)
-            elif key == "year_fix":
-                updates["year_fix"] = value
-            elif key == "out":
-                updates["out_dir"] = Path(value)
-            elif key == "covariates":
-                updates["covariates"] = Path(value)
-            else:
-                raise InputError(f"unknown config key {key!r}")
-        except InputError:
-            raise
-        except ValueError:
-            raise InputError(f"config key {key!r}: unparseable value {value!r}") from None
-    return replace(config, **updates)
-
-
 def parse_grid_size(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"(\d+)x(\d+)", text.strip())
     if not match:
         raise InputError(f"grid size must look like '4x4', got {text!r}")
     return int(match.group(1)), int(match.group(2))
+
+
+def _parse_switch(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_decimal(text: str) -> float:
+    # looks parse_decimal up at call time, so a wrapper installed on
+    # pipeline.parse_decimal (bench/traced.py) also sees the config's numbers
+    return parse_decimal(text)
+
+
+# config key (also the dest of the CLI flag that sets it) ->
+# (the RunConfig field, or fields, it sets; the parser of its value text)
+CONFIG_KEYS = {
+    "seed": ("seed", int),
+    "grid": (("grid_width", "grid_height"), parse_grid_size),
+    "iterations": ("iterations", int),
+    "alpha": ("learning_rate", _parse_decimal),
+    "radius": ("neighborhood_radius", _parse_decimal),
+    "decay": ("decay_mode", str),
+    "mode": ("registration_mode", str),
+    "normalize": ("normalize", _parse_switch),
+    "year_fix": ("year_fix", str),
+    "out": ("out_dir", Path),
+    "covariates": ("covariates", Path),
+}
+
+
+def apply_config_entries(config: RunConfig, entries: dict[str, str]) -> RunConfig:
+    """Overlay string-typed settings (from a file or CLI flags) on a config."""
+    updates = {}
+    for key, value in entries.items():
+        if key not in CONFIG_KEYS:
+            raise InputError(f"unknown config key {key!r}")
+        field, parse = CONFIG_KEYS[key]
+        try:
+            parsed = parse(value)
+        except InputError:
+            raise
+        except ValueError:
+            raise InputError(f"config key {key!r}: unparseable value {value!r}") from None
+        if isinstance(field, tuple):
+            updates.update(zip(field, parsed))
+        else:
+            updates[field] = parsed
+    return replace(config, **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +571,7 @@ def run_pipeline(manifest: Manifest, config: RunConfig, trace: list | None = Non
         nonlocal grid
         if grid is None:  # the anchor, in this process; workers inherit its map
             grid = timed(
-                "train", fit_som, frame, config.grid_width, config.grid_height,
-                config.training_params(),
+                "train", fit_som, frame, config.grid_width, config.grid_height, config
             )
         return timed("score", score_frame, manifest.entries[i], frame, grid)
 

@@ -66,8 +66,9 @@ class TrainingParams:
             raise InputError("iterations must be at least 1")
         if self.decay_mode not in DECAY_MODES:
             raise InputError(f"decay_mode must be one of {DECAY_MODES}")
-        if self.seed < 0:
-            raise InputError("seed must be non-negative")
+        if not (0 <= self.seed < 2**64):
+            # SplitMix64 keeps 64 bits, so a larger seed would alias a smaller one
+            raise InputError("seed must lie in [0, 2**64)")
 
     def schedule(self, t: int) -> tuple[float, float]:
         """(alpha, radius) in effect for iteration t, t in [0, iterations)."""
@@ -358,10 +359,11 @@ def grid_to_text(grid: SomGrid) -> str:
 
 
 def grid_from_text(text: str) -> SomGrid:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse `grid_to_text` output; errors name the file line, blank lines counted."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise InputError("malformed grid header: empty file")
-    fields = lines[0].split()
+    fields = lines[0][1].split()
     if len(fields) != 4 or fields[0] != _GRID_MAGIC or fields[1] != _GRID_VERSION:
         raise InputError("malformed grid header: expected 'somqe-grid v1 <w> <h>'")
     try:
@@ -374,14 +376,14 @@ def grid_from_text(text: str) -> SomGrid:
             f"grid body has {len(body)} models, header promises {width * height}"
         )
     models = np.empty((width * height, 3), dtype=np.float64)
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         parts = line.split()
         if len(parts) != 3:
-            raise InputError(f"grid line {i + 2}: expected 3 components")
+            raise InputError(f"grid line {lineno}: expected 3 components")
         try:
             models[i] = [float(p) for p in parts]
         except ValueError:
-            raise InputError(f"grid line {i + 2}: non-numeric component") from None
+            raise InputError(f"grid line {lineno}: non-numeric component") from None
     return SomGrid(width, height, models)
 
 

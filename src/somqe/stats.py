@@ -200,14 +200,18 @@ def parse_decimal(text: str) -> float:
     """Parse a number whose decimal mark may be ',' or '.'.
 
     A lone comma is treated as the decimal mark.  Mixed marks or multiple
-    commas (thousands grouping) are rejected rather than guessed at.
+    commas (thousands grouping) are rejected rather than guessed at, and so
+    are nan, infinities and numbers too large for a float.
     """
     cleaned = text.strip()
     if "," in cleaned:
         if "." in cleaned or cleaned.count(",") > 1:
             raise ValueError(f"ambiguous decimal syntax: {text!r}")
         cleaned = cleaned.replace(",", ".")
-    return float(cleaned)
+    value = float(cleaned)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _fmt(value: float) -> str:

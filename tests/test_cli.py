@@ -11,8 +11,9 @@ import pytest
 
 import somqe
 import somqe.pipeline as pipeline_module
-from somqe.cli import main
+from somqe.cli import build_parser, main
 from somqe.errors import RegistrationError
+from somqe.pipeline import CONFIG_KEYS
 from somqe.raster import RasterImage, save_image
 from somqe.register import read_transform_sidecar
 
@@ -180,6 +181,26 @@ def test_train_reads_only_the_anchor_frame(tmp_path, monkeypatch):
     assert [p.name for p in loaded] == ["img_2.ppm"]
     assert (tmp_path / "trained" / "grid.txt").read_bytes() == (
         tmp_path / "run" / "grid.txt"
+    ).read_bytes()
+
+
+def test_train_builds_no_reference_pyramid(tmp_path, monkeypatch, one_cpu):
+    """Only registration reads the anchor's pyramid, and train registers nothing."""
+    manifest, _ = make_workspace(tmp_path)
+    common = ["train", "--manifest", str(manifest), "--grid", "2x2", "--iterations", "40"]
+    built = []
+    real_pyramid = pipeline_module.reference_pyramid
+
+    def counting_pyramid(frame):
+        built.append(frame)
+        return real_pyramid(frame)
+
+    monkeypatch.setattr(pipeline_module, "reference_pyramid", counting_pyramid)
+    for mode in ("translation", "none"):
+        assert main(common + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
+    assert built == []
+    assert (tmp_path / "translation" / "grid.txt").read_bytes() == (
+        tmp_path / "none" / "grid.txt"
     ).read_bytes()
 
 
@@ -385,6 +406,46 @@ def test_config_file_with_flag_override(tmp_path):
     # without the config file the grid size defaults to 4x4
     assert plain.startswith(b"somqe-grid v1 4 4\n")
     assert by_flag.startswith(b"somqe-grid v1 2 2\n")
+
+
+def test_a_bad_config_file_value_fails_under_a_flag_that_overrides_it(tmp_path, capsys):
+    manifest, _ = make_workspace(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = soon\n")
+    argv = ["train", "--manifest", str(manifest), "--config", str(cfg), "--seed", "9"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert "config key 'seed': unparseable value 'soon'" in captured.err
+
+
+def test_every_setting_flag_names_a_config_key():
+    """A flag whose dest is not a config key would be parsed and then ignored."""
+    args = vars(build_parser().parse_args(["run"]))
+    settings = set(args) - {"command", "handler", "manifest", "config", "trace"}
+    assert settings == set(CONFIG_KEYS) - {"normalize"}
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 1)])
+def test_seed_flag_accepts_exactly_64_bits(tmp_path, capsys, seed, code):
+    manifest, _ = make_workspace(tmp_path)
+    argv = ["train", "--manifest", str(manifest), "--grid", "2x2",
+            "--iterations", "40", "--seed", str(seed), "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    if code:
+        assert_single_error_line(capsys.readouterr(), "input")
+
+
+def test_a_non_finite_manifest_year_exits_1(tmp_path, capsys):
+    manifest, _ = make_workspace(tmp_path)
+    manifest.write_text(manifest.read_text().replace("\t2001", "\tnan"))
+    (tmp_path / "grid.txt").write_text("somqe-grid v1 1 1\n0.5 0.5 0.5\n")
+    argv = ["score", "--manifest", str(manifest), "--grid-file", str(tmp_path / "grid.txt")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_single_error_line(captured, "input")
+    assert "manifest line 2: unparseable year 'nan'" in captured.err
 
 
 def assert_single_error_line(captured, code_prefix: str):

@@ -1,5 +1,6 @@
 """Manifest/config plumbing and the end-to-end scoring run."""
 
+import dataclasses
 import tracemalloc
 import warnings
 import weakref
@@ -20,6 +21,7 @@ from somqe import (
 )
 from somqe.errors import RegistrationError
 from somqe.pipeline import (
+    CONFIG_KEYS,
     FrameStage,
     Manifest,
     ManifestEntry,
@@ -42,7 +44,7 @@ from somqe.raster import RasterImage, load_image, save_image
 from somqe.register import (
     mean_square_residual, read_transform_sidecar, reference_pyramid, register_pair
 )
-from somqe.som import fit_som, load_grid, quantization_error
+from somqe.som import TrainingParams, fit_som, load_grid, quantization_error
 
 from conftest import random_image, smooth_image
 
@@ -121,6 +123,11 @@ def test_read_manifest_errors(tmp_path):
     with pytest.raises(InputError, match="unparseable year"):
         read_manifest(mpath)
 
+    for year in ("nan", "inf", "1e400"):
+        mpath.write_text(f"a.ppm\tx\t1984\nb.ppm\ty\t{year}\n")
+        with pytest.raises(InputError, match=f"line 2: unparseable year '{year}'"):
+            read_manifest(mpath)
+
     mpath.write_text("a.ppm\tx\t1984\na.ppm\ty\t1985\n")
     with pytest.raises(InputError, match="duplicate path"):
         read_manifest(mpath)
@@ -171,6 +178,26 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     cfg_path.write_text("seed 9\n")
     with pytest.raises(InputError, match="expected 'key = value'"):
         load_config_file(cfg_path)
+
+
+def test_config_keys_set_every_run_config_field_once():
+    set_by_keys = []
+    for field, _ in CONFIG_KEYS.values():
+        set_by_keys.extend(field if isinstance(field, tuple) else [field])
+    assert sorted(set_by_keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+@pytest.mark.parametrize("key", ["alpha", "radius"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_config_rejects_non_finite_numbers(key, value):
+    with pytest.raises(InputError, match=f"config key '{key}': unparseable value"):
+        apply_config_entries(RunConfig(), {key: value})
+
+
+def test_run_config_checks_its_training_params_too():
+    with pytest.raises(InputError, match="seed must lie in"):
+        RunConfig(seed=2**64)
+    assert isinstance(RunConfig(), TrainingParams)
 
 
 def test_parse_grid_size():
@@ -259,6 +286,10 @@ def test_ingest_covariates_errors_name_the_file_line(tmp_path):
     path.write_text("# visitors\n\nyear,v\n1984,1\n1985,twelve\n")
     with pytest.raises(InputError, match="line 5, column 2: 'twelve'"):
         ingest_covariates(path)
+    for cell in ("nan", "-inf", "1e400"):
+        path.write_text(f"# visitors\n\nyear,v\n1984,1\n1985,{cell}\n")
+        with pytest.raises(InputError, match=f"line 5, column 2: '{cell}'"):
+            ingest_covariates(path)
 
 
 def test_apply_year_fix():
@@ -619,7 +650,7 @@ def test_frame_stage_holds_one_frames_working_set(tmp_path, mode, frames):
     ] + [as_uint8(base)]
     manifest = write_frames(tmp_path, arrays)
     config = RunConfig(registration_mode=mode)
-    grid = fit_som(base, 2, 2, RunConfig(iterations=20).training_params())
+    grid = fit_som(base, 2, 2, RunConfig(iterations=20))
     stage = FrameStage(
         manifest, config,
         lambda i, frame, timed: quantization_error(frame, grid).qe,
@@ -792,6 +823,10 @@ def test_read_qe_csv_errors(tmp_path):
     path.write_text("label,bad-year,0.5,3\n")
     with pytest.raises(InputError, match="unparseable qe row"):
         read_qe_csv(path)
+    for year, qe in (("nan", "0.5"), ("2001", "inf"), ("2001", "1e400")):
+        path.write_text(f"a,2000,0.5,3\nb,{year},{qe},3\n")
+        with pytest.raises(InputError, match="line 2: unparseable qe row"):
+            read_qe_csv(path)
 
 
 def test_read_qe_csv_oversized_field_names_its_line(tmp_path):

@@ -233,6 +233,15 @@ def test_param_validation():
         TrainingParams(decay_mode="exponential")
 
 
+def test_seed_must_fit_64_bits():
+    """SplitMix64 keeps 64 bits of the seed, so 2**64 would alias seed 0."""
+    assert substream_seed(0, SAMPLE_STREAM) == substream_seed(2**64, SAMPLE_STREAM)
+    assert TrainingParams(seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(InputError, match="seed must lie in"):
+            TrainingParams(seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -476,6 +485,14 @@ def test_grid_text_rejects_bad_headers(text):
 def test_grid_text_rejects_wrong_model_count():
     with pytest.raises(InputError, match="promises"):
         grid_from_text("somqe-grid v1 2 2\n0 0 0\n")
+
+
+def test_grid_text_errors_name_the_file_line():
+    """Blank lines count: the bad model is on file line 5, body line 2."""
+    with pytest.raises(InputError, match="grid line 5: non-numeric component"):
+        grid_from_text("somqe-grid v1 2 1\n\n0 0 0\n\n0 x 0\n")
+    with pytest.raises(InputError, match="grid line 4: expected 3 components"):
+        grid_from_text("\nsomqe-grid v1 2 1\n0 0 0\n0 0\n")
 
 
 def test_grid_text_rejects_out_of_range_values():

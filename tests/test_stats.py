@@ -291,6 +291,12 @@ def test_parse_decimal_rejects_ambiguity():
         parse_decimal("abc")
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1,5e999"])
+def test_parse_decimal_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_decimal(text)
+
+
 def test_regression_row_format():
     fit = RegressionResult(
         slope=0.0015542, intercept=-2.8, r2=0.4777, t=4.58, df=23, p=0.00013
