@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from somqe import RasterImage, Series, save_image
+from somqe import RasterImage, save_image
 from somqe.pipeline import (
     RunConfig,
-    correlate,
     emit_csv,
     emit_svg_plots,
     read_manifest,
@@ -59,14 +58,10 @@ manifest = read_manifest(out_root / "frames.tsv", roi_name="toy scene",
 config = RunConfig(
     grid_width=2, grid_height=2, iterations=500,
     registration_mode="translation", normalize=False, seed=0,
+    covariates=out_root / "cov.csv",
 )
+# the covariates are read and paired with the frames before any frame loads
 report = run_pipeline(manifest, config)
-
-share = [k * per_step / (side * side) for k in range(n_frames)]
-report = correlate(
-    report,
-    [Series("built_up_share", manifest.years, np.array(share))],
-)
 
 emit_csv(report, out_root / "report.csv", config)
 plots = emit_svg_plots(report, out_root / "plots")

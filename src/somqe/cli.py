@@ -24,7 +24,6 @@ import argparse
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 from .errors import ComputationError, InputError
@@ -34,15 +33,15 @@ from .pipeline import (
     YEAR_FIX_MODES,
     RunConfig,
     apply_config_entries,
-    apply_year_fix,
     correlate,
     emit_csv,
     emit_svg_plots,
-    ingest_covariates,
+    ingest_covariates,  # bench/traced.py wraps it at this name
     load_config_file,
     preprocessed_frames,
     qe_report,
     qe_rows_csv,
+    read_covariates,
     read_manifest,
     read_qe_csv,
     run_pipeline,
@@ -92,40 +91,25 @@ def _config_from_args(args) -> RunConfig:
     return apply_config_entries(config, flags)
 
 
-def _covariates(config: RunConfig) -> list:
-    """Covariates year-fixed as the QE rows are; a year left duplicated warns."""
-    fixed = [
-        apply_year_fix(series, config.year_fix)
-        for series in ingest_covariates(config.covariates)
-    ]
-    by_name = {}
-    for series in fixed:
-        other = by_name.setdefault(slugify(series.label), series)
-        if other is not series:
-            raise InputError(
-                f"covariate columns {other.label!r} and {series.label!r} in "
-                f"{config.covariates} share the plot name {slugify(series.label)!r}"
-            )
-    years = list(fixed[0].x)
-    for year in sorted({y for y in years if years.count(y) > 1}):
-        message = f"duplicate year {year:g} in {config.covariates}; keeping both rows"
-        warnings.warn(message, stacklevel=2)
-    return fixed
-
-
 def _out_dir(config: RunConfig) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return config.out_dir
+    out = Path("somqe-out") if config.out_dir is None else config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def _emit(args, config: RunConfig, name: str, text: str) -> None:
-    """Write `text` atomically to NAME in the --out directory, else to stdout."""
-    if args.out is None:
+def _emit(config: RunConfig, name: str, text: str) -> None:
+    """Write `text` atomically to NAME in the output directory, else to stdout."""
+    if config.out_dir is None:
         sys.stdout.write(text)
         return
     path = _out_dir(config) / name
     atomic_write_bytes(path, text.encode("utf-8"))
     print(f"wrote {path}")
+
+
+def _transform_records(staged) -> list:
+    """The (index, transform, residual) of each staged frame, in stack order."""
+    return sorted((s.index, s.transform, s.residual) for s in staged)
 
 
 def _require(args, name: str):
@@ -147,10 +131,7 @@ def _cmd_register(args) -> int:
     def save(i, frame, timed):
         timed("save", save_image, frame, out / names[i])
 
-    records = sorted(
-        (s.index, s.transform, s.residual)
-        for s in preprocessed_frames(manifest, config, save)
-    )
+    records = _transform_records(preprocessed_frames(manifest, config, save))
     write_transform_sidecar(out / "transforms.txt", records)
     manifest_lines = ["# path\tlabel\tyear"] + [
         f"{name}\t{e.label}\t{e.year:.10g}" for name, e in zip(names, manifest.entries)
@@ -199,7 +180,7 @@ def _cmd_score(args) -> int:
         (s.index, s.result) for s in preprocessed_frames(manifest, config, score)
     )
     text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(row for _, row in scored)
-    _emit(args, config, "qe.csv", text)
+    _emit(config, "qe.csv", text)
     return 0
 
 
@@ -211,12 +192,12 @@ def _cmd_stats(args) -> int:
         report = qe_report(roi or "qe", rows, config.year_fix)
         lines.append(regression_csv_row(report.roi_name, report.regression))
     elif config.covariates is not None:
-        for series in _covariates(config):
+        for series in read_covariates(config.covariates, config.year_fix):
             lines.append(regression_csv_row(series.label, linear_fit(series)))
     else:
         raise InputError("stats needs --covariates or --qe")
     text = "\n".join(lines) + "\n"
-    _emit(args, config, "stats.csv", text)
+    _emit(config, "stats.csv", text)
     return 0
 
 
@@ -224,7 +205,8 @@ def _build_report_from_qe(args, config: RunConfig) -> QeReport:
     roi, rows = read_qe_csv(_require(args, "qe"))
     report = qe_report(roi or "qe", rows, config.year_fix)
     if config.covariates is not None:
-        report = correlate(report, _covariates(config))
+        covariates = read_covariates(config.covariates, config.year_fix)
+        report = correlate(report, covariates, config.covariates)
     return report
 
 
@@ -237,7 +219,7 @@ def _cmd_correlate(args) -> int:
     for entry in report.correlations:
         lines.append(correlation_csv_row(entry.label, entry.result))
     text = "\n".join(lines) + "\n"
-    _emit(args, config, "correlations.csv", text)
+    _emit(config, "correlations.csv", text)
     return 0
 
 
@@ -253,25 +235,15 @@ def _cmd_plot(args) -> int:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
-    staged = [] if args.trace is not None else None
-    report = run_pipeline(manifest, config, staged)
-    if config.covariates is not None:
-        report = correlate(report, _covariates(config))
+    report = run_pipeline(manifest, config)
     out = _out_dir(config)
     emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)
-    if report.grid is not None:
-        save_grid(report.grid, out / "grid.txt")
-    write_transform_sidecar(
-        out / "transforms.txt",
-        [
-            (i, t, r)
-            for i, (t, r) in enumerate(zip(report.transforms, report.residuals))
-        ],
-    )
+    save_grid(report.grid, out / "grid.txt")
+    write_transform_sidecar(out / "transforms.txt", _transform_records(report.frames))
     plots = emit_svg_plots(report, out / "plots")
-    if staged is not None:
-        _write_trace(args.trace, staged, time.perf_counter() - emit_start)
+    if args.trace is not None:
+        _write_trace(args.trace, report.frames, time.perf_counter() - emit_start)
     print(
         f"{report.roi_name}: {len(report.rows)} frames, trend slope "
         f"{report.regression.slope:.6g} per year (r2 {report.regression.r2:.4f}, "

@@ -137,7 +137,7 @@ class RunConfig(TrainingParams):
     registration_mode: str = "translation"
     normalize: bool = True
     year_fix: str = "as-printed"
-    out_dir: Path = Path("somqe-out")
+    out_dir: Path | None = None  # None: each command's default, stdout or somqe-out
     covariates: Path | None = None
 
     def __post_init__(self):
@@ -153,14 +153,20 @@ class RunConfig(TrainingParams):
 def load_config_file(path) -> dict[str, str]:
     """Parse 'key = value' lines; '#' comments and blank lines are skipped."""
     entries: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise InputError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in set_on:
+            raise InputError(
+                f"config line {lineno}: key {key!r} already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
+        entries[key] = value
     return entries
 
 
@@ -316,6 +322,44 @@ def apply_year_fix(series: Series, mode: str) -> Series:
     return Series(series.label, x, series.y)
 
 
+def read_covariates(path, year_fix: str) -> list[Series]:
+    """A covariate file's series, year-fixed as the QE rows are; duplicate years warn."""
+    fixed = [apply_year_fix(series, year_fix) for series in ingest_covariates(path)]
+    years = list(fixed[0].x)
+    for year in sorted({y for y in years if years.count(y) > 1}):
+        message = f"duplicate year {year:g} in {path}; keeping both rows"
+        warnings.warn(message, stacklevel=2)
+    return fixed
+
+
+def check_pairing(labels, years, covariates, source=None) -> None:
+    """Raise InputError unless each covariate has one row per QE row, with its
+    year, and no two share a plot name (one plot would overwrite the other).
+    """
+    by_name = {}
+    for cov in covariates:
+        other = by_name.setdefault(slugify(cov.label), cov)
+        if other is not cov:
+            where = f" in {source}" if source is not None else ""
+            raise InputError(
+                f"covariate columns {other.label!r} and {cov.label!r}{where} "
+                f"share the plot name {slugify(cov.label)!r}"
+            )
+    for cov in covariates:
+        if cov.n != len(labels):
+            raise InputError(
+                f"length mismatch: covariate {cov.label!r} has {cov.n} rows, "
+                f"the QE series has {len(labels)}"
+            )
+        differs = np.flatnonzero(cov.x != years)
+        if differs.size:
+            k = differs[0]
+            raise InputError(
+                f"year mismatch: covariate {cov.label!r} row {k} is year "
+                f"{cov.x[k]:.10g}, QE row {k} ({labels[k]}) is year {years[k]:.10g}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # the run itself
 
@@ -341,8 +385,7 @@ class QeReport:
     grid: SomGrid | None
     regression: RegressionResult
     correlations: tuple[CorrelationEntry, ...] = ()
-    transforms: tuple[RegistrationTransform, ...] = ()
-    residuals: tuple[float, ...] = ()
+    frames: tuple[StagedFrame, ...] = ()  # in the order the frames ran, anchor first
 
 
 class StagedFrame(NamedTuple):
@@ -533,12 +576,7 @@ def score_frame(entry: ManifestEntry, frame: RasterImage, grid: SomGrid) -> QeRo
 
 
 def qe_report(
-    roi_name: str,
-    rows,
-    year_fix: str,
-    grid: SomGrid | None = None,
-    transforms=(),
-    residuals=(),
+    roi_name: str, rows, year_fix: str, grid: SomGrid | None = None, frames=()
 ) -> QeReport:
     """Report with the QE-versus-year trend fitted to the rows.
 
@@ -554,17 +592,23 @@ def qe_report(
         rows=tuple(replace(r, year=float(x)) for r, x in zip(rows, series.x)),
         grid=grid,
         regression=linear_fit(series),
-        transforms=tuple(transforms),
-        residuals=tuple(residuals),
+        frames=tuple(frames),
     )
 
 
-def run_pipeline(manifest: Manifest, config: RunConfig, trace: list | None = None) -> QeReport:
-    """Full run: align, normalize, train on the anchor, score, fit the trend.
+def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
+    """The whole run: align, normalize, train on the anchor, score, fit the trend.
 
-    When `trace` is a list, the `StagedFrame` of every frame is appended to
-    it in stack order, anchor first.
+    A `config.covariates` file is read, year-fixed and paired with the
+    manifest's labels and year-fixed years before any frame is loaded, then
+    correlated with the QE series.  `frames` holds each frame's StagedFrame.
     """
+    covariates = []
+    if config.covariates is not None:
+        fixed = apply_year_fix(Series("", manifest.years, manifest.years), config.year_fix)
+        covariates = read_covariates(config.covariates, config.year_fix)
+        labels = [e.label for e in manifest.entries]
+        check_pairing(labels, fixed.x, covariates, config.covariates)
     grid = None
 
     def score(i, frame, timed):
@@ -576,48 +620,29 @@ def run_pipeline(manifest: Manifest, config: RunConfig, trace: list | None = Non
         return timed("score", score_frame, manifest.entries[i], frame, grid)
 
     staged = list(preprocessed_frames(manifest, config, score))
-    if trace is not None:
-        trace.extend(staged)
-    staged.sort(key=lambda s: s.index)
-    return qe_report(
-        manifest.roi_name,
-        [s.result for s in staged],
-        config.year_fix,
-        grid=grid,
-        transforms=[s.transform for s in staged],
-        residuals=[s.residual for s in staged],
-    )
+    rows = [s.result for s in sorted(staged, key=lambda s: s.index)]
+    report = qe_report(manifest.roi_name, rows, config.year_fix, grid, staged)
+    return correlate(report, covariates, config.covariates)
 
 
-def correlate(report: QeReport, covariates) -> QeReport:
+def correlate(report: QeReport, covariates, source=None) -> QeReport:
     """Report with each covariate correlated against the QE series.
 
     Pairing is by position, so covariate files must list one row per frame
-    in manifest order; a covariate row whose year differs from its QE row's
-    year raises InputError.
+    in manifest order; `check_pairing` (naming the `source` file) raises
+    InputError where they do not pair.
     """
     qe_series = Series(
         "qe",
         np.array([row.year for row in report.rows]),
         np.array([row.qe for row in report.rows]),
     )
-    entries = list(report.correlations)
-    for cov in covariates:
-        if cov.n != len(report.rows):
-            raise InputError(
-                f"length mismatch: covariate {cov.label!r} has {cov.n} rows, "
-                f"the QE series has {len(report.rows)}"
-            )
-        differs = np.flatnonzero(cov.x != qe_series.x)
-        if differs.size:
-            k = differs[0]
-            raise InputError(
-                f"year mismatch: covariate {cov.label!r} row {k} is year "
-                f"{cov.x[k]:.10g}, QE row {k} ({report.rows[k].label}) is year "
-                f"{qe_series.x[k]:.10g}"
-            )
-        entries.append(CorrelationEntry(cov.label, cov.y, pearson(qe_series, cov)))
-    return replace(report, correlations=tuple(entries))
+    labels = [row.label for row in report.rows]
+    check_pairing(labels, qe_series.x, covariates, source)
+    entries = report.correlations + tuple(
+        CorrelationEntry(cov.label, cov.y, pearson(qe_series, cov)) for cov in covariates
+    )
+    return replace(report, correlations=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import somqe
 import somqe.pipeline as pipeline_module
 from somqe.cli import build_parser, main
 from somqe.errors import RegistrationError
-from somqe.pipeline import CONFIG_KEYS
+from somqe.pipeline import (
+    CONFIG_KEYS, RunConfig, read_manifest, report_csv_text, run_pipeline
+)
 from somqe.raster import RasterImage, save_image
 from somqe.register import read_transform_sidecar
 
@@ -242,6 +244,97 @@ def test_run_applies_the_year_fix_to_covariates(tmp_path, capsys):
     report = (out / "report.csv").read_text()
     assert "\nframe1,1990," in report
     assert "\nheat," in report
+
+
+def _short(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _late_year(path):
+    path.write_text(path.read_text().replace("2002,", "2003,"))
+
+
+def _shared_plot_name(path):
+    path.write_text("year,Visitors,visitors\n2000,1,2\n2001,3,3\n2002,4,6\n")
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (Path.unlink, "No such file or directory"),
+    (_short, "length mismatch: covariate 'heat' has 2 rows, the QE series has 3"),
+    (_late_year, "year mismatch: covariate 'heat' row 2 is year 2003, "
+                 "QE row 2 (frame2) is year 2002"),
+    (_shared_plot_name, "covariate columns 'Visitors' and 'visitors' in {path} "
+                        "share the plot name 'visitors'"),
+], ids=["missing", "short", "late-year", "shared-plot-name"])
+def test_run_rejects_bad_covariates_before_loading_a_frame(
+    tmp_path, capsys, monkeypatch, one_cpu, spoil, message
+):
+    manifest, covariates = make_workspace(tmp_path)
+    spoil(covariates)
+    loaded = []
+    real_load = pipeline_module.load_image
+
+    def counting_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(pipeline_module, "load_image", counting_load)
+    out = tmp_path / "out"
+    assert main([
+        "run", "--manifest", str(manifest), "--covariates", str(covariates),
+        "--grid", "2x2", "--iterations", "40", "--out", str(out),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert message.format(path=covariates) in captured.err
+    assert loaded == []
+    assert not (out / "report.csv").exists()
+
+
+def test_run_pipeline_correlates_the_covariates_run_writes(tmp_path):
+    manifest, covariates = make_workspace(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "run", "--manifest", str(manifest), "--covariates", str(covariates),
+        "--grid", "2x2", "--iterations", "40", "--out", str(out),
+    ]) == 0
+    config = RunConfig(grid_width=2, grid_height=2, iterations=40, covariates=covariates)
+    report = run_pipeline(read_manifest(manifest), config)
+    assert [entry.label for entry in report.correlations] == ["heat"]
+    assert report_csv_text(report, config) == (out / "report.csv").read_text()
+
+
+def test_stats_on_covariates_does_not_check_plot_names(tmp_path, capsys):
+    covariates = tmp_path / "cov.csv"
+    _shared_plot_name(covariates)
+    assert main(["stats", "--covariates", str(covariates)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["Visitors", "visitors"]
+
+
+@pytest.mark.parametrize("command", ["score", "stats", "correlate"])
+def test_a_config_file_out_routes_output_as_the_flag_does(tmp_path, capsys, command):
+    manifest, covariates = make_workspace(tmp_path)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("somqe-grid v1 1 1\n0.5 0.5 0.5\n")
+    qe = tmp_path / "qe.csv"
+    qe.write_text("a,2000,0.1,0\nb,2001,0.2,0\nc,2002,0.4,1\n")
+    argv = [command] + {
+        "score": ["--manifest", str(manifest), "--grid-file", str(grid)],
+        "stats": ["--covariates", str(covariates)],
+        "correlate": ["--qe", str(qe), "--covariates", str(covariates)],
+    }[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {tmp_path / 'by_file'}\n")
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "by_flag")]) == 0
+    assert main(argv + ["--config", str(cfg)]) == 0
+    by_flag = sorted((tmp_path / "by_flag").iterdir())
+    by_file = sorted((tmp_path / "by_file").iterdir())
+    assert [p.name for p in by_flag] == [p.name for p in by_file] != []
+    assert [p.read_bytes() for p in by_flag] == [p.read_bytes() for p in by_file]
+    assert by_flag[0].read_text() == printed
 
 
 def test_score_without_out_prints_rows(tmp_path, capsys):

@@ -167,6 +167,13 @@ def test_config_file_and_overrides(tmp_path):
     assert config.registration_mode == "rigid"
 
 
+def test_config_file_rejects_a_key_set_twice(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed = 1\n\n# again\nseed = 2\n")
+    with pytest.raises(InputError, match=r"^config line 4: key 'seed' already set on line 1$"):
+        load_config_file(cfg_path)
+
+
 def test_config_rejects_unknown_and_bad_values(tmp_path):
     with pytest.raises(InputError, match="unknown config key"):
         apply_config_entries(RunConfig(), {"gird": "4x4"})
@@ -381,8 +388,8 @@ def test_run_pipeline_constant_frames_degenerate(tmp_path):
     assert all(row.qe == 0.0 for row in report.rows)
     assert report.regression.degenerate
     assert report.regression.p == 1.0
-    assert len(report.transforms) == 3
-    assert all(t.dx == 0.0 and t.dy == 0.0 for t in report.transforms)
+    assert len(report.frames) == 3
+    assert all(f.transform.dx == 0.0 and f.transform.dy == 0.0 for f in report.frames)
 
 
 def test_run_pipeline_growing_diversity(tmp_path):
@@ -453,7 +460,7 @@ def test_preprocessing_is_noop_on_aligned_normalized_frames(tmp_path):
         manifest,
         RunConfig(registration_mode="none", normalize=False, **kwargs),
     )
-    assert all(t.dx == 0.0 and t.dy == 0.0 for t in processed.transforms)
+    assert all(f.transform.dx == 0.0 and f.transform.dy == 0.0 for f in processed.frames)
     for a, b in zip(processed.rows, raw.rows):
         assert a.qe == b.qe
         assert a.empty_models == b.empty_models
@@ -762,6 +769,17 @@ def test_correlate_rejects_covariate_years_that_differ_from_qe_years(tmp_path):
         match=r"covariate 'heat' row 3 is year 2004, QE row 3 \(y2003\) is year 2003",
     ):
         correlate(report, [Series("heat", shifted, years * 2.0)])
+
+
+def test_correlate_rejects_covariates_sharing_a_plot_name(tmp_path):
+    report = run_small_report(tmp_path)
+    years = np.array([r.year for r in report.rows])
+    pair = [Series("Visitors", years, years * 2.0), Series("visitors", years, years)]
+    with pytest.raises(
+        InputError,
+        match=r"^covariate columns 'Visitors' and 'visitors' share the plot name 'visitors'$",
+    ):
+        correlate(report, pair)
 
 
 # ---------------------------------------------------------------------------
