@@ -37,7 +37,9 @@ from .pipeline import (
     emit_csv,
     emit_svg_plots,
     ingest_covariates,  # bench/traced.py wraps it at this name
+    keep_freed_buffers,
     load_config_file,
+    minor_faults,
     preprocessed_frames,
     qe_report,
     qe_rows_csv,
@@ -233,6 +235,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    faults = minor_faults()
     config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
     report = run_pipeline(manifest, config)
@@ -243,7 +246,8 @@ def _cmd_run(args) -> int:
     write_transform_sidecar(out / "transforms.txt", _transform_records(report.frames))
     plots = emit_svg_plots(report, out / "plots")
     if args.trace is not None:
-        _write_trace(args.trace, report.frames, time.perf_counter() - emit_start)
+        emit_s = time.perf_counter() - emit_start
+        _write_trace(args.trace, report.frames, emit_s, minor_faults() - faults)
     print(
         f"{report.roi_name}: {len(report.rows)} frames, trend slope "
         f"{report.regression.slope:.6g} per year (r2 {report.regression.r2:.4f}, "
@@ -253,14 +257,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _write_trace(path: Path, staged, emit_s: float) -> None:
+def _write_trace(path: Path, staged, emit_s: float, minflt: int) -> None:
     """JSONL: one line per frame in stack order, then one for this process.
 
     A frame's line holds its index, the pid of the process that ran its
-    stage, each stage's seconds and, for a registered frame, that its solve
-    converged (a frame that did not ends the run instead).  The last line
-    holds this process's anchor stage (the anchor's own line less training),
-    training and artifact emit seconds.
+    stage, each stage's seconds, the minor page faults that process took
+    during the stage and, for a registered frame, that its solve converged
+    (a frame that did not ends the run instead).  The last line holds this
+    process's anchor stage (the anchor's own line less training), training
+    and artifact emit seconds, and the minor page faults it took from the
+    start of the run to the end of the emit.
     """
     import json
 
@@ -268,6 +274,7 @@ def _write_trace(path: Path, staged, emit_s: float) -> None:
     for s in staged:
         record = {"frame": s.index, "pid": s.pid}
         record.update((f"{name}_s", seconds) for name, seconds in s.seconds.items())
+        record["minflt"] = s.minflt
         record["converged"] = True if "register" in s.seconds else None
         lines.append(json.dumps(record))
     anchor = dict(staged[0].seconds)
@@ -277,6 +284,7 @@ def _write_trace(path: Path, staged, emit_s: float) -> None:
         "anchor_s": sum(anchor.values()),
         "train_s": train_s,
         "emit_s": emit_s,
+        "minflt": minflt,
     }))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -318,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_buffers()  # also for frames staged in this process
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,6 +20,7 @@ import csv
 import io
 import os
 import re
+import resource
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -332,18 +333,26 @@ def read_covariates(path, year_fix: str) -> list[Series]:
     return fixed
 
 
-def check_pairing(labels, years, covariates, source=None) -> None:
+def check_pairing(labels, years, covariates, source=None, correlated=()) -> None:
     """Raise InputError unless each covariate has one row per QE row, with its
-    year, and no two share a plot name (one plot would overwrite the other).
+    year, and no two share a plot name (one plot would overwrite the other),
+    nor one with a label in `correlated`, the labels a report already plots.
     """
+    where = f" in {source}" if source is not None else ""
+    taken = {slugify(label): label for label in correlated}
     by_name = {}
     for cov in covariates:
-        other = by_name.setdefault(slugify(cov.label), cov)
+        name = slugify(cov.label)
+        if name in taken:
+            raise InputError(
+                f"covariate column {cov.label!r}{where} shares the plot name "
+                f"{name!r} with the correlated {taken[name]!r}"
+            )
+        other = by_name.setdefault(name, cov)
         if other is not cov:
-            where = f" in {source}" if source is not None else ""
             raise InputError(
                 f"covariate columns {other.label!r} and {cov.label!r}{where} "
-                f"share the plot name {slugify(cov.label)!r}"
+                f"share the plot name {name!r}"
             )
     for cov in covariates:
         if cov.n != len(labels):
@@ -397,6 +406,7 @@ class StagedFrame(NamedTuple):
     result: object  # what the stage's tail returned for this frame
     pid: int  # the process that ran the stage
     seconds: dict  # stage name -> wall seconds, in the order the stages ran
+    minflt: int  # minor page faults that process took during the stage
 
 
 class FrameStage:
@@ -430,6 +440,7 @@ class FrameStage:
         self.luminance = None
 
     def __call__(self, i: int) -> StagedFrame:
+        faults = minor_faults()
         seconds = {}
 
         def timed(name, fn, *args):
@@ -468,7 +479,9 @@ class FrameStage:
         if self.normalize:
             frame = timed("normalize", normalize_contrast, frame)
         result = self.tail(i, frame, timed)
-        return StagedFrame(i, transform, residual, result, os.getpid(), seconds)
+        return StagedFrame(
+            i, transform, residual, result, os.getpid(), seconds, minor_faults() - faults
+        )
 
     def _load(self, i: int) -> RasterImage:
         path = self.manifest.entries[i].path
@@ -552,6 +565,7 @@ def _start_worker(stage: FrameStage, parent: int) -> None:
     import threading
 
     global _worker_stage
+    keep_freed_buffers()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_stage = stage
     threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
@@ -567,6 +581,46 @@ def _exit_with(parent: int) -> None:
 
 def _run_stage(i: int) -> StagedFrame:
     return _worker_stage(i)
+
+
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far (`ru_minflt`)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+# glibc mallopt parameters, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_buffers() -> bool:
+    """Have this process's malloc keep freed frame-sized buffers; True if it took.
+
+    By default glibc maps each block over 128 KiB (a threshold that rises to
+    the largest block freed) on its own and unmaps it when freed, and hands
+    the heap's free top past 128 KiB back to the kernel, so every frame
+    faulted its megabytes of temporaries in afresh: about 7,000 faults per
+    512 x 512 frame.  With the mmap threshold at glibc's 64-bit cap of
+    32 MiB and the trim threshold at 1 GiB the heap keeps those pages.  Both
+    are needed: either alone faulted more than neither on a 512 x 512 run.
+    The CLI and each frame worker call this, importing somqe does not, so a
+    library caller's allocator is left alone.  Without glibc's mallopt
+    (macOS, say) it changes nothing and returns False.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold first: where it is refused, the trim threshold, which
+    # alone faults the most, is left as it was
+    return all(
+        mallopt(param, value) == 1
+        for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
+    )
 
 
 def score_frame(entry: ManifestEntry, frame: RasterImage, grid: SomGrid) -> QeRow:
@@ -630,7 +684,8 @@ def correlate(report: QeReport, covariates, source=None) -> QeReport:
 
     Pairing is by position, so covariate files must list one row per frame
     in manifest order; `check_pairing` (naming the `source` file) raises
-    InputError where they do not pair.
+    InputError where they do not pair, or where a covariate's plot name is
+    one the report's earlier correlations already hold.
     """
     qe_series = Series(
         "qe",
@@ -638,7 +693,8 @@ def correlate(report: QeReport, covariates, source=None) -> QeReport:
         np.array([row.qe for row in report.rows]),
     )
     labels = [row.label for row in report.rows]
-    check_pairing(labels, qe_series.x, covariates, source)
+    correlated = [entry.label for entry in report.correlations]
+    check_pairing(labels, qe_series.x, covariates, source, correlated)
     entries = report.correlations + tuple(
         CorrelationEntry(cov.label, cov.y, pearson(qe_series, cov)) for cov in covariates
     )

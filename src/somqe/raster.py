@@ -12,9 +12,13 @@ follow the shorter image side.  Chunk CRCs are checked, a header over
 MAX_PNG_PIXELS pixels is refused, and image data is inflated no further than
 the size the header implies.
 
-Pixel data lives in float64 arrays of shape (height, width, 3) with values in
-[0, 255].  Mid-pipeline stages (resampling, rescaling before the final round)
-may hold fractional values; files always carry rounded 8-bit samples.
+An image holds its samples as one C-contiguous (3, height, width) array, a
+plane per channel, so every per-channel step (luminance, pyramid halving,
+warping, stretching, scoring) reads contiguous memory.  Decoded and
+stretched frames are uint8, 1 byte per sample; only a resampled frame, whose
+samples are fractional, is float64 in [0, 255].  Every step that does
+arithmetic on uint8 samples does it in float64, so a frame gives the same
+bits in either dtype; files always carry rounded 8-bit samples.
 """
 
 from __future__ import annotations
@@ -38,33 +42,62 @@ _PNG_CHANNELS = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
 # 8,000 pixels); a larger header is refused before anything is inflated
 MAX_PNG_PIXELS = 2**26
 
+# Rec. 601 luma weights of R, G and B
+_LUMA = (0.299, 0.587, 0.114)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class RasterImage:
-    """Immutable RGB image, float64 samples in [0, 255]."""
+    """Immutable RGB image: a C-contiguous (3, height, width) array of planes.
 
-    pixels: np.ndarray
+    The planes are uint8, or float64 with values in [0, 255] where resampling
+    left fractional samples."""
 
-    def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64)
+    planes: np.ndarray
+
+    def __init__(self, pixels):
+        """The image of a (height, width, 3) array, copied; uint8 stays uint8."""
+        arr = np.asarray(pixels)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise InputError("pixel array must have shape (height, width, 3)")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
+        dtype = np.uint8 if arr.dtype == np.uint8 else np.float64
+        self._hold(np.array(arr.transpose(2, 0, 1), dtype=dtype, order="C"))
+
+    @classmethod
+    def from_planes(cls, planes: np.ndarray) -> "RasterImage":
+        """The image of a C-contiguous (3, height, width) array, taken over uncopied."""
+        image = cls.__new__(cls)
+        image._hold(planes)
+        return image
+
+    def _hold(self, planes: np.ndarray) -> None:
+        # the one check of both constructors; the planes are frozen and held
+        if planes.ndim != 3 or planes.shape[0] != 3 or not planes.flags.c_contiguous:
+            raise InputError("planes must be one C-contiguous (3, height, width) array")
+        if planes.shape[1] < 1 or planes.shape[2] < 1:
             raise InputError("image dimensions must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("pixel values must be finite")
-        if arr.min() < 0.0 or arr.max() > 255.0:
-            raise InputError("pixel values must lie in [0, 255]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
+        if planes.dtype != np.uint8:  # 8-bit samples need no scan
+            if planes.dtype != np.float64:
+                raise InputError("planes must be uint8 or float64")
+            if not np.all(np.isfinite(planes)):
+                raise InputError("pixel values must be finite")
+            if planes.min() < 0.0 or planes.max() > 255.0:
+                raise InputError("pixel values must lie in [0, 255]")
+        planes.flags.writeable = False
+        object.__setattr__(self, "planes", planes)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """A read-only (height, width, 3) view of the planes, in their dtype."""
+        return self.planes.transpose(1, 2, 0)
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.planes.shape[1]
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.planes.shape[2]
 
     @property
     def pixel_count(self) -> int:
@@ -75,18 +108,23 @@ class RasterImage:
         return cls(np.asarray(data, dtype=np.uint8))
 
     def to_uint8(self) -> np.ndarray:
-        """Samples rounded half-up (floor(x + 0.5)) and clipped to 8 bits."""
+        """(height, width, 3) samples rounded half-up (floor(x + 0.5)), clipped to 8 bits."""
+        if self.planes.dtype == np.uint8:
+            return np.ascontiguousarray(self.pixels)
         rounded = np.floor(self.pixels + 0.5)
         return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
 
     def luminance(self) -> np.ndarray:
         """Rec. 601 luma plane of the pixels, float64."""
-        return luminance_plane(self.pixels)
+        return luminance_plane(self.planes)
 
 
-def luminance_plane(pixels: np.ndarray) -> np.ndarray:
-    """Rec. 601 luma of an (h, w, 3) array: 0.299 R + 0.587 G + 0.114 B."""
-    return 0.299 * pixels[:, :, 0] + 0.587 * pixels[:, :, 1] + 0.114 * pixels[:, :, 2]
+def luminance_plane(planes: np.ndarray) -> np.ndarray:
+    """Rec. 601 luma of (3, h, w) planes, in float64: 0.299 R + 0.587 G + 0.114 B."""
+    r, g, b = (np.multiply(w, p, dtype=np.float64) for w, p in zip(_LUMA, planes))
+    r += g
+    r += b
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +392,25 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # contrast
 
 def normalize_contrast(image: RasterImage) -> RasterImage:
-    """Stretch each channel to the full 8-bit range.
+    """Stretch each channel to the full 8-bit range; the result is uint8.
 
     Per channel: (I - min) * 255 / (max - min), rounded half-up to an
-    integer.  A constant channel maps to 0.  The multiply-before-divide
-    order keeps every exactly-representable half-integer exact, so ties
-    round the same way real arithmetic would, and a second application is
-    the identity on the result.
+    integer, in float64 whatever the input's dtype.  A constant channel maps
+    to 0.  The multiply-before-divide order keeps every exactly-representable
+    half-integer exact, so ties round the same way real arithmetic would,
+    and a second application is the identity on the result.
     """
-    p = image.pixels
-    out = np.empty(p.shape, dtype=np.uint8)  # every result is an 8-bit integer
-    for c in range(3):
-        plane = p[:, :, c]
-        lo = plane.min()
-        hi = plane.max()
+    out = np.empty(image.planes.shape, dtype=np.uint8)
+    for plane, stretched in zip(image.planes, out):
+        lo = float(plane.min())
+        hi = float(plane.max())
         if hi == lo:
-            out[:, :, c] = 0
+            stretched.fill(0)
         else:
-            out[:, :, c] = np.floor((plane - lo) * 255.0 / (hi - lo) + 0.5)
-    return RasterImage(out)
+            span = np.subtract(plane, lo, dtype=np.float64)
+            span *= 255.0
+            span /= hi - lo
+            span += 0.5
+            np.floor(span, out=span)
+            stretched[...] = span
+    return RasterImage.from_planes(out)

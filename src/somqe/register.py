@@ -2,7 +2,7 @@
 
 A translation (optionally translation plus rotation about the frame center)
 is fitted coarse to fine over a pyramid of plain luminance planes, one per
-2x2 box-filter halving of the RGB frame.  At each level an inverse-
+2x2 box-filter halving of the RGB planes.  At each level an inverse-
 compositional, iteratively reweighted Gauss-Newton loop (Baker & Matthews,
 IJCV 2004) fits the moving plane, resampled through the held transform, to
 the fixed reference plane.  Each step is solved as a motion of the
@@ -112,22 +112,27 @@ def identity_transform(mode: str = "translation") -> RegistrationTransform:
 
 
 def _halve(a: np.ndarray) -> np.ndarray:
-    # plain 2x2 block means; a trailing odd row or column is dropped so
-    # every level has exactly floor(previous / 2) in each dimension
-    h2, w2 = a.shape[0] // 2, a.shape[1] // 2
-    t = a[: 2 * h2, : 2 * w2]
-    return (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2]) * 0.25
+    # plain 2x2 block means of (3, h, w) planes, summed in float64 so 8-bit
+    # samples cannot wrap; a trailing odd row or column is dropped so every
+    # level has exactly floor(previous / 2) in each dimension
+    h2, w2 = a.shape[1] // 2, a.shape[2] // 2
+    t = a[:, : 2 * h2, : 2 * w2]
+    out = np.add(t[:, 0::2, 0::2], t[:, 0::2, 1::2], dtype=np.float64)
+    out += t[:, 1::2, 0::2]
+    out += t[:, 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
     """Luminance planes of a 2x2 box-filter pyramid, full resolution first.
 
-    The RGB pixels are halved until the next level would drop below 32
+    The RGB planes are halved until the next level would drop below 32
     pixels in either dimension, and each level's plane is the luminance of
     its halved RGB, which rounds differently from halving the luminance."""
-    current = image.pixels
+    current = image.planes
     planes = [luminance_plane(current)]
-    while min(current.shape[:2]) // 2 >= _MIN_PYRAMID_DIM:
+    while min(current.shape[1:]) // 2 >= _MIN_PYRAMID_DIM:
         current = _halve(current)
         planes.append(luminance_plane(current))
     return tuple(planes)
@@ -182,25 +187,25 @@ def _separable(sx: np.ndarray, sy: np.ndarray) -> bool:
 
 
 def _bilinear(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample `data` (h, w) or (h, w, C) at float coords, clamping to edges.
+    """Sample an (h, w) plane at float coords, clamping to edges; float64.
 
-    Coordinates are (h, w) grids, or a (1, w) row and an (h, 1) column."""
-    h, w = data.shape[:2]
+    Coordinates are (h, w) grids, or a (1, w) row and an (h, 1) column.  A
+    uint8 plane's samples are blended in float64, as its float64 copy's are."""
+    h, w = data.shape
     sxc = np.clip(sx, 0.0, w - 1.0)
     syc = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(sxc).astype(np.int64)
     y0 = np.floor(syc).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    channels = (slice(None), slice(None)) + (None,) * (data.ndim - 2)
-    fx = (sxc - x0)[channels]
-    fy = (syc - y0)[channels]
+    fx = sxc - x0
+    fy = syc - y0
     if _separable(sx, sy):
         # row i of `across` is the x blend of data row i, so its rows y0 and
         # y1 are the per-pixel `top` and `bottom` below, bit for bit
-        across = np.take(data, x0[0], axis=1)
+        across = np.take(data, x0[0], axis=1).astype(np.float64, copy=False)
         across *= 1.0 - fx
-        right = np.take(data, x1[0], axis=1)
+        right = np.take(data, x1[0], axis=1).astype(np.float64, copy=False)
         right *= fx
         across += right
         out = np.take(across, y0[:, 0], axis=0)
@@ -215,11 +220,14 @@ def _bilinear(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
 
 
 def resample(image: RasterImage, transform: RegistrationTransform) -> RasterImage:
-    """Apply the transform to the image, sampling by inverse mapping."""
+    """Apply the transform to the image, sampling by inverse mapping; float64."""
     sx, sy = _inverse_sample_coords(
         image.height, image.width, transform.dx, transform.dy, transform.theta
     )
-    return RasterImage(_bilinear(image.pixels, sx, sy))
+    planes = np.empty(image.planes.shape)
+    for plane, out in zip(image.planes, planes):
+        out[...] = _bilinear(plane, sx, sy)
+    return RasterImage.from_planes(planes)
 
 
 def _run(inside: np.ndarray) -> slice:
@@ -261,6 +269,21 @@ def _dot(*factors: np.ndarray) -> float:
     return float(np.einsum(",".join(["ij"] * len(factors)) + "->", *factors))
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a non-empty 1-D array of floats >= 0, partitioned in place.
+
+    The same order statistics, and for an even count the same (a + b) / 2,
+    so the same bits; but `np.median` imports `numpy.ma` on its first call
+    (about 18 ms and 1 MB of objects that live on), which in a frame worker
+    lands amid its first frame's buffers and splits the heap they leave."""
+    k = values.size // 2
+    if values.size % 2:
+        values.partition(k)
+        return float(values[k])
+    values.partition((k - 1, k))
+    return float((values[k - 1] + values[k]) / 2.0)
+
+
 def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: RegistrationTransform):
     """One pyramid level of inverse-compositional, reweighted Gauss-Newton.
 
@@ -293,8 +316,9 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
             # truth.  Measured where the reference has a gradient; on a
             # constant ground the residuals are 0 at any shift and would
             # shrink the scale until no textured pixel counts
-            spread = np.abs(residual[select(textured)])
-            sigma = _MAD_TO_SIGMA * float(np.median(spread)) if spread.size else 0.0
+            spread = residual[select(textured)]
+            np.abs(spread, out=spread)
+            sigma = _MAD_TO_SIGMA * _median(spread) if spread.size else 0.0
             scale = _TUKEY_C * max(sigma, _SIGMA_FLOOR)
         elif iteration == _MAX_GN_ITERATIONS:
             break

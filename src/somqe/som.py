@@ -132,7 +132,7 @@ class QeResult:
 
 def as_pixel_vectors(image: RasterImage) -> np.ndarray:
     """Row-major (N, 3) array of pixels scaled from 8-bit to [0, 1]."""
-    return image.pixels.reshape(-1, 3) / 255.0
+    return np.divide(image.planes.reshape(3, -1).T, 255.0, dtype=np.float64)
 
 
 def pairwise_sum(values) -> float:
@@ -247,8 +247,8 @@ def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
     pixels and models and does not depend on the block size.  Assignment
     counts record how many pixels each model won.
     """
-    pixels = image.pixels.reshape(-1, 3)
-    n = pixels.shape[0]
+    pixels = image.planes.reshape(3, -1)
+    n = pixels.shape[1]
     size = min(n, _SCORE_BLOCK)
     scratch = np.empty((5, size))  # a block's R, G and B planes, d2 and term
     closer = np.empty(size, dtype=bool)
@@ -260,7 +260,7 @@ def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
         block = slice(start, min(start + size, n))
         m = block.stop - start
         planes, (d2, term) = scratch[:3, :m], scratch[3:, :m]
-        np.divide(pixels[block].T, 255.0, out=planes)
+        np.divide(pixels[:, block], 255.0, out=planes, dtype=np.float64)
         nearest, won, chosen = best[block], closer[:m], winners[:m]
         chosen.fill(0)
         for k, model in enumerate(models):

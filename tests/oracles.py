@@ -8,7 +8,9 @@ than the library's continued fraction, and the OLS oracle uses raw
 (uncentered) textbook sums, and PNG scanlines are unfiltered byte by byte
 as the specification states it.  The scoring and warping
 kernels are kept here in their first, dense form, which the fast kernels
-must match bit for bit.
+must match bit for bit, and so are the frame steps in their first form, on
+interleaved (height, width, 3) float64 pixels, which the planar steps must
+match bit for bit whether a frame's planes are uint8 or float64.
 """
 
 from __future__ import annotations
@@ -197,6 +199,45 @@ def dense_bilinear(data, sx, sy):
     bottom = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
     out = (1.0 - fy) * top + fy * bottom
     return out[:, :, 0] if planar else out
+
+
+# ---------------------------------------------------------------------------
+# frame steps on interleaved float64 pixels
+
+def interleaved_luminance(pixels):
+    """Rec. 601 luma of an (h, w, 3) array, channel by strided channel."""
+    p = np.asarray(pixels, dtype=np.float64)
+    return 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
+
+
+def interleaved_luminance_pyramid(pixels, min_dim: int = 32):
+    """Luma of each 2x2 box halving of the RGB pixels, full resolution first."""
+    current = np.asarray(pixels, dtype=np.float64)
+    planes = [interleaved_luminance(current)]
+    while min(current.shape[:2]) // 2 >= min_dim:
+        h2, w2 = current.shape[0] // 2, current.shape[1] // 2
+        t = current[: 2 * h2, : 2 * w2]
+        current = (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2]) * 0.25
+        planes.append(interleaved_luminance(current))
+    return planes
+
+
+def interleaved_resample(pixels, dx, dy, theta):
+    """The (h, w, 3) frame warped by inverse mapping on dense coordinates."""
+    h, w = np.shape(pixels)[:2]
+    return dense_bilinear(pixels, *dense_sample_coords(h, w, dx, dy, theta))
+
+
+def interleaved_normalize_contrast(pixels):
+    """Per channel floor((I - min) * 255 / (max - min) + 0.5); 0 where constant."""
+    p = np.asarray(pixels, dtype=np.float64)
+    out = np.zeros(p.shape)
+    for c in range(3):
+        plane = p[:, :, c]
+        lo, hi = plane.min(), plane.max()
+        if hi != lo:
+            out[:, :, c] = np.floor((plane - lo) * 255.0 / (hi - lo) + 0.5)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -161,16 +161,18 @@ def test_trace_records_every_frame_and_leaves_the_artifacts_alone(
     registered = [] if mode == "none" else ["register_s", "resample_s"]
     first = ["load_s"] + ([] if mode == "none" else ["pyramid_s"])
     assert list(frames[0]) == ["frame", "pid", *first, "residual_s", "normalize_s",
-                               "train_s", "score_s", "converged"]
+                               "train_s", "score_s", "minflt", "converged"]
     for f in frames[1:]:
         assert list(f) == ["frame", "pid", "load_s", *registered, "residual_s",
-                           "normalize_s", "score_s", "converged"]
+                           "normalize_s", "score_s", "minflt", "converged"]
         assert f["converged"] is (None if mode == "none" else True)
     assert frames[0]["converged"] is None
-    assert list(parent) == ["pid", "anchor_s", "train_s", "emit_s"]
+    assert list(parent) == ["pid", "anchor_s", "train_s", "emit_s", "minflt"]
     assert parent["train_s"] == frames[0]["train_s"]
     assert all(v >= 0.0 for record in (*frames, parent)
                for k, v in record.items() if k.endswith("_s"))
+    assert all(type(record["minflt"]) is int and record["minflt"] >= 0
+               for record in (*frames, parent))
 
 
 def test_a_one_cpu_trace_runs_every_frame_here(tmp_path, monkeypatch):

@@ -40,13 +40,23 @@ from somqe.pipeline import (
     report_csv_text,
     slugify,
 )
-from somqe.raster import RasterImage, load_image, save_image
+from somqe.raster import RasterImage, load_image, normalize_contrast, save_image
 from somqe.register import (
-    mean_square_residual, read_transform_sidecar, reference_pyramid, register_pair
+    luminance_pyramid,
+    mean_square_residual,
+    read_transform_sidecar,
+    reference_pyramid,
+    register_pair,
 )
-from somqe.som import TrainingParams, fit_som, load_grid, quantization_error
+from somqe.som import SomGrid, TrainingParams, fit_som, load_grid, quantization_error
 
 from conftest import random_image, smooth_image
+from oracles import (
+    broadcast_quantization_error,
+    interleaved_luminance_pyramid,
+    interleaved_normalize_contrast,
+    interleaved_resample,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +532,16 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
         return real_halve(a)
 
     constructed = []
-    real_post_init = RasterImage.__post_init__
+    real_hold = RasterImage._hold
 
-    def counting_post_init(image):
+    def counting_hold(image, planes):
         constructed.append(image)
-        real_post_init(image)
+        real_hold(image, planes)
 
     monkeypatch.setattr(register_module, "_halve", counting_halve)
-    monkeypatch.setattr(RasterImage, "__post_init__", counting_post_init)
+    monkeypatch.setattr(RasterImage, "_hold", counting_hold)
     items = sorted(stage_items(manifest, RunConfig()), key=lambda item: item[0])
-    assert sum(np.array_equal(a, anchor.pixels) for a in halved) == 1
+    assert sum(np.array_equal(a, anchor.planes) for a in halved) == 1
     # 128 -> 64 -> 32: two halvings per pyramid, one pyramid per frame
     assert len(halved) == 2 * len(frames)
     # 4 loads, 3 resamples and 4 stretches; pyramid levels are plain planes
@@ -673,6 +683,72 @@ def test_frame_stage_holds_one_frames_working_set(tmp_path, mode, frames):
     assert peak < frames * base.pixels.nbytes
 
 
+def test_a_stage_call_after_the_first_faults_in_no_frame_sized_buffer(tmp_path):
+    """With freed buffers kept in the heap, a frame reuses the pages the one
+    before it faulted in, so it faults fewer pages than one float64 plane."""
+    if not pipeline_module.keep_freed_buffers():
+        pytest.skip("no glibc mallopt: malloc's thresholds cannot be set here")
+    base = smooth_image(3, size=256)
+    arrays = [
+        as_uint8(resample(base, RegistrationTransform("translation", dx, dy)))
+        for dx, dy in ((1.5, -0.75), (-2.25, 1.0))
+    ] + [as_uint8(base)]
+    manifest = write_frames(tmp_path, arrays)
+    grid = fit_som(base, 2, 2, RunConfig(iterations=20))
+    stage = FrameStage(
+        manifest, RunConfig(),
+        lambda i, frame, timed: quantization_error(frame, grid).qe,
+    )
+    stage(2)
+    stage(0)
+    second = stage(1)
+    assert second.minflt < base.pixel_count * np.dtype(np.float64).itemsize // 4096
+
+
+@st.composite
+def frames(draw):
+    """A frame of 8-bit or fractional samples, maybe with a constant channel."""
+    height, width = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pixels = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+    else:
+        pixels = rng.uniform(0.0, 255.0, (height, width, 3))
+    if draw(st.booleans()):
+        pixels[:, :, draw(st.integers(0, 2))] = pixels[0, 0, 0]
+    return RasterImage(pixels)
+
+
+@given(frames(), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
+       st.sampled_from([0.0, 0.03, -0.2]))
+@settings(max_examples=60, deadline=None)
+def test_planar_frame_steps_match_the_interleaved_float64_oracles(image, dx, dy, theta):
+    """Pyramid, warp, stretch and score of a uint8 or float64 frame give the
+    bits of the same steps on its interleaved float64 copy.  Both the frame
+    and its warp are scored stretched and, as `normalize = off` scores them,
+    unstretched; the warp's fractional samples stay unrounded."""
+    pixels = image.pixels.astype(np.float64)
+    pyramid = zip(luminance_pyramid(image), interleaved_luminance_pyramid(pixels), strict=True)
+    for got, expected in pyramid:
+        assert got.tobytes() == expected.tobytes()
+    mode = "rigid" if theta else "translation"
+    warped = resample(image, RegistrationTransform(mode, dx, dy, theta))
+    warped_pixels = interleaved_resample(pixels, dx, dy, theta)
+    assert warped.planes.dtype == np.float64
+    assert warped.pixels.tobytes() == warped_pixels.tobytes()
+    grid = SomGrid(3, 2, np.random.default_rng(5).random((6, 3)))
+    for frame, oracle in ((image, pixels), (warped, warped_pixels)):
+        stretched = normalize_contrast(frame)
+        assert stretched.planes.dtype == np.uint8
+        stretched_pixels = interleaved_normalize_contrast(oracle)
+        assert stretched.pixels.astype(np.float64).tobytes() == stretched_pixels.tobytes()
+        for scored, scored_pixels in ((frame, oracle), (stretched, stretched_pixels)):
+            result = quantization_error(scored, grid)
+            qe, counts = broadcast_quantization_error(scored_pixels, grid.models)
+            assert result.qe.hex() == qe.hex()
+            assert np.array_equal(result.assignment_counts, counts)
+
+
 def test_run_pipeline_releases_the_stretched_anchor_once_scored(
     tmp_path, monkeypatch, one_cpu
 ):
@@ -780,6 +856,19 @@ def test_correlate_rejects_covariates_sharing_a_plot_name(tmp_path):
         match=r"^covariate columns 'Visitors' and 'visitors' share the plot name 'visitors'$",
     ):
         correlate(report, pair)
+
+
+def test_correlate_rejects_a_plot_name_an_earlier_call_correlated(tmp_path):
+    report = run_small_report(tmp_path)
+    years = np.array([r.year for r in report.rows])
+    report = correlate(report, [Series("Visitors", years, years * 2.0)])
+    with pytest.raises(
+        InputError,
+        match=r"^covariate column 'visitors' shares the plot name 'visitors' "
+              r"with the correlated 'Visitors'$",
+    ):
+        correlate(report, [Series("visitors", years, years)])
+    assert [entry.label for entry in report.correlations] == ["Visitors"]
 
 
 # ---------------------------------------------------------------------------

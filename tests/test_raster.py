@@ -101,6 +101,19 @@ def test_pixels_are_immutable_and_copied():
         image.pixels[0, 0, 0] = 1.0
 
 
+def test_planes_are_uint8_for_8_bit_samples_and_float64_otherwise():
+    samples = np.arange(24).reshape(2, 4, 3)
+    for source, dtype in ((samples.astype(np.uint8), np.uint8),
+                          (samples, np.float64), (samples + 0.5, np.float64)):
+        image = RasterImage(source)
+        assert image.planes.dtype == dtype
+        assert image.planes.shape == (3, 2, 4)
+        assert image.planes.flags.c_contiguous
+        assert np.array_equal(image.pixels, source)
+    data = encode_ppm(RasterImage.from_uint8(samples))
+    assert decode_ppm(data).planes.dtype == np.uint8
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -485,6 +498,15 @@ def test_normalize_unit_example():
     assert out.pixels[0, 0, 0] == 0.0
     assert out.pixels[0, 1, 0] == 128.0
     assert out.pixels[0, 2, 0] == 255.0
+
+
+def test_normalize_stretches_uint8_samples_above_a_nonzero_minimum():
+    # lo > 0 in every channel; (I - lo) * 255 would wrap in uint8
+    pixels = np.array([[[50, 7, 200], [75, 7, 201], [100, 9, 255]]], dtype=np.uint8)
+    out = normalize_contrast(RasterImage(pixels))
+    assert out.planes.dtype == np.uint8
+    assert out.pixels[0].T.tolist() == [[0, 128, 255], [0, 0, 255], [0, 5, 255]]
+    assert np.array_equal(out.planes, normalize_contrast(RasterImage(pixels * 1.0)).planes)
 
 
 def test_normalize_constant_channel_maps_to_zero():

@@ -112,6 +112,16 @@ def test_pyramid_blocks_are_exact_means():
     assert level1[0, 1] == 0.299 * 101.0 + 0.587 * 5.75 + 0.114 * 64.75
 
 
+def test_halving_uint8_planes_of_255_sums_in_float64():
+    # four 8-bit samples of 255 sum to 1020, which wraps to 252 in uint8
+    image = RasterImage(np.full((64, 66, 3), 255, dtype=np.uint8))
+    halved = register._halve(image.planes)
+    assert halved.dtype == np.float64
+    assert halved.shape == (3, 32, 33)
+    assert np.all(halved == 255.0)
+    assert np.array_equal(luminance_pyramid(image)[1], image.luminance()[:32, :33])
+
+
 def test_pyramid_preserves_mean_within_one_gray_level():
     img = random_image(9, 64, 64)
     pyr = luminance_pyramid(img)
@@ -195,7 +205,9 @@ def _assert_warp_matches_dense_oracle(image, transform):
     assert np.broadcast_to(sx, (h, w)).tobytes() == dense_sx.tobytes()
     assert np.broadcast_to(sy, (h, w)).tobytes() == dense_sy.tobytes()
     expected = dense_bilinear(image.pixels, dense_sx, dense_sy)
-    assert _bilinear(image.pixels, dense_sx, dense_sy).tobytes() == expected.tobytes()
+    for c, plane in enumerate(image.planes):
+        got = _bilinear(plane, dense_sx, dense_sy)
+        assert got.tobytes() == expected[:, :, c].tobytes()
     assert resample(image, transform).pixels.tobytes() == expected.tobytes()
     _assert_window_matches_dense_mask(*args[2:], h, w)
 
@@ -225,6 +237,16 @@ def test_theta_zero_warp_matches_dense_grid_property(height, width, dx, dy,
     _assert_warp_matches_dense_oracle(
         image, RegistrationTransform(mode, dx, dy, theta)
     )
+
+
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_median_matches_numpy(values, rounded):
+    spread = np.array(values)
+    if rounded:  # ties, and an even count's two middle values alike
+        spread = np.round(spread, -5)
+    expected = np.median(spread)
+    assert register._median(spread).hex() == float(expected).hex()
 
 
 def random_plane(seed, height, width):
