@@ -29,8 +29,6 @@ from pathlib import Path
 from .errors import ComputationError, InputError
 from .pipeline import (
     CONFIG_KEYS,
-    REGISTRATION_MODES,
-    YEAR_FIX_MODES,
     RunConfig,
     apply_config_entries,
     correlate,
@@ -47,13 +45,13 @@ from .pipeline import (
     read_manifest,
     read_qe_csv,
     run_pipeline,
-    score_frame,
     slugify,
     QeReport,
+    ScoreTail,
 )
 from .raster import atomic_write_bytes, save_image
 from .register import write_transform_sidecar
-from .som import DECAY_MODES, fit_som, load_grid, save_grid
+from .som import load_grid, save_grid
 from .stats import correlation_csv_row, linear_fit, regression_csv_row
 
 
@@ -64,30 +62,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", type=Path, help="key=value settings file")
-    sub.add_argument("--seed", type=int, help="run seed (default 0)")
-    sub.add_argument("--grid", help="map size as WxH (default 4x4)")
-    sub.add_argument("--iterations", type=int, help="training presentations")
-    sub.add_argument("--alpha", help="learning rate (default 0.2)")
-    sub.add_argument("--radius", help="neighborhood radius (default 1.2)")
-    sub.add_argument("--decay", choices=DECAY_MODES,
-                     help="schedule for alpha and radius")
-    sub.add_argument("--mode", choices=REGISTRATION_MODES,
-                     help="registration model")
-    sub.add_argument("--out", type=Path, help="output directory")
-    sub.add_argument("--covariates", type=Path, help="covariate CSV")
-    sub.add_argument("--year-fix", choices=YEAR_FIX_MODES,
-                     dest="year_fix", help="how to resolve duplicated years")
-
-
 def _config_from_args(args) -> RunConfig:
     """The --config file's settings, then every flag given, which wins."""
     config = RunConfig()
     if args.config:
         config = apply_config_entries(config, load_config_file(args.config))
     flags = {
-        key: str(value) for key, value in vars(args).items()
+        key: value for key, value in vars(args).items()
         if key in CONFIG_KEYS and value is not None
     }
     return apply_config_entries(config, flags)
@@ -124,8 +105,7 @@ def _require(args, name: str):
 # ---------------------------------------------------------------------------
 # handlers
 
-def _cmd_register(args) -> int:
-    config = _config_from_args(args)
+def _cmd_register(args, config: RunConfig) -> int:
     manifest = read_manifest(_require(args, "manifest"))
     out = _out_dir(config)
     names = [f"{i:03d}_{slugify(e.label)}.ppm" for i, e in enumerate(manifest.entries)]
@@ -146,22 +126,15 @@ def _cmd_register(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = _config_from_args(args)
+def _cmd_train(args, config: RunConfig) -> int:
     manifest = read_manifest(_require(args, "manifest"))
-
-    def train(i, anchor, timed):
-        grid = timed(
-            "train", fit_som, anchor, config.grid_width, config.grid_height, config
-        )
-        return grid, timed("score", score_frame, manifest.entries[i], anchor, grid)
-
+    tail = ScoreTail(manifest, config)
     # the stream yields the anchor first; no other frame is loaded, and
     # mode 'none' skips the anchor's reference, which only registration reads
     anchor_only = apply_config_entries(config, {"mode": "none"})
-    grid, row = next(preprocessed_frames(manifest, anchor_only, train)).result
+    row = next(preprocessed_frames(manifest, anchor_only, tail)).result
     out = _out_dir(config)
-    save_grid(grid, out / "grid.txt")
+    save_grid(tail.grid, out / "grid.txt")
     print(
         f"trained {config.grid_width}x{config.grid_height} map on "
         f"{row.label}: anchor qe {row.qe:.6g}, {row.empty_models} empty models, "
@@ -170,24 +143,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
-    config = _config_from_args(args)
+def _cmd_score(args, config: RunConfig) -> int:
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
-
-    def score(i, frame, timed):
-        return timed("score", score_frame, manifest.entries[i], frame, grid)
-
+    tail = ScoreTail(manifest, config, grid)
     scored = sorted(
-        (s.index, s.result) for s in preprocessed_frames(manifest, config, score)
+        (s.index, s.result) for s in preprocessed_frames(manifest, config, tail)
     )
     text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(row for _, row in scored)
     _emit(config, "qe.csv", text)
     return 0
 
 
-def _cmd_stats(args) -> int:
-    config = _config_from_args(args)
+def _cmd_stats(args, config: RunConfig) -> int:
     lines = ["# regression: label,slope,intercept,r2,t,df,p"]
     if getattr(args, "qe", None) is not None:
         roi, rows = read_qe_csv(args.qe)
@@ -212,8 +180,7 @@ def _build_report_from_qe(args, config: RunConfig) -> QeReport:
     return report
 
 
-def _cmd_correlate(args) -> int:
-    config = _config_from_args(args)
+def _cmd_correlate(args, config: RunConfig) -> int:
     if config.covariates is None:
         raise InputError("correlate needs --covariates")
     report = _build_report_from_qe(args, config)
@@ -225,8 +192,7 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    config = _config_from_args(args)
+def _cmd_plot(args, config: RunConfig) -> int:
     report = _build_report_from_qe(args, config)
     out = _out_dir(config)
     written = emit_svg_plots(report, out)
@@ -234,9 +200,8 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, config: RunConfig) -> int:
     faults = minor_faults()
-    config = _config_from_args(args)
     manifest = read_manifest(_require(args, "manifest"))
     report = run_pipeline(manifest, config)
     out = _out_dir(config)
@@ -299,29 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, extra=()):
+    def add(name, handler, help_text, *file_flags):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--manifest", type=Path, help="frame manifest (TSV)")
-        for flag, kwargs in extra:
-            p.add_argument(flag, **kwargs)
-        _add_common_flags(p)
+        file_flags = (("--manifest", "frame manifest (TSV)"), *file_flags,
+                      ("--config", "key=value settings file"))
+        for flag, flag_help in file_flags:
+            p.add_argument(flag, type=Path, help=flag_help)
+        for key, (_, _, key_help) in CONFIG_KEYS.items():
+            if key_help is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=key_help)
         p.set_defaults(handler=handler)
-        return p
 
+    qe = ("--qe", "QE row file from 'score'")
     add("register", _cmd_register, "align frames and write them out")
     add("train", _cmd_train, "train a map on the anchor frame")
     add("score", _cmd_score, "score frames against a saved map",
-        extra=[("--grid-file", dict(type=Path, dest="grid_file",
-                                    help="saved map from 'train'"))])
-    add("stats", _cmd_stats, "fit year trends",
-        extra=[("--qe", dict(type=Path, help="QE row file from 'score'"))])
-    add("correlate", _cmd_correlate, "correlate QE rows with covariates",
-        extra=[("--qe", dict(type=Path, help="QE row file from 'score'"))])
-    add("plot", _cmd_plot, "render SVG plots from QE rows",
-        extra=[("--qe", dict(type=Path, help="QE row file from 'score'"))])
+        ("--grid-file", "saved map from 'train'"))
+    add("stats", _cmd_stats, "fit year trends", qe)
+    add("correlate", _cmd_correlate, "correlate QE rows with covariates", qe)
+    add("plot", _cmd_plot, "render SVG plots from QE rows", qe)
     add("run", _cmd_run, "full pipeline into an output directory",
-        extra=[("--trace", dict(type=Path, help="write per-frame stage "
-                                                "seconds as JSONL"))])
+        ("--trace", "write per-frame stage seconds as JSONL"))
     return parser
 
 
@@ -330,7 +293,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return args.handler(args, _config_from_args(args))
     except InputError as exc:
         return _fail(1, "input", exc)
     except OSError as exc:

@@ -42,7 +42,9 @@ from .register import (
     resample,
 )
 from .report import scatter_svg
-from .som import SomGrid, TrainingParams, empty_model_count, fit_som, quantization_error
+from .som import (
+    DECAY_MODES, SomGrid, TrainingParams, empty_model_count, fit_som, quantization_error
+)
 from .stats import (
     CorrelationResult,
     RegressionResult,
@@ -74,6 +76,13 @@ class Manifest:
     entries: tuple[ManifestEntry, ...]
     roi_name: str
     anchor_index: int
+
+    def __post_init__(self):
+        if not self.entries:
+            raise InputError("empty image stack")
+        a = self.anchor_index
+        if not (0 <= a < len(self.entries)):
+            raise InputError(f"anchor index {a} outside 0..{len(self.entries) - 1}")
 
     @property
     def years(self) -> np.ndarray:
@@ -121,8 +130,6 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
         raise InputError(f"manifest {path}: no frame entries")
     if anchor_index is None:
         anchor_index = len(entries) - 1
-    if not (0 <= anchor_index < len(entries)):
-        raise InputError(f"anchor index {anchor_index} outside 0..{len(entries) - 1}")
     return Manifest(tuple(entries), roi_name or path.stem, anchor_index)
 
 
@@ -149,6 +156,8 @@ class RunConfig(TrainingParams):
             )
         if self.year_fix not in YEAR_FIX_MODES:
             raise InputError(f"year_fix must be one of {YEAR_FIX_MODES}")
+        if self.grid_width < 1 or self.grid_height < 1:
+            raise InputError("grid dimensions must be positive")
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -193,20 +202,24 @@ def _parse_decimal(text: str) -> float:
     return parse_decimal(text)
 
 
-# config key (also the dest of the CLI flag that sets it) ->
-# (the RunConfig field, or fields, it sets; the parser of its value text)
+# config key (also the dest of the CLI flag that sets it, '_' written '-') ->
+# (the RunConfig field, or fields, it sets; the parser of its value text;
+#  the flag's help text, None for a key that has no flag)
 CONFIG_KEYS = {
-    "seed": ("seed", int),
-    "grid": (("grid_width", "grid_height"), parse_grid_size),
-    "iterations": ("iterations", int),
-    "alpha": ("learning_rate", _parse_decimal),
-    "radius": ("neighborhood_radius", _parse_decimal),
-    "decay": ("decay_mode", str),
-    "mode": ("registration_mode", str),
-    "normalize": ("normalize", _parse_switch),
-    "year_fix": ("year_fix", str),
-    "out": ("out_dir", Path),
-    "covariates": ("covariates", Path),
+    "seed": ("seed", int, "run seed (default 0)"),
+    "grid": (("grid_width", "grid_height"), parse_grid_size, "map size as WxH (default 4x4)"),
+    "iterations": ("iterations", int, "training presentations"),
+    "alpha": ("learning_rate", _parse_decimal, "learning rate (default 0.2)"),
+    "radius": ("neighborhood_radius", _parse_decimal, "neighborhood radius (default 1.2)"),
+    "decay": ("decay_mode", str,
+              f"schedule for alpha and radius: {', '.join(DECAY_MODES)}"),
+    "mode": ("registration_mode", str,
+             f"registration model: {', '.join(REGISTRATION_MODES)}"),
+    "normalize": ("normalize", _parse_switch, None),
+    "year_fix": ("year_fix", str,
+                 f"how to resolve duplicated years: {', '.join(YEAR_FIX_MODES)}"),
+    "out": ("out_dir", Path, "output directory"),
+    "covariates": ("covariates", Path, "covariate CSV"),
 }
 
 
@@ -216,7 +229,9 @@ def apply_config_entries(config: RunConfig, entries: dict[str, str]) -> RunConfi
     for key, value in entries.items():
         if key not in CONFIG_KEYS:
             raise InputError(f"unknown config key {key!r}")
-        field, parse = CONFIG_KEYS[key]
+        if not value.strip():  # Path("") would be the current directory
+            raise InputError(f"config key {key!r}: empty value")
+        field, parse, _ = CONFIG_KEYS[key]
         try:
             parsed = parse(value)
         except InputError:
@@ -424,11 +439,6 @@ class FrameStage:
     """
 
     def __init__(self, manifest: Manifest, config: RunConfig, tail):
-        if not manifest.entries:
-            raise InputError("empty image stack")
-        a = manifest.anchor_index
-        if not (0 <= a < len(manifest.entries)):
-            raise InputError(f"anchor index {a} outside 0..{len(manifest.entries) - 1}")
         self.manifest = manifest
         self.mode = config.registration_mode
         self.normalize = config.normalize
@@ -623,10 +633,26 @@ def keep_freed_buffers() -> bool:
     )
 
 
-def score_frame(entry: ManifestEntry, frame: RasterImage, grid: SomGrid) -> QeRow:
-    """The QE row of one manifest entry, scoring its preprocessed frame."""
-    result = quantization_error(frame, grid)
-    return QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
+class ScoreTail:
+    """A `FrameStage` tail that turns each preprocessed frame into its `QeRow`.
+
+    Without a `grid`, the first frame it sees, the anchor, trains one, in
+    this process; forked workers inherit it.  Every frame is then scored
+    against `.grid`.
+    """
+
+    def __init__(self, manifest: Manifest, config: RunConfig, grid: SomGrid | None = None):
+        self.entries = manifest.entries
+        self.config = config
+        self.grid = grid
+
+    def __call__(self, i: int, frame: RasterImage, timed) -> QeRow:
+        if self.grid is None:
+            c = self.config
+            self.grid = timed("train", fit_som, frame, c.grid_width, c.grid_height, c)
+        result = timed("score", quantization_error, frame, self.grid)
+        entry = self.entries[i]
+        return QeRow(entry.label, entry.year, result.qe, empty_model_count(result))
 
 
 def qe_report(
@@ -663,19 +689,10 @@ def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
         covariates = read_covariates(config.covariates, config.year_fix)
         labels = [e.label for e in manifest.entries]
         check_pairing(labels, fixed.x, covariates, config.covariates)
-    grid = None
-
-    def score(i, frame, timed):
-        nonlocal grid
-        if grid is None:  # the anchor, in this process; workers inherit its map
-            grid = timed(
-                "train", fit_som, frame, config.grid_width, config.grid_height, config
-            )
-        return timed("score", score_frame, manifest.entries[i], frame, grid)
-
-    staged = list(preprocessed_frames(manifest, config, score))
+    tail = ScoreTail(manifest, config)
+    staged = list(preprocessed_frames(manifest, config, tail))
     rows = [s.result for s in sorted(staged, key=lambda s: s.index)]
-    report = qe_report(manifest.roi_name, rows, config.year_fix, grid, staged)
+    report = qe_report(manifest.roi_name, rows, config.year_fix, tail.grid, staged)
     return correlate(report, covariates, config.covariates)
 
 
@@ -811,45 +828,37 @@ def emit_svg_plots(report: QeReport, out_dir) -> list[Path]:
     """Write the trend plot plus one plot per correlation; returns the paths."""
     out_dir = Path(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     years = [row.year for row in report.rows]
     qes = [row.qe for row in report.rows]
     reg = report.regression
-    trend_path = out_dir / f"{slugify(report.roi_name)}_qe_trend.svg"
-    annotation = (
+    # (name suffix, xs, title tail, xlabel, fit drawn as the line, annotation)
+    plots = [(
+        "qe_trend", years, "by year", "year", reg,
         "slope = %.6g per year, r2 = %.4f, p = %.3g" % (reg.slope, reg.r2, reg.p)
         if not reg.degenerate
-        else "degenerate fit: constant values"
-    )
-    svg = scatter_svg(
-        years,
-        qes,
-        title=f"{report.roi_name}: quantization error by year",
-        xlabel="year",
-        ylabel="quantization error",
-        line=None if reg.degenerate else (reg.slope, reg.intercept),
-        annotation=annotation,
-    )
-    atomic_write_bytes(trend_path, svg.encode("utf-8"))
-    written.append(trend_path)
+        else "degenerate fit: constant values",
+    )]
     for entry in report.correlations:
-        path = out_dir / (
-            f"{slugify(report.roi_name)}_vs_{slugify(entry.label)}.svg"
-        )
         xs = [float(v) for v in entry.values]
         try:
-            display = linear_fit(Series(entry.label, np.array(xs), np.array(qes)))
-            line = None if display.degenerate else (display.slope, display.intercept)
+            fit = linear_fit(Series(entry.label, np.array(xs), np.array(qes)))
         except InputError:
-            line = None
+            fit = None
+        plots.append((
+            f"vs_{slugify(entry.label)}", xs, f"vs {entry.label}", entry.label, fit,
+            "r = %.6g, p = %.3g" % (entry.result.r, entry.result.p),
+        ))
+    written = []
+    for suffix, xs, title_tail, xlabel, fit, annotation in plots:
+        path = out_dir / f"{slugify(report.roi_name)}_{suffix}.svg"
         svg = scatter_svg(
             xs,
             qes,
-            title=f"{report.roi_name}: quantization error vs {entry.label}",
-            xlabel=entry.label,
+            title=f"{report.roi_name}: quantization error {title_tail}",
+            xlabel=xlabel,
             ylabel="quantization error",
-            line=line,
-            annotation="r = %.6g, p = %.3g" % (entry.result.r, entry.result.p),
+            line=None if fit is None or fit.degenerate else (fit.slope, fit.intercept),
+            annotation=annotation,
         )
         atomic_write_bytes(path, svg.encode("utf-8"))
         written.append(path)

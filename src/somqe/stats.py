@@ -246,6 +246,7 @@ def correlation_csv_row(label: str, corr: CorrelationResult) -> str:
 
 
 def csv_label(label: str) -> str:
-    if any(ch in label for ch in ',"\n'):
+    # a leading '#' would make the row a comment line to the readers
+    if label.startswith("#") or any(ch in label for ch in ',"\n'):
         return '"' + label.replace('"', '""') + '"'
     return label

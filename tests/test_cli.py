@@ -1,5 +1,6 @@
 """End-to-end command-line flows in temporary directories."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import somqe
+import somqe.cli as cli_module
 import somqe.pipeline as pipeline_module
 from somqe.cli import build_parser, main
 from somqe.errors import RegistrationError
@@ -652,3 +654,114 @@ def test_covariate_labels_sharing_a_plot_name_exit_1(tmp_path, capsys):
     assert_single_error_line(captured, "input")
     assert "'Visitors' and 'visitors'" in captured.err
     assert not plots.exists()
+
+
+def test_a_label_starting_with_a_hash_survives_a_qe_round_trip(tmp_path, capsys):
+    """Unquoted, '#b,2001,...' would read back as a comment line: a lost row."""
+    manifest, covariates = make_workspace(tmp_path, n_frames=4)
+    manifest.write_text(manifest.read_text().replace("\tframe1\t", "\t#b\t"))
+    covariates.write_text(covariates.read_text().replace("heat", "#x"))
+    out = tmp_path / "out"
+    assert main([
+        "run", "--manifest", str(manifest), "--covariates", str(covariates),
+        "--grid", "2x2", "--iterations", "40", "--out", str(out),
+    ]) == 0
+    report = (out / "report.csv").read_text()
+    assert '\n"#b",2001,' in report
+    assert '\n"#x",' in report
+    trend = next(ln for ln in report.splitlines() if ln.startswith("qe_trend,"))
+    capsys.readouterr()
+    assert main(["stats", "--qe", str(out / "report.csv")]) == 0
+    fitted = capsys.readouterr().out.splitlines()[1].split(",")
+    trend = trend.split(",")
+    assert fitted[5] == trend[5] == "2"  # df = 4 rows - 2
+    # the report's QE values are printed to 12 digits, so the refit is close
+    assert [float(f) for f in fitted[1:3]] == pytest.approx(
+        [float(f) for f in trend[1:3]], rel=1e-6
+    )
+
+
+@pytest.mark.parametrize("grid", ["0x4", "4x0"])
+def test_a_grid_dimension_below_1_fails_before_a_frame_is_read(
+    tmp_path, capsys, monkeypatch, grid
+):
+    manifest, _ = make_workspace(tmp_path)
+    loaded = []
+    real_load = pipeline_module.load_image
+
+    def counting_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(pipeline_module, "load_image", counting_load)
+    argv = ["run", "--manifest", str(manifest), "--grid", grid, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert "grid dimensions must be positive" in captured.err
+    assert loaded == []
+
+
+@pytest.mark.parametrize("setting, key", [
+    (("config", "out =\n"), "out"),
+    (("--out", ""), "out"),
+    (("--seed", "  "), "seed"),
+], ids=["config-file-out", "flag-out", "flag-seed-blank"])
+def test_an_empty_setting_value_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, setting, key
+):
+    """An empty 'out' would be Path(''), the current directory."""
+    manifest, _ = make_workspace(tmp_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = ["train", "--manifest", str(manifest), "--grid", "2x2", "--iterations", "40"]
+    flag, value = setting
+    if flag == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(value)
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert f"config key {key!r}: empty value" in captured.err
+    assert captured.out == ""
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "x", "config key 'seed': unparseable value 'x'"),
+    ("--grid", "4by4", "grid size must look like '4x4'"),
+    ("--iterations", "many", "config key 'iterations': unparseable value 'many'"),
+    ("--alpha", "fast", "config key 'alpha': unparseable value 'fast'"),
+    ("--radius", "wide", "config key 'radius': unparseable value 'wide'"),
+    ("--decay", "bogus", "decay_mode must be one of"),
+    ("--mode", "bogus", "registration mode must be one of"),
+    ("--year-fix", "bogus", "year_fix must be one of"),
+], ids=["seed", "grid", "iterations", "alpha", "radius", "decay", "mode", "year-fix"])
+def test_a_bad_flag_value_exits_1_with_one_error_line(tmp_path, capsys, flag, value, message):
+    manifest, _ = make_workspace(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(manifest), flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    """bench/traced.py counts a name it cannot find as missing and goes on, so
+    a refactor that drops or renames one would blind a benchmark layer."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+    monkeypatch.setattr("sys.dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("somqe_bench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    modules = {"cli": cli_module, "pipeline": pipeline_module}
+    missing = [
+        f"{module}.{name}" for module, name, _ in traced.WRAPPED
+        if not callable(getattr(modules[module], name, None))
+    ]
+    assert missing == []

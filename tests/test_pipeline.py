@@ -199,7 +199,7 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
 
 def test_config_keys_set_every_run_config_field_once():
     set_by_keys = []
-    for field, _ in CONFIG_KEYS.values():
+    for field, _, _ in CONFIG_KEYS.values():
         set_by_keys.extend(field if isinstance(field, tuple) else [field])
     assert sorted(set_by_keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
@@ -612,10 +612,11 @@ def test_preprocessed_frames_rejects_empty_and_mismatched(tmp_path):
 @pytest.mark.parametrize("n_frames, anchor", [(1, 3), (4, -1)])
 def test_run_pipeline_rejects_an_anchor_outside_the_stack(tmp_path, n_frames, anchor):
     arrays = [as_uint8(random_image(i, 8, 8)) for i in range(n_frames)]
-    manifest = Manifest(write_frames(tmp_path, arrays).entries, "synthetic", anchor)
+    entries = write_frames(tmp_path, arrays).entries
     with pytest.raises(
         InputError, match=rf"^anchor index {anchor} outside 0\.\.{n_frames - 1}$"
     ):
+        manifest = Manifest(entries, "synthetic", anchor)
         run_pipeline(manifest, RunConfig(registration_mode="none"))
 
 
