@@ -5,10 +5,13 @@ Subcommands mirror the pipeline stages so each step can run standalone:
     register    align frames to the anchor, write aligned PPMs + transforms
     train       preprocess the anchor frame and train a map on it
     score       apply a saved map to preprocessed frames, write QE rows
-    stats       fit year trends for covariate columns or a QE row file
+    stats       fit year trends for a QE row file and/or covariate columns
     correlate   correlate a QE row file with covariate columns
     plot        render SVG scatter plots from a QE row file
     run         the whole pipeline into one output directory
+
+Each takes --out, --config and only the other flags it reads, unabbreviated
+so that 'score --grid' is no '--grid-file'; a config file may set any key.
 
 Exit codes: 0 success, 1 unusable input, 2 computation failure
 (registration that does not converge, or a frame worker process that died),
@@ -24,6 +27,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ComputationError, InputError
@@ -52,7 +56,9 @@ from .pipeline import (
 from .raster import atomic_write_bytes, save_image
 from .register import write_transform_sidecar
 from .som import load_grid, save_grid
-from .stats import correlation_csv_row, linear_fit, regression_csv_row
+from .stats import (
+    CORRELATION_HEADER, REGRESSION_HEADER, correlation_csv_row, linear_fit, regression_csv_row
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,8 +101,14 @@ def _transform_records(staged) -> list:
     return sorted((s.index, s.transform, s.residual) for s in staged)
 
 
+def _path(text: str) -> Path:
+    if not text.strip():  # Path("") would be the current directory
+        raise argparse.ArgumentTypeError("empty value")
+    return Path(text)
+
+
 def _require(args, name: str):
-    value = getattr(args, name, None)
+    value = getattr(args, name)
     if value is None:
         raise InputError(f"--{name.replace('_', '-')} is required for this command")
     return value
@@ -131,7 +143,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     tail = ScoreTail(manifest, config)
     # the stream yields the anchor first; no other frame is loaded, and
     # mode 'none' skips the anchor's reference, which only registration reads
-    anchor_only = apply_config_entries(config, {"mode": "none"})
+    anchor_only = replace(config, registration_mode="none")
     row = next(preprocessed_frames(manifest, anchor_only, tail)).result
     out = _out_dir(config)
     save_grid(tail.grid, out / "grid.txt")
@@ -147,27 +159,24 @@ def _cmd_score(args, config: RunConfig) -> int:
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
     tail = ScoreTail(manifest, config, grid)
-    scored = sorted(
-        (s.index, s.result) for s in preprocessed_frames(manifest, config, tail)
-    )
-    text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(row for _, row in scored)
+    staged = sorted(preprocessed_frames(manifest, config, tail), key=lambda s: s.index)
+    text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(s.result for s in staged)
     _emit(config, "qe.csv", text)
     return 0
 
 
 def _cmd_stats(args, config: RunConfig) -> int:
-    lines = ["# regression: label,slope,intercept,r2,t,df,p"]
-    if getattr(args, "qe", None) is not None:
+    if args.qe is None and config.covariates is None:
+        raise InputError("stats needs --covariates or --qe")
+    lines = [REGRESSION_HEADER]
+    if args.qe is not None:
         roi, rows = read_qe_csv(args.qe)
         report = qe_report(roi or "qe", rows, config.year_fix)
         lines.append(regression_csv_row(report.roi_name, report.regression))
-    elif config.covariates is not None:
+    if config.covariates is not None:
         for series in read_covariates(config.covariates, config.year_fix):
             lines.append(regression_csv_row(series.label, linear_fit(series)))
-    else:
-        raise InputError("stats needs --covariates or --qe")
-    text = "\n".join(lines) + "\n"
-    _emit(config, "stats.csv", text)
+    _emit(config, "stats.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -184,11 +193,8 @@ def _cmd_correlate(args, config: RunConfig) -> int:
     if config.covariates is None:
         raise InputError("correlate needs --covariates")
     report = _build_report_from_qe(args, config)
-    lines = ["# correlations: label,r,t,df,p"]
-    for entry in report.correlations:
-        lines.append(correlation_csv_row(entry.label, entry.result))
-    text = "\n".join(lines) + "\n"
-    _emit(config, "correlations.csv", text)
+    rows = [correlation_csv_row(entry.label, entry.result) for entry in report.correlations]
+    _emit(config, "correlations.csv", "\n".join([CORRELATION_HEADER, *rows]) + "\n")
     return 0
 
 
@@ -203,8 +209,10 @@ def _cmd_plot(args, config: RunConfig) -> int:
 def _cmd_run(args, config: RunConfig) -> int:
     faults = minor_faults()
     manifest = read_manifest(_require(args, "manifest"))
+    if args.trace is not None and (args.trace.is_dir() or not args.trace.parent.is_dir()):
+        raise InputError(f"--trace {args.trace}: not a file in an existing directory")
+    out = _out_dir(config)  # a bad output target fails here, not after the last frame
     report = run_pipeline(manifest, config)
-    out = _out_dir(config)
     emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)
     save_grid(report.grid, out / "grid.txt")
@@ -264,26 +272,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *file_flags):
-        p = sub.add_parser(name, help=help_text)
-        file_flags = (("--manifest", "frame manifest (TSV)"), *file_flags,
-                      ("--config", "key=value settings file"))
-        for flag, flag_help in file_flags:
-            p.add_argument(flag, type=Path, help=flag_help)
+    def add(name, handler, help_text, keys, *file_flags):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, flag_help in (*file_flags, ("--config", "key=value settings file")):
+            p.add_argument(flag, type=_path, help=flag_help)
         for key, (_, _, key_help) in CONFIG_KEYS.items():
-            if key_help is not None:
+            if key in ("out", *keys) and key_help is not None:
                 p.add_argument("--" + key.replace("_", "-"), dest=key, help=key_help)
         p.set_defaults(handler=handler)
 
+    manifest = ("--manifest", "frame manifest (TSV)")
     qe = ("--qe", "QE row file from 'score'")
-    add("register", _cmd_register, "align frames and write them out")
-    add("train", _cmd_train, "train a map on the anchor frame")
-    add("score", _cmd_score, "score frames against a saved map",
+    training = ("seed", "grid", "iterations", "alpha", "radius", "decay")
+    trend = ("year_fix", "covariates")
+    add("register", _cmd_register, "align frames and write them out", ["mode"], manifest)
+    add("train", _cmd_train, "train a map on the anchor frame", training, manifest)
+    add("score", _cmd_score, "score frames against a saved map", ["mode"], manifest,
         ("--grid-file", "saved map from 'train'"))
-    add("stats", _cmd_stats, "fit year trends", qe)
-    add("correlate", _cmd_correlate, "correlate QE rows with covariates", qe)
-    add("plot", _cmd_plot, "render SVG plots from QE rows", qe)
-    add("run", _cmd_run, "full pipeline into an output directory",
+    add("stats", _cmd_stats, "fit year trends", trend, qe)
+    add("correlate", _cmd_correlate, "correlate QE rows with covariates", trend, qe)
+    add("plot", _cmd_plot, "render SVG plots from QE rows", trend, qe)
+    add("run", _cmd_run, "full pipeline into an output directory", CONFIG_KEYS, manifest,
         ("--trace", "write per-frame stage seconds as JSONL"))
     return parser
 

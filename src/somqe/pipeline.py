@@ -46,6 +46,8 @@ from .som import (
     DECAY_MODES, SomGrid, TrainingParams, empty_model_count, fit_som, quantization_error
 )
 from .stats import (
+    CORRELATION_HEADER,
+    REGRESSION_HEADER,
     CorrelationResult,
     RegressionResult,
     Series,
@@ -749,7 +751,7 @@ def report_csv_text(report: QeReport, config: RunConfig | None = None) -> str:
             )
         )
     parts.append(qe_rows_csv(report.rows).rstrip("\n"))
-    parts.append("# regression: label,slope,intercept,r2,t,df,p")
+    parts.append(REGRESSION_HEADER)
     parts.append("# df = n - 2")
     if report.regression.degenerate:
         parts.append("# regression degenerate: constant qe values")
@@ -758,7 +760,7 @@ def report_csv_text(report: QeReport, config: RunConfig | None = None) -> str:
     )
     parts.append(regression_csv_row("qe_trend", report.regression))
     if report.correlations:
-        parts.append("# correlations: label,r,t,df,p")
+        parts.append(CORRELATION_HEADER)
         for entry in report.correlations:
             parts.append(correlation_csv_row(entry.label, entry.result))
     return "\n".join(parts) + "\n"
@@ -786,7 +788,8 @@ def read_qe_csv(path):
         if stripped.startswith("#"):
             if stripped.startswith("# roi:"):
                 roi = stripped[len("# roi:"):].strip()
-            elif stripped.startswith(("# regression:", "# correlations:")):
+            elif any(stripped.startswith(h[: h.index(":") + 1])
+                     for h in (REGRESSION_HEADER, CORRELATION_HEADER)):
                 in_qe_rows = False
             elif stripped.startswith("# qe rows:"):
                 in_qe_rows = True

@@ -43,7 +43,6 @@ Conventions, shared with `resample`:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 

@@ -218,6 +218,10 @@ def _fmt(value: float) -> str:
     return "%.10g" % value
 
 
+REGRESSION_HEADER = "# regression: label,slope,intercept,r2,t,df,p"
+CORRELATION_HEADER = "# correlations: label,r,t,df,p"
+
+
 def regression_csv_row(label: str, fit: RegressionResult) -> str:
     """One CSV line: label,slope,intercept,r2,t,df,p.
 

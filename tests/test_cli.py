@@ -16,7 +16,7 @@ import somqe.pipeline as pipeline_module
 from somqe.cli import build_parser, main
 from somqe.errors import RegistrationError
 from somqe.pipeline import (
-    CONFIG_KEYS, RunConfig, read_manifest, report_csv_text, run_pipeline
+    CONFIG_KEYS, RunConfig, load_config_file, read_manifest, report_csv_text, run_pipeline
 )
 from somqe.raster import RasterImage, save_image
 from somqe.register import read_transform_sidecar
@@ -51,6 +51,20 @@ def make_workspace(tmp_path, n_frames: int = 3, side: int = 48):
     rows = "\n".join(f"{2000 + k},{10.0 + 2 * k}" for k in range(n_frames))
     covariates.write_text("year,heat\n" + rows + "\n")
     return manifest, covariates
+
+
+@pytest.fixture
+def frame_loads(monkeypatch):
+    """The path of every frame `pipeline.load_image` is asked for."""
+    loaded = []
+    real_load = pipeline_module.load_image
+
+    def counting_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(pipeline_module, "load_image", counting_load)
+    return loaded
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -151,7 +165,8 @@ def test_train_then_score_matches_run_report(tmp_path, capsys):
 
     score_out = tmp_path / "scored"
     assert main([
-        "score", *common, "--grid-file", str(grid_file), "--out", str(score_out),
+        "score", "--manifest", str(manifest), "--grid-file", str(grid_file),
+        "--out", str(score_out),
     ]) == 0
     capsys.readouterr()
 
@@ -189,7 +204,8 @@ def test_train_reads_only_the_anchor_frame(tmp_path, monkeypatch):
 
 
 def test_train_builds_no_reference_pyramid(tmp_path, monkeypatch, one_cpu):
-    """Only registration reads the anchor's pyramid, and train registers nothing."""
+    """Only registration reads the anchor's pyramid, and train registers nothing,
+    whatever mode its config file names."""
     manifest, _ = make_workspace(tmp_path)
     common = ["train", "--manifest", str(manifest), "--grid", "2x2", "--iterations", "40"]
     built = []
@@ -201,7 +217,9 @@ def test_train_builds_no_reference_pyramid(tmp_path, monkeypatch, one_cpu):
 
     monkeypatch.setattr(pipeline_module, "reference_pyramid", counting_pyramid)
     for mode in ("translation", "none"):
-        assert main(common + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(f"mode = {mode}\n")
+        assert main(common + ["--config", str(cfg), "--out", str(tmp_path / mode)]) == 0
     assert built == []
     assert (tmp_path / "translation" / "grid.txt").read_bytes() == (
         tmp_path / "none" / "grid.txt"
@@ -269,18 +287,10 @@ def _shared_plot_name(path):
                         "share the plot name 'visitors'"),
 ], ids=["missing", "short", "late-year", "shared-plot-name"])
 def test_run_rejects_bad_covariates_before_loading_a_frame(
-    tmp_path, capsys, monkeypatch, one_cpu, spoil, message
+    tmp_path, capsys, one_cpu, frame_loads, spoil, message
 ):
     manifest, covariates = make_workspace(tmp_path)
     spoil(covariates)
-    loaded = []
-    real_load = pipeline_module.load_image
-
-    def counting_load(path):
-        loaded.append(path)
-        return real_load(path)
-
-    monkeypatch.setattr(pipeline_module, "load_image", counting_load)
     out = tmp_path / "out"
     assert main([
         "run", "--manifest", str(manifest), "--covariates", str(covariates),
@@ -289,7 +299,7 @@ def test_run_rejects_bad_covariates_before_loading_a_frame(
     captured = capsys.readouterr()
     assert_single_error_line(captured, "input")
     assert message.format(path=covariates) in captured.err
-    assert loaded == []
+    assert frame_loads == []
     assert not (out / "report.csv").exists()
 
 
@@ -348,8 +358,7 @@ def test_score_without_out_prints_rows(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert main([
-        "score", "--manifest", str(manifest), "--grid", "2x2",
-        "--iterations", "40", "--grid-file", str(train_out / "grid.txt"),
+        "score", "--manifest", str(manifest), "--grid-file", str(train_out / "grid.txt"),
     ]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# roi: frames\n# qe rows: label,year,qe,empty_models\n")
@@ -469,6 +478,28 @@ def test_stats_and_correlate_from_qe_rows(tmp_path, capsys):
     ]) == 0
     names = sorted(p.name for p in plot_out.iterdir())
     assert names == ["patch_qe_trend.svg", "patch_vs_heat.svg"]
+
+
+def test_stats_fits_the_qe_rows_then_each_covariate_column(tmp_path, capsys):
+    _, covariates = make_workspace(tmp_path)
+    qe = tmp_path / "qe.csv"
+    qe.write_text("# roi: patch\na,2000,0.10,0\nb,2001,0.14,0\nc,2002,0.19,1\n")
+    assert main(["stats", "--qe", str(qe)]) == 0
+    by_qe = capsys.readouterr().out.splitlines()
+    assert main(["stats", "--covariates", str(covariates)]) == 0
+    by_covariates = capsys.readouterr().out.splitlines()
+    both = ["stats", "--qe", str(qe), "--covariates", str(covariates)]
+    assert main(both) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == by_qe + by_covariates[1:]
+    assert [line.split(",")[0] for line in lines[1:]] == ["patch", "heat"]
+    # a covariate file that correlate refuses is refused here too
+    covariates.write_text("when,heat\n2000,1\n2001,2\n2002,3\n")
+    assert main(both) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert "first column must be 'year'" in captured.err
+    assert captured.out == ""
 
 
 def test_stats_on_a_qe_row_missing_a_field_exits_1(tmp_path, capsys):
@@ -683,23 +714,15 @@ def test_a_label_starting_with_a_hash_survives_a_qe_round_trip(tmp_path, capsys)
 
 @pytest.mark.parametrize("grid", ["0x4", "4x0"])
 def test_a_grid_dimension_below_1_fails_before_a_frame_is_read(
-    tmp_path, capsys, monkeypatch, grid
+    tmp_path, capsys, frame_loads, grid
 ):
     manifest, _ = make_workspace(tmp_path)
-    loaded = []
-    real_load = pipeline_module.load_image
-
-    def counting_load(path):
-        loaded.append(path)
-        return real_load(path)
-
-    monkeypatch.setattr(pipeline_module, "load_image", counting_load)
     argv = ["run", "--manifest", str(manifest), "--grid", grid, "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert_single_error_line(captured, "input")
     assert "grid dimensions must be positive" in captured.err
-    assert loaded == []
+    assert frame_loads == []
 
 
 @pytest.mark.parametrize("setting, key", [
@@ -765,3 +788,122 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
         if not callable(getattr(modules[module], name, None))
     ]
     assert missing == []
+
+
+# the config keys each subcommand has a flag for, besides --out, which all have
+FLAG_KEYS = {
+    "register": {"mode"},
+    "train": {"seed", "grid", "iterations", "alpha", "radius", "decay"},
+    "score": {"mode"},
+    "stats": {"year_fix", "covariates"},
+    "correlate": {"year_fix", "covariates"},
+    "plot": {"year_fix", "covariates"},
+    "run": set(CONFIG_KEYS) - {"normalize", "out"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(CONFIG_KEYS) - {"normalize"}))
+@pytest.mark.parametrize("command", list(FLAG_KEYS))
+def test_a_subcommand_takes_only_the_keyed_flags_it_reads(capsys, command, key):
+    """A flag that no code reads would otherwise be accepted and ignored."""
+    flag = "--" + key.replace("_", "-")
+    argv = [command, flag, "v"]
+    if key == "out" or key in FLAG_KEYS[command]:
+        assert vars(build_parser().parse_args(argv))[key] == "v"
+    else:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert_single_error_line(captured, "input")
+        assert f"unrecognized arguments: {flag} v" in captured.err
+
+
+def test_one_config_file_setting_every_key_serves_every_subcommand(tmp_path, capsys):
+    manifest, covariates = make_workspace(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "seed = 3\ngrid = 2x2\niterations = 40\nalpha = 0.3\nradius = 1\n"
+        "decay = linear\nmode = none\nnormalize = off\nyear_fix = as-printed\n"
+        f"out = {out}\ncovariates = {covariates}\n"
+    )
+    assert set(load_config_file(cfg)) == set(CONFIG_KEYS)
+    qe = ["--qe", str(out / "qe.csv")]
+    for argv in (
+        ["register", "--manifest", str(manifest)],
+        ["train", "--manifest", str(manifest)],
+        ["score", "--manifest", str(manifest), "--grid-file", str(out / "grid.txt")],
+        ["stats", *qe],
+        ["correlate", *qe],
+        ["plot", *qe],
+    ):
+        assert main(argv + ["--config", str(cfg)]) == 0, capsys.readouterr().err
+    trained = (out / "grid.txt").read_bytes()
+    scored = [l for l in (out / "qe.csv").read_text().splitlines() if l.startswith("frame")]
+    assert main(["run", "--manifest", str(manifest), "--config", str(cfg)]) == 0
+    report = (out / "report.csv").read_text()
+    assert "# run: grid 2x2 seed 3 iterations 40 alpha 0.3 radius 1 decay linear " \
+           "registration none normalize off\n" in report
+    assert (out / "grid.txt").read_bytes() == trained
+    assert scored == [l for l in report.splitlines() if l.startswith("frame")]
+    stats = (out / "stats.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in stats[1:]] == ["frames", "heat"]
+    assert (out / "correlations.csv").read_text().splitlines()[1].startswith("heat,")
+
+
+@pytest.mark.parametrize("value", ["", "  "], ids=["empty", "blank"])
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--manifest"),
+    ("run", "--config"),
+    ("stats", "--qe"),
+    ("score", "--grid-file"),
+    ("run", "--trace"),
+])
+def test_an_empty_file_flag_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    """An empty path would be Path(''), the current directory."""
+    manifest, _ = make_workspace(tmp_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "o"
+    argv = [command, flag, value, "--out", str(out)]
+    if flag != "--manifest" and command != "stats":
+        argv += ["--manifest", str(manifest)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert f"argument {flag}: empty value" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["out-is-a-file", "trace-in-a-missing-dir", "trace-is-a-dir"])
+def test_run_refuses_a_bad_output_target_before_loading_a_frame(
+    tmp_path, capsys, one_cpu, frame_loads, target
+):
+    manifest, _ = make_workspace(tmp_path)
+    out = tmp_path / "o"
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    (tmp_path / "a-dir").mkdir()
+    argv, message = {
+        "out-is-a-file": (["--out", str(taken)], "File exists"),
+        "trace-in-a-missing-dir": (
+            ["--out", str(out), "--trace", str(tmp_path / "missing" / "t.jsonl")],
+            "not a file in an existing directory",
+        ),
+        "trace-is-a-dir": (
+            ["--out", str(out), "--trace", str(tmp_path / "a-dir")],
+            "not a file in an existing directory",
+        ),
+    }[target]
+    assert main(["run", "--manifest", str(manifest), *argv]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert message in captured.err
+    assert frame_loads == []
+    assert not (out / "report.csv").exists()
+    assert taken.read_text() == "kept\n"
+    assert list((tmp_path / "a-dir").iterdir()) == []

@@ -114,9 +114,11 @@ def test_pooled_and_in_process_register_and_score_agree(
 ):
     manifest = write_stack(tmp_path / "stack")
     (tmp_path / "run.cfg").write_text(f"normalize = {normalize}\nmode = {mode}\n")
-    common = ["--manifest", str(manifest), "--grid", "2x2", "--iterations", "60",
-              "--config", str(tmp_path / "run.cfg")]
-    assert main(["train", *common, "--out", str(tmp_path / "trained")]) == 0
+    common = ["--manifest", str(manifest), "--config", str(tmp_path / "run.cfg")]
+    assert main([
+        "train", *common, "--grid", "2x2", "--iterations", "60",
+        "--out", str(tmp_path / "trained"),
+    ]) == 0
     grid_file = str(tmp_path / "trained" / "grid.txt")
     outs = {}
     for cpus in (1, 2):
