@@ -20,7 +20,7 @@ scene = np.full((64, 64, 3), (40, 90, 160), dtype=np.uint8)
 scene[:, 32:] = (190, 160, 60)
 speckle = rng.integers(0, 64, size=(120, 2))
 scene[speckle[:, 0], speckle[:, 1]] = rng.integers(0, 256, size=(120, 3))
-image = RasterImage.from_uint8(scene)
+image = RasterImage(scene)
 
 params = TrainingParams(
     learning_rate=0.2, neighborhood_radius=1.2, iterations=1000, seed=0

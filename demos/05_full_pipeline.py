@@ -42,7 +42,7 @@ for k in range(n_frames):
     upto = k * per_step
     frame[positions[:upto] // side, positions[:upto] % side] = colors[:upto]
     name = f"frame_{1999 + k}.ppm"
-    save_image(RasterImage.from_uint8(frame), out_root / name)
+    save_image(RasterImage(frame), out_root / name)
     lines.append(f"{name}\t{1999 + k}\t{1999 + k}")
 (out_root / "frames.tsv").write_text("\n".join(lines) + "\n")
 (out_root / "cov.csv").write_text(

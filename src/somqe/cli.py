@@ -140,12 +140,12 @@ def _cmd_register(args, config: RunConfig) -> int:
 
 def _cmd_train(args, config: RunConfig) -> int:
     manifest = read_manifest(_require(args, "manifest"))
+    out = _out_dir(config)  # a bad output target fails here, not after the anchor
     tail = ScoreTail(manifest, config)
     # the stream yields the anchor first; no other frame is loaded, and
     # mode 'none' skips the anchor's reference, which only registration reads
     anchor_only = replace(config, registration_mode="none")
     row = next(preprocessed_frames(manifest, anchor_only, tail)).result
-    out = _out_dir(config)
     save_grid(tail.grid, out / "grid.txt")
     print(
         f"trained {config.grid_width}x{config.grid_height} map on "
@@ -158,6 +158,8 @@ def _cmd_train(args, config: RunConfig) -> int:
 def _cmd_score(args, config: RunConfig) -> int:
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
+    if config.out_dir is not None:  # a bad output target fails before the frames
+        _out_dir(config)
     tail = ScoreTail(manifest, config, grid)
     staged = sorted(preprocessed_frames(manifest, config, tail), key=lambda s: s.index)
     text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(s.result for s in staged)
@@ -231,7 +233,7 @@ def _cmd_run(args, config: RunConfig) -> int:
 
 
 def _write_trace(path: Path, staged, emit_s: float, minflt: int) -> None:
-    """JSONL: one line per frame in stack order, then one for this process.
+    """JSONL: one line per frame, anchor first, then one for this process.
 
     A frame's line holds its index, the pid of the process that ran its
     stage, each stage's seconds, the minor page faults that process took

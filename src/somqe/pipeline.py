@@ -198,12 +198,6 @@ def _parse_switch(text: str) -> bool:
     raise ValueError(text)
 
 
-def _parse_decimal(text: str) -> float:
-    # looks parse_decimal up at call time, so a wrapper installed on
-    # pipeline.parse_decimal (bench/traced.py) also sees the config's numbers
-    return parse_decimal(text)
-
-
 # config key (also the dest of the CLI flag that sets it, '_' written '-') ->
 # (the RunConfig field, or fields, it sets; the parser of its value text;
 #  the flag's help text, None for a key that has no flag)
@@ -211,8 +205,8 @@ CONFIG_KEYS = {
     "seed": ("seed", int, "run seed (default 0)"),
     "grid": (("grid_width", "grid_height"), parse_grid_size, "map size as WxH (default 4x4)"),
     "iterations": ("iterations", int, "training presentations"),
-    "alpha": ("learning_rate", _parse_decimal, "learning rate (default 0.2)"),
-    "radius": ("neighborhood_radius", _parse_decimal, "neighborhood radius (default 1.2)"),
+    "alpha": ("learning_rate", parse_decimal, "learning rate (default 0.2)"),
+    "radius": ("neighborhood_radius", parse_decimal, "neighborhood radius (default 1.2)"),
     "decay": ("decay_mode", str,
               f"schedule for alpha and radius: {', '.join(DECAY_MODES)}"),
     "mode": ("registration_mode", str,

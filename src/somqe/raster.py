@@ -103,10 +103,6 @@ class RasterImage:
     def pixel_count(self) -> int:
         return self.height * self.width
 
-    @classmethod
-    def from_uint8(cls, data) -> "RasterImage":
-        return cls(np.asarray(data, dtype=np.uint8))
-
     def to_uint8(self) -> np.ndarray:
         """(height, width, 3) samples rounded half-up (floor(x + 0.5)), clipped to 8 bits."""
         if self.planes.dtype == np.uint8:
@@ -131,10 +127,10 @@ def luminance_plane(planes: np.ndarray) -> np.ndarray:
 # PPM (P6)
 
 def _ppm_tokens(data: bytes, count: int, start: int):
-    """Yield `count` whitespace-separated header tokens starting at `start`.
+    """Return (tokens, position): the `count` whitespace-separated header
+    tokens from `start`, and the position of the byte right after the last.
 
-    '#' starts a comment running to end of line.  Returns (tokens, position
-    of the byte right after the last token).
+    '#' starts a comment running to end of line.
     """
     tokens = []
     i = start
@@ -170,14 +166,11 @@ def decode_ppm(data: bytes) -> RasterImage:
     # exactly one whitespace byte separates the header from the payload
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise InputError("malformed header: missing separator before payload")
-    payload = data[pos + 1 :]
-    expected = width * height * 3
-    if len(payload) < expected:
-        raise InputError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}"
-        )
-    flat = np.frombuffer(payload[:expected], dtype=np.uint8)
-    return RasterImage.from_uint8(flat.reshape(height, width, 3))
+    expected, got = width * height * 3, len(data) - pos - 1
+    if got < expected:
+        raise InputError(f"truncated payload: expected {expected} bytes, got {got}")
+    flat = np.frombuffer(data, np.uint8, count=expected, offset=pos + 1)
+    return RasterImage(flat.reshape(height, width, 3))
 
 def encode_ppm(image: RasterImage) -> bytes:
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
@@ -334,7 +327,7 @@ def decode_png(data: bytes) -> RasterImage:
         rgb = np.repeat(planes[:, :, :1], 3, axis=2)
     else:  # RGB, with or without alpha
         rgb = planes[:, :, :3]
-    return RasterImage.from_uint8(rgb)
+    return RasterImage(rgb)
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,21 @@ def scatter_svg(
     def py(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
+    def text(x, y, body: str, size: int, fill: str, anchor=None, extra: str = "") -> None:
+        # an int coordinate is written as is, a float to two decimals
+        x, y = (f"{v:.2f}" if isinstance(v, float) else v for v in (x, y))
+        attrs = f' text-anchor="{anchor}"' if anchor else ""
+        parts.append(
+            f'<text x="{x}" y="{y}"{attrs} font-family="sans-serif" '
+            f'font-size="{size}" fill="{fill}"{extra}>{_escape(body)}</text>'
+        )
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#111111">'
-        f"{_escape(title)}</text>",
     ]
+    text(_WIDTH / 2, 24, title, 15, "#111111", "middle")
     # frame
     parts.append(
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
@@ -93,28 +100,19 @@ def scatter_svg(
             f'<line x1="{tx:.2f}" y1="{_MARGIN_TOP + plot_h}" x2="{tx:.2f}" '
             f'y2="{_MARGIN_TOP + plot_h + 5}" stroke="#888888" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{_MARGIN_TOP + plot_h + 20}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#333333">{_escape("%.10g" % tick)}</text>'
-        )
+        text(tx, _MARGIN_TOP + plot_h + 20, "%.10g" % tick, 11, "#333333", "middle")
     for tick in _nice_ticks(y_lo, y_hi):
         ty = py(tick)
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 5}" y1="{ty:.2f}" x2="{_MARGIN_LEFT}" '
             f'y2="{ty:.2f}" stroke="#888888" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 9}" y="{ty + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#333333">'
-            f'{_escape("%.10g" % tick)}</text>'
-        )
+        text(_MARGIN_LEFT - 9, ty + 4, "%.10g" % tick, 11, "#333333", "end")
     if line is not None:
-        slope, intercept = line
-        x_left, x_right = x_lo, x_hi
+        slope, intercept = line  # drawn across the x range, clamped to the y range
+        y1, y2 = (py(min(max(intercept + slope * x, y_lo), y_hi)) for x in (x_lo, x_hi))
         parts.append(
-            f'<line x1="{px(x_left):.2f}" y1="{_clamp_py(py, intercept + slope * x_left, y_lo, y_hi):.2f}" '
-            f'x2="{px(x_right):.2f}" y2="{_clamp_py(py, intercept + slope * x_right, y_lo, y_hi):.2f}" '
+            f'<line x1="{px(x_lo):.2f}" y1="{y1:.2f}" x2="{px(x_hi):.2f}" y2="{y2:.2f}" '
             f'stroke="#b03030" stroke-width="1.5"/>'
         )
     for x, y in zip(xs, ys):
@@ -122,26 +120,10 @@ def scatter_svg(
             f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.2" '
             f'fill="#294e80" fill-opacity="0.85"/>'
         )
-    parts.append(
-        f'<text x="{_WIDTH / 2:.2f}" y="{_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#111111">'
-        f"{_escape(xlabel)}</text>"
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#111111" '
-        f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.2f})">'
-        f"{_escape(ylabel)}</text>"
-    )
+    text(_WIDTH / 2, _HEIGHT - 14, xlabel, 12, "#111111", "middle")
+    mid_y = _MARGIN_TOP + plot_h / 2
+    text(18, mid_y, ylabel, 12, "#111111", "middle", f' transform="rotate(-90 18 {mid_y:.2f})"')
     if annotation:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + 8}" y="{_MARGIN_TOP + 16}" '
-            f'font-family="sans-serif" font-size="11" fill="#555555">'
-            f"{_escape(annotation)}</text>"
-        )
+        text(_MARGIN_LEFT + 8, _MARGIN_TOP + 16, annotation, 11, "#555555")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _clamp_py(py, y_value: float, y_lo: float, y_hi: float) -> float:
-    return py(min(max(y_value, y_lo), y_hi))

@@ -323,19 +323,11 @@ def map_size_search(
         )
     viable = [e for e in entries if e.empty_models == 0]
     flagged = not viable
-    pool = entries if flagged else viable
-    best = pool[0]
-    for cand in pool[1:]:
-        if flagged:
-            better = cand.empty_models < best.empty_models or (
-                cand.empty_models == best.empty_models and cand.qe < best.qe
-            )
-        else:
-            count_c = cand.width * cand.height
-            count_b = best.width * best.height
-            better = count_c > count_b or (count_c == count_b and cand.qe < best.qe)
-        if better:
-            best = cand
+    # min keeps the earliest of equal keys
+    if flagged:
+        best = min(entries, key=lambda e: (e.empty_models, e.qe))
+    else:
+        best = min(viable, key=lambda e: (-e.width * e.height, e.qe))
     report = MapSizeReport(tuple(entries), flagged)
     return (best.width, best.height), report
 

@@ -10,7 +10,8 @@ as the specification states it.  The scoring and warping
 kernels are kept here in their first, dense form, which the fast kernels
 must match bit for bit, and so are the frame steps in their first form, on
 interleaved (height, width, 3) float64 pixels, which the planar steps must
-match bit for bit whether a frame's planes are uint8 or float64.
+match bit for bit whether a frame's planes are uint8 or float64.  The
+map-size pick is kept as the pairwise loop it first was.
 """
 
 from __future__ import annotations
@@ -137,6 +138,32 @@ def grid_neighbors_within(width: int, height: int, winner: int, radius: float):
             if math.hypot(r - wr, c - wc) <= radius:
                 hits.append(r * width + c)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# map size search
+
+def map_size_pick_by_loop(candidates):
+    """(the picked candidate, whether every one leaves a model empty), by a
+    pairwise scan in candidate order that replaces the best only on a strict
+    improvement: more models, then lower QE; or, when no candidate is free
+    of empty models, fewer empty models, then lower QE."""
+    viable = [c for c in candidates if c.empty_models == 0]
+    flagged = not viable
+    pool = candidates if flagged else viable
+    best = pool[0]
+    for cand in pool[1:]:
+        if flagged:
+            better = cand.empty_models < best.empty_models or (
+                cand.empty_models == best.empty_models and cand.qe < best.qe
+            )
+        else:
+            count_c = cand.width * cand.height
+            count_b = best.width * best.height
+            better = count_c > count_b or (count_c == count_b and cand.qe < best.qe)
+        if better:
+            best = cand
+    return best, flagged
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_criterion_03_correlation_significance():
 def _random_image(rng, max_side: int = 5) -> RasterImage:
     h = int(rng.integers(1, max_side))
     w = int(rng.integers(1, max_side))
-    return RasterImage.from_uint8(
+    return RasterImage(
         rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     )
 
@@ -206,7 +206,7 @@ def _check_winner_convergence(rng) -> None:
     w, h = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     grid = SomGrid(w, h, rng.uniform(0.0, 1.0, size=(w * h, 3)))
     color = rng.integers(0, 256, size=(1, 1, 3), dtype=np.uint8)
-    image = RasterImage.from_uint8(color)
+    image = RasterImage(color)
     x = color.reshape(3) / 255.0
     steps = int(rng.integers(5, 60))
     alpha = float(rng.uniform(0.05, 0.9))
@@ -272,7 +272,7 @@ def test_criterion_04b_growing_builtup_series(tmp_path):
         upto = k * per_step
         arr[flat[:upto] // side, flat[:upto] % side] = colors[:upto]
         path = tmp_path / f"frame_{k}.ppm"
-        save_image(RasterImage.from_uint8(arr), path)
+        save_image(RasterImage(arr), path)
         entries.append(ManifestEntry(path, f"y{1999 + k}", float(1999 + k)))
     # train on the first frame: a single flat color, so every model sits on
     # it and each newly built-up pixel adds a strictly positive error
@@ -337,7 +337,7 @@ def test_criterion_06_normalization():
     images = 100
     for _ in range(images):
         h, w = int(rng.integers(1, 24)), int(rng.integers(1, 24))
-        image = RasterImage.from_uint8(
+        image = RasterImage(
             rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         )
         once = normalize_contrast(image)
@@ -398,7 +398,7 @@ def test_criterion_08_run_determinism(tmp_path):
             xs = rng.integers(2, side, size=6)
             arr[ys, xs, 1] = np.clip(arr[ys, xs, 1] + 3, 20, 235)
         path = tmp_path / f"img_{k}.ppm"
-        save_image(RasterImage.from_uint8(arr.astype(np.uint8)), path)
+        save_image(RasterImage(arr.astype(np.uint8)), path)
         lines.append(f"img_{k}.ppm\tframe{k}\t{2000 + k}")
     manifest = tmp_path / "frames.tsv"
     manifest.write_text("\n".join(lines) + "\n")

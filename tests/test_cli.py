@@ -20,6 +20,7 @@ from somqe.pipeline import (
 )
 from somqe.raster import RasterImage, save_image
 from somqe.register import read_transform_sidecar
+from somqe.som import SomGrid, save_grid
 
 from conftest import sinusoid_sampler
 
@@ -43,7 +44,7 @@ def make_workspace(tmp_path, n_frames: int = 3, side: int = 48):
             xs = rng.integers(2, side, size=6)
             arr[ys, xs, 0] = np.clip(arr[ys, xs, 0] + 2, 20, 235)
         path = tmp_path / f"img_{k}.ppm"
-        save_image(RasterImage.from_uint8(arr.astype(np.uint8)), path)
+        save_image(RasterImage(arr.astype(np.uint8)), path)
         lines.append(f"img_{k}.ppm\tframe{k}\t{2000 + k}")
     manifest = tmp_path / "frames.tsv"
     manifest.write_text("\n".join(lines) + "\n")
@@ -117,7 +118,7 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
     lines = []
     for k, (dx, dy) in enumerate([(2.3, -1.6), (-3.7, 0.45), (0.0, 0.0)]):
         pixels = np.round(sample(dx, dy).pixels).astype(np.uint8)
-        save_image(RasterImage.from_uint8(pixels), tmp_path / f"img_{k}.ppm")
+        save_image(RasterImage(pixels), tmp_path / f"img_{k}.ppm")
         lines.append(f"img_{k}.ppm\tframe{k}\t{2000 + k}")
     (tmp_path / "frames.tsv").write_text("\n".join(lines) + "\n")
     src = str(Path(somqe.__file__).resolve().parents[1])
@@ -877,6 +878,26 @@ def test_an_empty_file_flag_exits_1_and_writes_nothing(
     assert captured.out == ""
     assert not out.exists()
     assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_train_and_score_refuse_an_out_file_before_loading_a_frame(
+    tmp_path, capsys, one_cpu, frame_loads, command
+):
+    manifest, _ = make_workspace(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = [command, "--manifest", str(manifest), "--out", str(taken)]
+    if command == "score":
+        grid = tmp_path / "grid.txt"
+        save_grid(SomGrid(2, 2, np.full((4, 3), 0.5)), grid)
+        argv += ["--grid-file", str(grid)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert "File exists" in captured.err
+    assert frame_loads == []
+    assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("target", ["out-is-a-file", "trace-in-a-missing-dir", "trace-is-a-dir"])

@@ -38,7 +38,7 @@ def write_stack(directory: Path, motions=MOTIONS, side: int = SIDE) -> Path:
     for k, (dx, dy, theta) in enumerate(motions):
         image = sample(dx, dy, theta, share=0.02 * k)
         pixels = np.round(image.pixels).astype(np.uint8)
-        save_image(RasterImage.from_uint8(pixels), directory / f"img_{k}.ppm")
+        save_image(RasterImage(pixels), directory / f"img_{k}.ppm")
         lines.append(f"img_{k}.ppm\tframe{k}\t{2000 + k}")
     manifest = directory / "frames.tsv"
     manifest.write_text("\n".join(lines) + "\n")
@@ -234,7 +234,7 @@ def test_a_bad_frame_fails_the_same_through_the_pool(
         frame.write_bytes(frame.read_bytes()[:-100])
     else:
         pixels = np.zeros((SIDE, SIDE + 1, 3), dtype=np.uint8)
-        save_image(RasterImage.from_uint8(pixels), frame)
+        save_image(RasterImage(pixels), frame)
     argv = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
     errors = {cpus: cli_error(capsys, monkeypatch, cpus, argv) for cpus in (1, 2)}
     assert errors[1] == errors[2]

@@ -70,7 +70,7 @@ def write_frames(tmp_path, arrays, years=None):
     entries = []
     for i, arr in enumerate(arrays):
         path = tmp_path / f"frame_{i}.ppm"
-        save_image(RasterImage.from_uint8(arr), path)
+        save_image(RasterImage(arr), path)
         year = 2000 + i if years is None else years[i]
         entries.append(ManifestEntry(path, f"y{year}", float(year)))
     return Manifest(tuple(entries), "synthetic", len(entries) - 1)

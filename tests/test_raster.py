@@ -110,7 +110,7 @@ def test_planes_are_uint8_for_8_bit_samples_and_float64_otherwise():
         assert image.planes.shape == (3, 2, 4)
         assert image.planes.flags.c_contiguous
         assert np.array_equal(image.pixels, source)
-    data = encode_ppm(RasterImage.from_uint8(samples))
+    data = encode_ppm(RasterImage(samples.astype(np.uint8)))
     assert decode_ppm(data).planes.dtype == np.uint8
 
 
@@ -122,6 +122,10 @@ def test_planes_are_uint8_for_8_bit_samples_and_float64_otherwise():
         np.full((1, 1, 3), -1.0),
         np.full((1, 1, 3), 256.0),
         np.full((1, 1, 3), np.nan),
+        # integers outside 8 bits are refused, never wrapped
+        np.array([[[300, 0, 5]]], dtype=np.int64),
+        np.array([[[-1, 0, 5]]], dtype=np.int64),
+        [[[300, 0, 5]]],
     ],
 )
 def test_invalid_pixel_arrays_rejected(bad):
@@ -460,7 +464,7 @@ def test_mutated_files_decode_or_raise_input_error(
     rng = np.random.default_rng(seed)
     if color_type is None:
         decode = decode_ppm
-        image = RasterImage.from_uint8(rng.integers(0, 256, (height, width, 3)))
+        image = RasterImage(rng.integers(0, 256, (height, width, 3)).astype(np.uint8))
         data = _mutate(encode_ppm(image), mutations, 2)
     else:
         decode = decode_png
