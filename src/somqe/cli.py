@@ -14,8 +14,8 @@ Each takes --out, --config and only the other flags it reads, unabbreviated
 so that 'score --grid' is no '--grid-file'; a config file may set any key.
 
 Exit codes: 0 success, 1 unusable input, 2 computation failure
-(registration that does not converge, or a frame worker process that died),
-130 interrupted (SIGINT, as Ctrl-C sends it).
+(registration that does not converge, a frame worker process that died, or
+running out of memory), 130 interrupted (SIGINT, as Ctrl-C sends it).
 Errors print exactly one line to stderr of the form
 'somqe: error: <category>: <message>'.  `run --trace FILE` also writes the
 seconds each frame spent in each stage, as JSONL.
@@ -305,12 +305,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args, _config_from_args(args))
-    except InputError as exc:
-        return _fail(1, "input", exc)
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         return _fail(1, "input", exc)
     except ComputationError as exc:
         return _fail(2, "computation", exc)
+    except MemoryError as exc:
+        return _fail(2, "computation", f"out of memory: {exc}")
     except KeyboardInterrupt:  # the frame pool was shut down as this unwound
         return _fail(130, "interrupted", "stopped by SIGINT")
 

@@ -17,7 +17,6 @@ and seed, whatever the number of workers.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import re
 import resource
@@ -257,15 +256,8 @@ def ingest_covariates(path) -> list[Series]:
     kept = [(n, ln) for n, ln in numbered if ln.strip() and ln.lstrip()[0] != "#"]
     if not kept:
         raise InputError(f"covariate file {path}: no data")
-    header_line = kept[0][1]
-    if ";" in header_line:
-        delimiter = ";"
-    elif "\t" in header_line:
-        delimiter = "\t"
-    else:
-        delimiter = ","
-    text = "\n".join(ln for _, ln in kept)
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    delimiter = next((d for d in ";\t" if d in kept[0][1]), ",")
+    reader = csv.reader((ln + "\n" for _, ln in kept), delimiter=delimiter)
     rows = []  # (file line, fields)
     try:
         for row in reader:
@@ -279,31 +271,23 @@ def ingest_covariates(path) -> list[Series]:
             f"covariate file {path}: first column must be 'year', "
             f"got header {header!r}"
         )
-    names = header[1:]
-    years: list[float] = []
-    columns: list[list[float]] = [[] for _ in names]
+    table = []  # every data row's values, year first, row after row
     for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise InputError(
                 f"covariate file {path}, line {lineno}: expected {len(header)} "
                 f"fields, got {len(row)}"
             )
-        parsed = []
         for c, cell in enumerate(row, start=1):
             try:
-                parsed.append(parse_decimal(cell))
+                table.append(parse_decimal(cell))
             except ValueError:
                 raise InputError(
                     f"covariate file {path}: unparseable cell at line {lineno}, "
                     f"column {c}: {cell.strip()!r}"
                 ) from None
-        years.append(parsed[0])
-        for c, value in enumerate(parsed[1:]):
-            columns[c].append(value)
-    return [
-        Series(name, np.array(years), np.array(col))
-        for name, col in zip(names, columns)
-    ]
+    columns = np.array(table, dtype=np.float64).reshape(-1, len(header)).T
+    return [Series(name, columns[0], col) for name, col in zip(header[1:], columns[1:])]
 
 
 def apply_year_fix(series: Series, mode: str) -> Series:

@@ -24,6 +24,8 @@ bits in either dtype; files always carry rounded 8-bit samples.
 from __future__ import annotations
 
 import os
+import re
+import stat
 import struct
 import tempfile
 import zlib
@@ -126,6 +128,11 @@ def luminance_plane(planes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PPM (P6)
 
+# a header token after any whitespace and '#' comments; a comment must reach a
+# line end or the data's end (no tail of it is a token), and a repeat takes one
+# byte or one comment, so a failed match backtracks in linear time
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
+
 def _ppm_tokens(data: bytes, count: int, start: int):
     """Return (tokens, position): the `count` whitespace-separated header
     tokens from `start`, and the position of the byte right after the last.
@@ -133,23 +140,13 @@ def _ppm_tokens(data: bytes, count: int, start: int):
     '#' starts a comment running to end of line.
     """
     tokens = []
-    i = start
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] not in (10, 13):
-                i += 1
-            continue
-        if i >= n:
+    for _ in range(count):
+        match = _PPM_TOKEN.match(data, start)
+        if match is None:
             raise InputError("malformed header: unexpected end of file")
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+        tokens.append(match[1])
+        start = match.end()
+    return tokens, start
 
 def decode_ppm(data: bytes) -> RasterImage:
     if data[:2] != b"P6":
@@ -333,10 +330,17 @@ def decode_png(data: bytes) -> RasterImage:
 # ---------------------------------------------------------------------------
 # file-level helpers
 
+def read_bytes(path) -> bytes:
+    """An input file's bytes; the one place an input is opened.  A device, FIFO
+    or directory raises InputError unopened: none is read endlessly or waited on."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise InputError(f"{path}: not a regular file")
+    with open(path, "rb") as fh:
+        return fh.read()
+
 def load_image(path) -> RasterImage:
     """Read a P6 PPM or an 8-bit PNG, dispatching on the magic bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     if data[:2] == b"P6":
         return decode_ppm(data)
     if data[:8] == _PNG_SIGNATURE:
@@ -353,8 +357,7 @@ def read_text(path, encoding: str = "utf-8") -> str:
     A byte that does not decode raises InputError naming the file and its
     offset, and so does a NUL, which no field (and no path) may hold,
     naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     try:
         text = data.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:

@@ -165,8 +165,6 @@ def initialize_grid(image: RasterImage, width: int, height: int, seed: int) -> S
         raise InputError("grid dimensions must be positive")
     pixels = as_pixel_vectors(image)
     n = pixels.shape[0]
-    if n == 0:
-        raise InputError("empty training image")
     stream = SplitMix64(substream_seed(seed, INIT_STREAM))
     picks = np.empty(width * height, dtype=np.int64)
     for i in range(width * height):
@@ -218,8 +216,6 @@ def train(grid: SomGrid, image: RasterImage, params: TrainingParams) -> SomGrid:
     """
     pixels = as_pixel_vectors(image)
     n = pixels.shape[0]
-    if n == 0:
-        raise InputError("empty training image")
     stream = SplitMix64(substream_seed(params.seed, SAMPLE_STREAM))
     current = grid
     for t in range(params.iterations):

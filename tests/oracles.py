@@ -4,9 +4,10 @@ Everything here deliberately takes a different route from the library code:
 the generator is re-derived step by step from its five constants, sums are
 exact rationals or 50-digit mpmath, the t-tail probability is numerical
 integration of the density or mpmath's hypergeometric incomplete beta rather
-than the library's continued fraction, and the OLS oracle uses raw
-(uncentered) textbook sums, and PNG scanlines are unfiltered byte by byte
-as the specification states it.  The scoring and warping
+than the library's continued fraction, the OLS oracle uses raw
+(uncentered) textbook sums, PNG scanlines are unfiltered byte by byte
+as the specification states it, and PPM header tokens are lexed by a loop
+over the bytes instead of a regular expression.  The scoring and warping
 kernels are kept here in their first, dense form, which the fast kernels
 must match bit for bit, and so are the frame steps in their first form, on
 interleaved (height, width, 3) float64 pixels, which the planar steps must
@@ -113,6 +114,33 @@ def png_unfilter_bytewise(raw: bytes, width: int, height: int, bpp: int) -> np.n
         out.append(line)
         prior = line
     return np.array(out, dtype=np.uint8).reshape(height, width, bpp)
+
+
+# ---------------------------------------------------------------------------
+# PPM header
+
+def ppm_tokens_by_loop(data: bytes, count: int, start: int):
+    """(tokens, position) of `count` PPM header tokens from `start`, a byte at
+    a time: skip whitespace, skip a '#' comment up to CR or LF, else take the
+    run of bytes that are neither whitespace nor '#'."""
+    tokens = []
+    i = start
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] not in (10, 13):
+                i += 1
+            continue
+        if i >= n:
+            raise ValueError("malformed header: unexpected end of file")
+        j = i
+        while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
+            j += 1
+        tokens.append(data[i:j])
+        i = j
+    return tokens, i
 
 
 # ---------------------------------------------------------------------------

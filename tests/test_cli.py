@@ -928,3 +928,69 @@ def test_run_refuses_a_bad_output_target_before_loading_a_frame(
     assert not (out / "report.csv").exists()
     assert taken.read_text() == "kept\n"
     assert list((tmp_path / "a-dir").iterdir()) == []
+
+
+def _somqe_limited(argv, cwd):
+    """`somqe` in a subprocess limited to 2 GiB of address space and 60 s, so
+    an input read without bound fails or times out instead of taking the
+    machine's memory or hanging the suite."""
+    src = str(Path(somqe.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from somqe.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("flag", ["--manifest", "--config", "--covariates"])
+def test_an_endless_device_as_an_input_file_exits_1_at_once(tmp_path, flag):
+    manifest, _ = make_workspace(tmp_path)
+    argv = ["run", flag, "/dev/zero", "--out", str(tmp_path / "o")]
+    if flag != "--manifest":
+        argv += ["--manifest", str(manifest)]
+    proc = _somqe_limited(argv, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "somqe: error: input: /dev/zero: not a regular file\n"
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_as_the_anchor_frame_exits_1_at_once(tmp_path):
+    """Opening a FIFO for reading would wait for a writer that never comes."""
+    manifest, _ = make_workspace(tmp_path)
+    anchor = tmp_path / "img_2.ppm"  # the manifest's last entry
+    anchor.unlink()
+    os.mkfifo(anchor)
+    proc = _somqe_limited(["run", "--manifest", str(manifest), "--out", "o"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"somqe: error: input: frame 2 ({anchor}): {anchor}: not a regular file\n"
+    )
+
+
+def test_a_directory_as_an_input_file_exits_1(tmp_path, capsys):
+    assert main(["run", "--manifest", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert f"{tmp_path}: not a regular file" in captured.err
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    manifest, _ = make_workspace(tmp_path)
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(pipeline_module, "fit_som", exhausted)
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "somqe: error: computation: out of memory: Unable to allocate 74.5 GiB for an array\n"
+    )

@@ -271,6 +271,27 @@ def test_ingest_covariates_duplicate_year_keeps_both(tmp_path):
     assert list(series.y) == [1.0, 2.0]
 
 
+def test_ingest_covariates_quoted_header_cell_spans_a_comment_line(tmp_path):
+    """Comment lines drop out before the CSV reader, so a quoted cell runs on
+    across one to its next kept line."""
+    path = tmp_path / "cov.csv"
+    path.write_text('year,"a\n# between\nb"\n1984,1\n1985,2\n')
+    (series,) = ingest_covariates(path)
+    assert series.label == "a\nb"
+    assert list(series.x) == [1984.0, 1985.0]
+    assert list(series.y) == [1.0, 2.0]
+
+
+def test_ingest_covariates_header_only_gives_empty_series(tmp_path):
+    path = tmp_path / "cov.csv"
+    path.write_text("# no rows yet\nyear,visitors,population\n")
+    series = ingest_covariates(path)
+    assert [s.label for s in series] == ["visitors", "population"]
+    for s in series:
+        assert s.x.shape == s.y.shape == (0,)
+        assert s.x.dtype == s.y.dtype == np.float64
+
+
 def test_ingest_covariates_errors(tmp_path):
     path = tmp_path / "cov.csv"
 

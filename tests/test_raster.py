@@ -1,8 +1,11 @@
 """Image IO and contrast: exact bytes in, exact values out."""
 
+import ast
 import struct
+import time
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from somqe import raster
 from somqe.raster import MAX_PNG_PIXELS, decode_png, decode_ppm, encode_ppm
 
 from conftest import random_image
-from oracles import png_unfilter_bytewise
+from oracles import png_unfilter_bytewise, ppm_tokens_by_loop
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +129,19 @@ def test_planes_are_uint8_for_8_bit_samples_and_float64_otherwise():
         np.array([[[300, 0, 5]]], dtype=np.int64),
         np.array([[[-1, 0, 5]]], dtype=np.int64),
         [[[300, 0, 5]]],
+        # a zero dimension: no image is empty, so no later step checks for it
+        np.zeros((0, 4, 3), dtype=np.uint8),
+        np.zeros((4, 0, 3), dtype=np.uint8),
     ],
 )
 def test_invalid_pixel_arrays_rejected(bad):
     with pytest.raises(InputError):
         RasterImage(bad)
+
+
+def test_planes_with_a_zero_dimension_rejected():
+    with pytest.raises(InputError, match="dimensions must be positive"):
+        RasterImage.from_planes(np.zeros((3, 0, 2), dtype=np.uint8))
 
 
 def test_to_uint8_rounds_half_up():
@@ -143,6 +154,43 @@ def test_luminance_weights():
     assert image.luminance()[0, 0] == pytest.approx(
         0.299 * 100 + 0.587 * 200 + 0.114 * 50
     )
+
+
+def _file_opens(module: Path):
+    """(function, callee) of every call in `module` that opens a file."""
+    opens = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                # a bare read_bytes or read_text is raster's own reader, not Path's
+                if callee == "open" or callee.endswith(
+                    (".open", ".fdopen", ".read_bytes", ".read_text")
+                ):
+                    opens.append((function, callee))
+            visit(child, function)
+
+    visit(ast.parse(module.read_text(encoding="utf-8")), None)
+    return opens
+
+
+def test_read_bytes_is_the_only_place_an_input_file_is_opened():
+    """Every input goes through the regular-file check in `read_bytes`; the
+    one other open is the temporary file `atomic_write_bytes` writes."""
+    package = Path(raster.__file__).parent
+    opens = {
+        (module.stem, function, callee)
+        for module in sorted(package.glob("*.py"))
+        for function, callee in _file_opens(module)
+    }
+    assert opens == {
+        ("raster", "read_bytes", "open"),
+        ("raster", "atomic_write_bytes", "os.fdopen"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +224,58 @@ def test_ppm_error_malformed_header():
         decode_ppm(b"P6\n2 two\n255\n" + bytes(12))
     with pytest.raises(InputError, match="malformed header"):
         decode_ppm(b"P6\n2 2")
+    # a comment that runs to the end of the data is no token, nor is its tail
+    with pytest.raises(InputError, match="^malformed header: unexpected end of file$"):
+        decode_ppm(b"P6 2 2 #255")
+
+
+# every byte that decides a token boundary: the six ASCII whitespace bytes
+# (CR and LF among them, which also end a comment), '#', and bytes that only
+# look like whitespace elsewhere (0x1c and Latin-1's 0x85 and 0xa0)
+_HEADER_BYTES = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"\x1c", b"\x85", b"\xa0",
+     b"0", b"2", b"5", b"9", b"P", b"a", b"Z"]
+)
+
+
+def _lex(lexer, data: bytes, count: int, start: int):
+    try:
+        return lexer(data, count, start)
+    except (InputError, ValueError) as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("data", [
+    b"P6 2 2 #255",  # a comment that runs to the end of the data is no token
+    b"P6 2 2 #255\n255",
+    b"P6 2 2 #255\r255",
+    b"P6#c\n2#c\r2#\n255#",
+    b"P6 2 2",
+    b"P6",
+])
+def test_ppm_tokens_match_the_byte_loop(data):
+    assert _lex(raster._ppm_tokens, data, 3, 2) == _lex(ppm_tokens_by_loop, data, 3, 2)
+
+
+@given(st.lists(_HEADER_BYTES, max_size=40).map(b"".join), st.integers(0, 45),
+       st.integers(1, 4))
+@settings(max_examples=500, deadline=None)
+def test_ppm_tokens_match_the_byte_loop_on_drawn_headers(data, start, count):
+    """Tokens, end position and error text all agree with the byte loop."""
+    assert _lex(raster._ppm_tokens, data, count, start) == _lex(
+        ppm_tokens_by_loop, data, count, start
+    )
+
+
+def test_a_long_blank_ppm_header_lexes_in_linear_time():
+    """A long header of blanks and comments with no token fails fast: the
+    lexer backtracks over it in linear time, where a nested repeat in its
+    pattern would take minutes."""
+    data = b"P6" + b" \t\n# c\r" * 200_000
+    started = time.perf_counter()
+    with pytest.raises(InputError, match="unexpected end of file"):
+        decode_ppm(data)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_ppm_error_truncated_payload():
