@@ -474,11 +474,10 @@ class FrameStage:
         )
 
     def _load(self, i: int) -> RasterImage:
-        path = self.manifest.entries[i].path
-        try:
-            return load_image(path)
+        try:  # each error names the file already
+            return load_image(self.manifest.entries[i].path)
         except (OSError, InputError) as exc:
-            raise InputError(f"frame {i} ({path}): {exc}") from None
+            raise InputError(f"frame {i}: {exc}") from None
 
 
 def preprocessed_frames(manifest: Manifest, config: RunConfig, tail):

@@ -339,13 +339,16 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 def load_image(path) -> RasterImage:
-    """Read a P6 PPM or an 8-bit PNG, dispatching on the magic bytes."""
+    """Read a P6 PPM or 8-bit PNG by its magic bytes; every error names the file."""
     data = read_bytes(path)
-    if data[:2] == b"P6":
-        return decode_ppm(data)
-    if data[:8] == _PNG_SIGNATURE:
-        return decode_png(data)
-    raise InputError("malformed header: not a P6 PPM or PNG file")
+    try:
+        if data[:2] == b"P6":
+            return decode_ppm(data)
+        if data[:8] == _PNG_SIGNATURE:
+            return decode_png(data)
+        raise InputError("malformed header: not a P6 PPM or PNG file")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 def save_image(image: RasterImage, path) -> None:
     """Write as binary PPM, atomically (temp file then rename)."""

@@ -130,11 +130,6 @@ class QeResult:
         object.__setattr__(self, "assignment_counts", counts)
 
 
-def as_pixel_vectors(image: RasterImage) -> np.ndarray:
-    """Row-major (N, 3) array of pixels scaled from 8-bit to [0, 1]."""
-    return np.divide(image.planes.reshape(3, -1).T, 255.0, dtype=np.float64)
-
-
 def pairwise_sum(values) -> float:
     """Sum by repeatedly adding adjacent pairs.
 
@@ -163,26 +158,33 @@ def initialize_grid(image: RasterImage, width: int, height: int, seed: int) -> S
     """
     if width < 1 or height < 1:
         raise InputError("grid dimensions must be positive")
-    pixels = as_pixel_vectors(image)
-    n = pixels.shape[0]
+    flat = image.planes.reshape(3, -1)
     stream = SplitMix64(substream_seed(seed, INIT_STREAM))
-    picks = np.empty(width * height, dtype=np.int64)
-    for i in range(width * height):
-        picks[i] = stream.next_index(n)
-    return SomGrid(width, height, pixels[picks])
+    picks = [stream.next_index(image.pixel_count) for _ in range(width * height)]
+    return SomGrid(width, height, np.divide(flat[:, picks].T, 255.0, dtype=np.float64))
+
+
+def _nearest(models: np.ndarray, x: np.ndarray) -> tuple[int, float]:
+    """Nearest model's index and squared distance; ties go to the lowest index."""
+    diff = models - x
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    idx = int(np.argmin(d2))
+    return idx, d2[idx]
 
 
 def best_matching_unit(x, grid: SomGrid) -> tuple[int, float]:
-    """Index of the model nearest x in RGB, plus that distance.
+    """Index of the model nearest x in RGB, plus that distance; ties as `_nearest`."""
+    idx, d2 = _nearest(grid.models, np.asarray(x, dtype=np.float64))
+    return idx, math.sqrt(d2)
 
-    Comparison is on squared distances; ties go to the lowest row-major
-    index (np.argmin returns the first minimum).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    diff = grid.models - x
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    idx = int(np.argmin(d2))
-    return idx, math.sqrt(d2[idx])
+
+def _present(models, coords, x, alpha_t: float, radius_t: float) -> None:
+    """train_step on a (K, 3) models array in place; coords: `grid_coordinates()`."""
+    winner, _ = _nearest(models, x)
+    delta = coords - coords[winner]
+    within = (delta[:, 0] ** 2 + delta[:, 1] ** 2) <= radius_t * radius_t
+    models[within] += alpha_t * (x - models[within])
+    np.clip(models, 0.0, 1.0, out=models)
 
 
 def train_step(grid: SomGrid, x, alpha_t: float, radius_t: float) -> SomGrid:
@@ -196,14 +198,9 @@ def train_step(grid: SomGrid, x, alpha_t: float, radius_t: float) -> SomGrid:
         raise InputError("alpha_t must be non-negative")
     if radius_t < 0.0:
         raise InputError("radius_t must be non-negative")
-    x = np.asarray(x, dtype=np.float64)
-    winner, _ = best_matching_unit(x, grid)
-    coords = grid.grid_coordinates()
-    delta = coords - coords[winner]
-    within = (delta[:, 0] ** 2 + delta[:, 1] ** 2) <= radius_t * radius_t
     models = grid.models.copy()
-    models[within] += alpha_t * (x - models[within])
-    np.clip(models, 0.0, 1.0, out=models)
+    x = np.asarray(x, dtype=np.float64)
+    _present(models, grid.grid_coordinates(), x, alpha_t, radius_t)
     return SomGrid(grid.width, grid.height, models)
 
 
@@ -211,18 +208,19 @@ def train(grid: SomGrid, image: RasterImage, params: TrainingParams) -> SomGrid:
     """Run params.iterations sequential presentations of random pixels.
 
     Iteration t draws exactly one pixel index from the sample substream of
-    params.seed and applies train_step with the schedule values for t.  The
-    result is a pure function of (grid, image bytes, params).
+    params.seed and presents it as train_step does, with the schedule values
+    for t, to one models array.  The result is a pure function of (grid,
+    image bytes, params).
     """
-    pixels = as_pixel_vectors(image)
-    n = pixels.shape[0]
+    flat = image.planes.reshape(3, -1)
+    n = flat.shape[1]
     stream = SplitMix64(substream_seed(params.seed, SAMPLE_STREAM))
-    current = grid
+    models = grid.models.copy()
+    coords = grid.grid_coordinates()
     for t in range(params.iterations):
-        x = pixels[stream.next_index(n)]
-        alpha_t, radius_t = params.schedule(t)
-        current = train_step(current, x, alpha_t, radius_t)
-    return current
+        x = np.divide(flat[:, stream.next_index(n)], 255.0, dtype=np.float64)
+        _present(models, coords, x, *params.schedule(t))
+    return SomGrid(grid.width, grid.height, models)
 
 
 def fit_som(image: RasterImage, width: int, height: int, params: TrainingParams) -> SomGrid:

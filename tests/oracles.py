@@ -12,7 +12,8 @@ kernels are kept here in their first, dense form, which the fast kernels
 must match bit for bit, and so are the frame steps in their first form, on
 interleaved (height, width, 3) float64 pixels, which the planar steps must
 match bit for bit whether a frame's planes are uint8 or float64.  The
-map-size pick is kept as the pairwise loop it first was.
+map-size pick is kept as the pairwise loop it first was, and training as
+the fold of the public `train_step` over every drawn pixel that it first was.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from somqe.rng import SAMPLE_STREAM
+from somqe.som import train_step
 
 mp.mp.dps = 50
 
@@ -166,6 +170,28 @@ def grid_neighbors_within(width: int, height: int, winner: int, radius: float):
             if math.hypot(r - wr, c - wc) <= radius:
                 hits.append(r * width + c)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# training
+
+def pixel_vectors(image) -> np.ndarray:
+    """Row-major (N, 3) array of pixels scaled from 8-bit to [0, 1]."""
+    return np.divide(image.planes.reshape(3, -1).T, 255.0, dtype=np.float64)
+
+
+def train_by_steps(grid, image, params):
+    """params.iterations calls of `train_step`, each on the grid the last one
+    returned: step t presents the pixel of the t-th sample-substream draw
+    (mod the pixel count) with the schedule values for t."""
+    pixels = pixel_vectors(image)
+    stream_seed = splitmix64_sequence(params.seed, SAMPLE_STREAM + 1)[SAMPLE_STREAM]
+    draws = splitmix64_sequence(stream_seed, params.iterations)
+    current = grid
+    for t, draw in enumerate(draws):
+        alpha_t, radius_t = params.schedule(t)
+        current = train_step(current, pixels[draw % len(pixels)], alpha_t, radius_t)
+    return current
 
 
 # ---------------------------------------------------------------------------

@@ -972,8 +972,37 @@ def test_a_fifo_as_the_anchor_frame_exits_1_at_once(tmp_path):
     proc = _somqe_limited(["run", "--manifest", str(manifest), "--out", "o"], tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == (
-        f"somqe: error: input: frame 2 ({anchor}): {anchor}: not a regular file\n"
+        f"somqe: error: input: frame 2: {anchor}: not a regular file\n"
     )
+
+
+def _missing(path):
+    path.unlink()
+
+
+def _truncated_png(path):
+    # the PNG signature, then an IHDR chunk cut off 2 bytes into its 13
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR\x00\x00")
+
+
+@pytest.mark.parametrize("index, spoil, reason", [
+    (0, _missing, "No such file or directory"),
+    (2, _truncated_png, "truncated payload: incomplete PNG chunk"),
+])
+def test_a_frame_error_names_the_frame_once_and_its_file_once(
+    tmp_path, capsys, index, spoil, reason
+):
+    """Frame 0 fails in a frame worker, frame 2, the anchor, in this process."""
+    manifest, _ = make_workspace(tmp_path)
+    frame = tmp_path / f"img_{index}.ppm"
+    spoil(frame)
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert captured.err.startswith(f"somqe: error: input: frame {index}: ")
+    assert captured.err.count("frame ") == 1
+    assert captured.err.count(str(frame)) == 1
+    assert reason in captured.err
 
 
 def test_a_directory_as_an_input_file_exits_1(tmp_path, capsys):

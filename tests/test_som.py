@@ -23,7 +23,7 @@ from somqe import (
     train_step,
 )
 from somqe import som
-from somqe.som import as_pixel_vectors, grid_from_text, grid_to_text, pairwise_sum
+from somqe.som import grid_from_text, grid_to_text, pairwise_sum
 from somqe.rng import INIT_STREAM, SAMPLE_STREAM, substream_seed
 
 from conftest import random_image, two_color_image
@@ -33,7 +33,9 @@ from oracles import (
     brute_force_bmu,
     grid_neighbors_within,
     map_size_pick_by_loop,
+    pixel_vectors,
     splitmix64_sequence,
+    train_by_steps,
 )
 
 
@@ -89,7 +91,7 @@ def test_bmu_tie_goes_to_lowest_row_major_index():
 
 def test_initialize_draws_from_init_substream():
     image = random_image(21, 5, 7)
-    pixels = as_pixel_vectors(image)
+    pixels = pixel_vectors(image)
     seed = 909
     grid = initialize_grid(image, 4, 2, seed)
     stream_seed = splitmix64_sequence(seed, INIT_STREAM + 1)[INIT_STREAM]
@@ -183,7 +185,7 @@ def test_train_is_deterministic_bitwise():
 
 def test_train_first_draw_comes_from_sample_substream():
     image = random_image(4, 6, 6)
-    pixels = as_pixel_vectors(image)
+    pixels = pixel_vectors(image)
     seed = 31
     grid = initialize_grid(image, 1, 1, seed)
     trained = train(grid, image, TrainingParams(
@@ -192,6 +194,63 @@ def test_train_first_draw_comes_from_sample_substream():
     first_draw = splitmix64_sequence(stream_seed, 1)[0] % pixels.shape[0]
     # alpha 1 snaps the single model onto the drawn pixel
     assert np.array_equal(trained.models[0], pixels[first_draw])
+
+
+@given(
+    height=st.integers(1, 9),
+    width=st.integers(1, 9),
+    eight_bit=st.booleans(),
+    grid_width=st.integers(1, 4),
+    grid_height=st.integers(1, 4),
+    iterations=st.integers(1, 40),
+    decay_mode=st.sampled_from(som.DECAY_MODES),
+    alpha=st.floats(0.0, 1.0),
+    radius=st.floats(0.0, 3.0, exclude_min=True),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_train_matches_the_fold_of_train_step_bit_for_bit(
+    height, width, eight_bit, grid_width, grid_height, iterations, decay_mode,
+    alpha, radius, seed,
+):
+    rng = np.random.default_rng(seed)
+    if eight_bit:
+        image = RasterImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
+    else:  # fractional samples, as a resampled frame holds
+        image = RasterImage(rng.uniform(0.0, 255.0, (height, width, 3)))
+    grid = SomGrid(grid_width, grid_height, rng.random((grid_width * grid_height, 3)))
+    params = TrainingParams(
+        learning_rate=alpha, neighborhood_radius=radius, iterations=iterations,
+        seed=seed, decay_mode=decay_mode,
+    )
+    trained = train(grid, image, params)
+    expected = train_by_steps(grid, image, params)
+    assert np.array_equal(trained.models.view(np.uint64), expected.models.view(np.uint64))
+
+
+def test_fit_som_builds_two_grids_and_no_per_pixel_buffer(monkeypatch):
+    """One grid from initialize_grid and one from train, whatever the iteration
+    count: the presentations share one models array, and each draws its pixel
+    from the 8-bit planes, so no (N, 3) float copy of the frame is made."""
+    image = RasterImage(
+        np.random.default_rng(5).integers(0, 256, (512, 512, 3), dtype=np.uint8)
+    )
+    constructions = []
+    check = SomGrid.__post_init__
+
+    def counted(grid):
+        constructions.append(grid.model_count)
+        check(grid)
+
+    monkeypatch.setattr(SomGrid, "__post_init__", counted)
+    tracemalloc.start()
+    try:
+        fit_som(image, 4, 4, TrainingParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert constructions == [16, 16]
+    assert peak < 1 << 20
 
 
 def test_zero_learning_rate_train_is_identity():
