@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import ComputationError, InputError, RegistrationError
 from .raster import (
-    RasterImage, atomic_write_bytes, load_image, normalize_contrast, read_text
+    RasterImage, atomic_write_bytes, load_image, normalize_contrast, read_text, text_records
 )
 from .register import (
     RegistrationTransform,
-    identity_transform,
     mean_square_residual,
     reference_pyramid,
     register_pair,
@@ -101,11 +100,8 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
     path = Path(path)
     entries = []
     seen_paths = set()
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split("\t")
+    for lineno, line in text_records(read_text(path)):
+        fields = line.split("\t")
         if len(fields) != 3:
             raise InputError(
                 f"manifest line {lineno}: expected 'path<TAB>label<TAB>year', "
@@ -165,13 +161,10 @@ def load_config_file(path) -> dict[str, str]:
     """Parse 'key = value' lines; '#' comments and blank lines are skipped."""
     entries: dict[str, str] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for lineno, line in text_records(read_text(path)):
+        if "=" not in line:
             raise InputError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = (part.strip() for part in stripped.partition("="))
+        key, _, value = (part.strip() for part in line.partition("="))
         if key in set_on:
             raise InputError(
                 f"config line {lineno}: key {key!r} already set on line {set_on[key]}"
@@ -252,8 +245,7 @@ def ingest_covariates(path) -> list[Series]:
     comments.  A duplicated year keeps both rows.
     """
     path = Path(path)
-    numbered = enumerate(read_text(path).split("\n"), start=1)
-    kept = [(n, ln) for n, ln in numbered if ln.strip() and ln.lstrip()[0] != "#"]
+    kept = text_records(read_text(path))
     if not kept:
         raise InputError(f"covariate file {path}: no data")
     delimiter = next((d for d in ";\t" if d in kept[0][1]), ",")
@@ -423,9 +415,7 @@ class FrameStage:
         self.mode = config.registration_mode
         self.normalize = config.normalize
         self.tail = tail
-        self.identity = identity_transform(
-            "translation" if self.mode == "none" else self.mode
-        )
+        self.identity = RegistrationTransform("translation" if self.mode == "none" else self.mode)
         self.levels = None
         self.luminance = None
 
@@ -525,7 +515,7 @@ def _map_frames(stage: FrameStage, indices: list[int]):
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(stage, os.getpid()),
+        initargs=(stage,),
     )
     try:
         with warnings.catch_warnings():
@@ -535,13 +525,10 @@ def _map_frames(stage: FrameStage, indices: list[int]):
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
-            futures = [pool.submit(_run_stage, i) for i in indices]
-        for future in futures:
-            try:
-                staged = future.result()
-            except BrokenProcessPool as exc:
-                raise ComputationError(f"a frame worker process died: {exc}") from None
-            yield staged
+            staged = pool.map(_run_stage, indices)
+        yield from staged
+    except BrokenProcessPool as exc:
+        raise ComputationError(f"a frame worker process died: {exc}") from None
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -549,7 +536,8 @@ def _map_frames(stage: FrameStage, indices: list[int]):
 _worker_stage = None  # the FrameStage a forked worker runs, set as it starts
 
 
-def _start_worker(stage: FrameStage, parent: int) -> None:
+def _start_worker(stage: FrameStage) -> None:
+    import multiprocessing
     import signal
     import threading
 
@@ -557,14 +545,14 @@ def _start_worker(stage: FrameStage, parent: int) -> None:
     keep_freed_buffers()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_stage = stage
+    parent = multiprocessing.parent_process()
     threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
 
 
-def _exit_with(parent: int) -> None:
+def _exit_with(parent) -> None:
     # a parent killed by SIGTERM or SIGKILL never shuts the pool down, and
     # its workers would wait on their call queue forever
-    while os.getppid() == parent:
-        time.sleep(0.5)
+    parent.join()  # returns as soon as the parent process dies
     os._exit(1)
 
 
@@ -658,21 +646,20 @@ def qe_report(
 def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
     """The whole run: align, normalize, train on the anchor, score, fit the trend.
 
-    A `config.covariates` file is read, year-fixed and paired with the
-    manifest's labels and year-fixed years before any frame is loaded, then
-    correlated with the QE series.  `frames` holds each frame's StagedFrame.
+    The manifest's year-fixed years must admit a trend, and a
+    `config.covariates` file is read, year-fixed and paired with them, before
+    any frame is loaded.  `frames` holds each frame's StagedFrame.
     """
-    covariates = []
-    if config.covariates is not None:
-        fixed = apply_year_fix(Series("", manifest.years, manifest.years), config.year_fix)
-        covariates = read_covariates(config.covariates, config.year_fix)
-        labels = [e.label for e in manifest.entries]
-        check_pairing(labels, fixed.x, covariates, config.covariates)
+    fixed = apply_year_fix(Series("", manifest.years, manifest.years), config.year_fix)
+    linear_fit(fixed)  # the trend's rules: 3 points, 2 distinct years
+    source = config.covariates
+    covariates = [] if source is None else read_covariates(source, config.year_fix)
+    check_pairing([e.label for e in manifest.entries], fixed.x, covariates, source)
     tail = ScoreTail(manifest, config)
     staged = list(preprocessed_frames(manifest, config, tail))
     rows = [s.result for s in sorted(staged, key=lambda s: s.index)]
     report = qe_report(manifest.roi_name, rows, config.year_fix, tail.grid, staged)
-    return correlate(report, covariates, config.covariates)
+    return correlate(report, covariates, source)
 
 
 def correlate(report: QeReport, covariates, source=None) -> QeReport:

@@ -371,6 +371,12 @@ def read_text(path, encoding: str = "utf-8") -> str:
         raise InputError(f"{path} line {line}: NUL character")
     return text
 
+def text_records(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a
+    '#' comment; lines end at '\\n' only and are numbered from 1, all counted."""
+    lines = enumerate(text.split("\n"), start=1)
+    return [(n, s) for n, line in lines if (s := line.strip()) and s[0] != "#"]
+
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, RegistrationError
-from .raster import RasterImage, atomic_write_bytes, luminance_plane, read_text
+from .raster import RasterImage, atomic_write_bytes, luminance_plane, read_text, text_records
 
 _MODES = ("translation", "rigid")
 
@@ -71,11 +71,11 @@ _MIN_PYRAMID_DIM = 32
 
 @dataclass(frozen=True)
 class RegistrationTransform:
-    """Rigid (or pure-translation) map between two equal-size frames."""
+    """Rigid (or pure-translation) map between equal-size frames; identity by default."""
 
     mode: str
-    dx: float
-    dy: float
+    dx: float = 0.0
+    dy: float = 0.0
     theta: float = 0.0
 
     def __post_init__(self):
@@ -104,10 +104,6 @@ class RegistrationTransform:
         dy = s * other.dx + c * other.dy + self.dy
         mode = "rigid" if "rigid" in (self.mode, other.mode) else "translation"
         return RegistrationTransform(mode, dx, dy, self.theta + other.theta)
-
-
-def identity_transform(mode: str = "translation") -> RegistrationTransform:
-    return RegistrationTransform(mode, 0.0, 0.0, 0.0)
 
 
 def _halve(a: np.ndarray) -> np.ndarray:
@@ -356,7 +352,7 @@ def register_pair(
     (carrying the best transform and its residual) when the finest level
     fails to converge.
     """
-    t = identity_transform(mode)  # an unknown mode raises InputError here
+    t = RegistrationTransform(mode)  # identity; an unknown mode raises InputError here
     h, w = reference_levels[0].plane.shape
     if (h, w) != (test.height, test.width):
         raise InputError(
@@ -422,10 +418,7 @@ def write_transform_sidecar(path, records) -> None:
 def read_transform_sidecar(path):
     """Parse a sidecar back into [(index, transform, residual)]."""
     records = []
-    for lineno, line in enumerate(read_text(path, "ascii").split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_records(read_text(path, "ascii")):
         parts = line.split()
         if len(parts) != 6:
             raise InputError(f"transform sidecar line {lineno}: expected 6 fields")

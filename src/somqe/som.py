@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .raster import RasterImage, atomic_write_bytes, read_text
+from .raster import RasterImage, atomic_write_bytes, read_text, text_records
 from .rng import INIT_STREAM, SAMPLE_STREAM, SplitMix64, substream_seed
 
 DECAY_MODES = ("constant", "linear")
@@ -160,7 +160,8 @@ def initialize_grid(image: RasterImage, width: int, height: int, seed: int) -> S
         raise InputError("grid dimensions must be positive")
     flat = image.planes.reshape(3, -1)
     stream = SplitMix64(substream_seed(seed, INIT_STREAM))
-    picks = [stream.next_index(image.pixel_count) for _ in range(width * height)]
+    n = width * height  # every pick allocated before the first draw: a huge grid fails at once
+    picks = np.fromiter((stream.next_index(image.pixel_count) for _ in range(n)), np.int64, n)
     return SomGrid(width, height, np.divide(flat[:, picks].T, 255.0, dtype=np.float64))
 
 
@@ -345,8 +346,8 @@ def grid_to_text(grid: SomGrid) -> str:
 
 
 def grid_from_text(text: str) -> SomGrid:
-    """Parse `grid_to_text` output; errors name the file line, blank lines counted."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    """Parse `grid_to_text` output; errors name the file line, blank and '#' lines counted."""
+    lines = text_records(text)
     if not lines:
         raise InputError("malformed grid header: empty file")
     fields = lines[0][1].split()

@@ -304,6 +304,29 @@ def test_run_rejects_bad_covariates_before_loading_a_frame(
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("years, year_fix, message", [
+    ((2000, 2001), "as-printed", "series too short: need at least 3 points"),
+    ((2000, 2000, 2000), "as-printed", "degenerate x values: no variance to fit a slope"),
+    ((1990, 1991, 1991, 1992), "relabel-1990",
+     "year fix relabel-1990: year 1990 already present"),
+], ids=["two-frames", "one-year", "year-fix-collision"])
+def test_run_checks_the_trend_rules_and_the_year_fix_before_loading_a_frame(
+    tmp_path, capsys, one_cpu, frame_loads, years, year_fix, message
+):
+    manifest, _ = make_workspace(tmp_path, n_frames=len(years))
+    manifest.write_text("".join(
+        f"img_{k}.ppm\tframe{k}\t{year}\n" for k, year in enumerate(years)
+    ))
+    out = tmp_path / "out"
+    argv = ["run", "--manifest", str(manifest), "--year-fix", year_fix, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert message in captured.err
+    assert frame_loads == []
+    assert not (out / "report.csv").exists()
+
+
 def test_run_pipeline_correlates_the_covariates_run_writes(tmp_path):
     manifest, covariates = make_workspace(tmp_path)
     out = tmp_path / "out"
@@ -479,6 +502,15 @@ def test_stats_and_correlate_from_qe_rows(tmp_path, capsys):
     ]) == 0
     names = sorted(p.name for p in plot_out.iterdir())
     assert names == ["patch_qe_trend.svg", "patch_vs_heat.svg"]
+
+
+def test_correlate_without_covariates_exits_1(tmp_path, capsys):
+    qe = tmp_path / "qe.csv"
+    qe.write_text("# roi: patch\na,2000,0.10,0\nb,2001,0.14,0\nc,2002,0.19,1\n")
+    assert main(["correlate", "--qe", str(qe)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "somqe: error: input: correlate needs --covariates\n"
 
 
 def test_stats_fits_the_qe_rows_then_each_covariate_column(tmp_path, capsys):
@@ -930,10 +962,10 @@ def test_run_refuses_a_bad_output_target_before_loading_a_frame(
     assert list((tmp_path / "a-dir").iterdir()) == []
 
 
-def _somqe_limited(argv, cwd):
-    """`somqe` in a subprocess limited to 2 GiB of address space and 60 s, so
-    an input read without bound fails or times out instead of taking the
-    machine's memory or hanging the suite."""
+def _somqe_limited(argv, cwd, timeout=60):
+    """`somqe` in a subprocess limited to 2 GiB of address space and `timeout`
+    seconds, so an input read without bound fails or times out instead of
+    taking the machine's memory or hanging the suite."""
     src = str(Path(somqe.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -945,7 +977,7 @@ def _somqe_limited(argv, cwd):
     )
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -1010,6 +1042,18 @@ def test_a_directory_as_an_input_file_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert_single_error_line(captured, "input")
     assert f"{tmp_path}: not a regular file" in captured.err
+
+
+def test_a_grid_too_large_to_allocate_exits_2_at_once(tmp_path):
+    """The map's initial picks are allocated before the first draw, so a grid
+    of 10^10 models fails there instead of drawing for hours."""
+    manifest, _ = make_workspace(tmp_path)
+    argv = ["run", "--manifest", str(manifest), "--mode", "none",
+            "--grid", "100000x100000", "--out", "o"]
+    proc = _somqe_limited(argv, tmp_path, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("somqe: error: computation: out of memory: ")
 
 
 def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Manifest/config plumbing and the end-to-end scoring run."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -140,6 +141,10 @@ def test_read_manifest_errors(tmp_path):
 
     mpath.write_text("a.ppm\tx\t1984\na.ppm\ty\t1985\n")
     with pytest.raises(InputError, match="duplicate path"):
+        read_manifest(mpath)
+
+    mpath.write_text("b.ppm\tx\t1984\na.ppm\t\t1990\n")
+    with pytest.raises(InputError, match="^manifest line 2: empty path or label$"):
         read_manifest(mpath)
 
     mpath.write_text("# nothing\n")
@@ -282,6 +287,17 @@ def test_ingest_covariates_quoted_header_cell_spans_a_comment_line(tmp_path):
     assert list(series.y) == [1.0, 2.0]
 
 
+def test_ingest_covariates_strips_each_line_before_the_csv_reader(tmp_path):
+    """A line is stripped as every text input's lines are, so a quoted cell's
+    continuation line loses its leading blanks."""
+    path = tmp_path / "cov.csv"
+    path.write_text('year,"a\n   b"\n  1984,1  \n1985,2\n')
+    (series,) = ingest_covariates(path)
+    assert series.label == "a\nb"
+    assert list(series.x) == [1984.0, 1985.0]
+    assert list(series.y) == [1.0, 2.0]
+
+
 def test_ingest_covariates_header_only_gives_empty_series(tmp_path):
     path = tmp_path / "cov.csv"
     path.write_text("# no rows yet\nyear,visitors,population\n")
@@ -305,6 +321,10 @@ def test_ingest_covariates_errors(tmp_path):
 
     path.write_text("year,v\n1984,twelve\n")
     with pytest.raises(InputError, match="line 2, column 2: 'twelve'"):
+        ingest_covariates(path)
+
+    path.write_text("# visitors\n\n  # none yet\n")
+    with pytest.raises(InputError, match=f"^covariate file {re.escape(str(path))}: no data$"):
         ingest_covariates(path)
 
 
@@ -446,6 +466,7 @@ def test_run_pipeline_rejects_mismatched_frame_sizes(tmp_path):
     arrays = [
         np.zeros((8, 8, 3), dtype=np.uint8),
         np.zeros((8, 9, 3), dtype=np.uint8),
+        np.zeros((8, 8, 3), dtype=np.uint8),
     ]
     manifest = write_frames(tmp_path, arrays)
     with pytest.raises(InputError, match="frame 1 is 9x8"):
@@ -453,9 +474,10 @@ def test_run_pipeline_rejects_mismatched_frame_sizes(tmp_path):
 
 
 def test_run_pipeline_missing_frame_file(tmp_path):
-    manifest = Manifest(
-        (ManifestEntry(tmp_path / "absent.ppm", "a", 2000.0),), "x", 0
+    entries = tuple(
+        ManifestEntry(tmp_path / f"absent_{i}.ppm", f"a{i}", 2000.0 + i) for i in range(3)
     )
+    manifest = Manifest(entries, "x", 0)
     with pytest.raises(InputError, match="frame 0"):
         run_pipeline(manifest, RunConfig())
 

@@ -156,9 +156,10 @@ def test_luminance_weights():
     )
 
 
-def _file_opens(module: Path):
-    """(function, callee) of every call in `module` that opens a file."""
-    opens = []
+def _calls(module: Path, wanted):
+    """(function, callee) of every call in `module` that `wanted(call, callee)`
+    picks, `callee` being the source text of the called expression."""
+    found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
@@ -167,30 +168,62 @@ def _file_opens(module: Path):
                 continue
             if isinstance(child, ast.Call):
                 callee = ast.unparse(child.func)
-                # a bare read_bytes or read_text is raster's own reader, not Path's
-                if callee == "open" or callee.endswith(
-                    (".open", ".fdopen", ".read_bytes", ".read_text")
-                ):
-                    opens.append((function, callee))
+                if wanted(child, callee):
+                    found.append((function, callee))
             visit(child, function)
 
     visit(ast.parse(module.read_text(encoding="utf-8")), None)
-    return opens
+    return found
+
+
+def _package_calls(wanted) -> set:
+    """(module, function, callee) of every call in the package that `wanted` picks."""
+    package = Path(raster.__file__).parent
+    return {
+        (module.stem, function, callee)
+        for module in sorted(package.glob("*.py"))
+        for function, callee in _calls(module, wanted)
+    }
+
+
+def _opens_a_file(call, callee) -> bool:
+    # a bare read_bytes or read_text is raster's own reader, not Path's
+    return callee == "open" or callee.endswith((".open", ".fdopen", ".read_bytes", ".read_text"))
+
+
+def _splits_lines(call, callee) -> bool:
+    if callee.endswith(".splitlines"):
+        return True
+    args = [*call.args, *(k.value for k in call.keywords)]
+    newline = any(isinstance(a, ast.Constant) and a.value == "\n" for a in args)
+    return callee.endswith(".split") and newline
 
 
 def test_read_bytes_is_the_only_place_an_input_file_is_opened():
     """Every input goes through the regular-file check in `read_bytes`; the
     one other open is the temporary file `atomic_write_bytes` writes."""
-    package = Path(raster.__file__).parent
-    opens = {
-        (module.stem, function, callee)
-        for module in sorted(package.glob("*.py"))
-        for function, callee in _file_opens(module)
-    }
-    assert opens == {
+    assert _package_calls(_opens_a_file) == {
         ("raster", "read_bytes", "open"),
         ("raster", "atomic_write_bytes", "os.fdopen"),
     }
+
+
+def test_text_records_is_the_one_line_splitter_besides_read_qe_csv():
+    """Every text input shares one blank/'#' line rule; QE rows keep their own
+    loop because their '#' lines carry the roi name and section headers."""
+    splitters = {(module, function) for module, function, _ in _package_calls(_splits_lines)}
+    assert splitters == {("raster", "text_records"), ("pipeline", "read_qe_csv")}
+
+
+def test_no_code_polls_the_parent_pid():
+    """A frame worker waits on its parent's sentinel instead."""
+    assert _package_calls(lambda call, callee: callee.endswith("getppid")) == set()
+
+
+def test_text_records_numbers_every_line_and_keeps_the_rest_stripped():
+    text = "# head\n\n  a b \n\t# indented comment\nc\x0cd\r\n   \ne"
+    assert raster.text_records(text) == [(3, "a b"), (5, "c\x0cd"), (7, "e")]
+    assert raster.text_records("") == []
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +319,13 @@ def test_ppm_error_truncated_payload():
 def test_ppm_error_unsupported_depth():
     with pytest.raises(InputError, match="unsupported bit depth"):
         decode_ppm(b"P6\n2 2\n65535\n" + bytes(24))
+
+
+@pytest.mark.parametrize("width, height", [(0, 4), (-2, 4), (-2, -2)])
+def test_ppm_non_positive_dimensions_rejected(width, height):
+    data = f"P6 {width} {height} 255\n".encode() + bytes(48)
+    with pytest.raises(InputError, match=r"^malformed header: non-positive dimensions$"):
+        decode_ppm(data)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +446,28 @@ def test_png_over_the_pixel_limit_rejected_before_inflating(monkeypatch):
     message = r"^unsupported PNG: 8193x8192 is too large \(over 67108864 pixels\)$"
     with pytest.raises(InputError, match=message):
         decode_png(_png_from_ihdr(ihdr, zlib.compress(bytes(8))))
+
+
+def test_png_zero_width_rejected():
+    ihdr = struct.pack(">IIBBBBB", 0, 2, 8, 2, 0, 0, 0)
+    with pytest.raises(InputError, match=r"^malformed header: non-positive dimensions$"):
+        decode_png(_png_from_ihdr(ihdr))
+
+
+def test_png_without_idat_rejected():
+    ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+    data = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b"")
+    with pytest.raises(InputError, match=r"^truncated payload: no IDAT data$"):
+        decode_png(data)
+
+
+def test_png_palette_errors():
+    idx = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+    with pytest.raises(InputError, match=r"^malformed header: palette image without PLTE$"):
+        decode_png(encode_png(idx, color_type=3))
+    for palette in (np.zeros((3, 3)), np.zeros((0, 3))):  # index 3 past it, or empty
+        with pytest.raises(InputError, match=r"^malformed header: palette index out of range$"):
+            decode_png(encode_png(idx, color_type=3, palette=palette))
 
 
 def test_png_crc_mismatch_rejected():

@@ -21,7 +21,6 @@ from somqe.register import (
     _inverse_sample_coords,
     _gn_level,
     _valid_selector,
-    identity_transform,
     luminance_pyramid,
     mean_square_residual,
     read_transform_sidecar,
@@ -53,6 +52,19 @@ def test_compose_with_inverse_is_identity(dx, dy, theta):
 def test_translation_mode_rejects_rotation():
     with pytest.raises(InputError):
         RegistrationTransform("translation", 1.0, 2.0, 0.1)
+
+
+def test_transform_parameters_must_be_finite():
+    for params in ((math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, -math.inf)):
+        with pytest.raises(InputError, match="^transform parameters must be finite$"):
+            RegistrationTransform("rigid", *params)
+    with pytest.raises(InputError, match="^transform parameters must be finite$"):
+        RegistrationTransform("translation", math.nan, 0.0)
+
+
+def test_a_transform_of_just_a_mode_is_the_identity():
+    for mode in ("translation", "rigid"):
+        assert RegistrationTransform(mode) == RegistrationTransform(mode, 0.0, 0.0, 0.0)
 
 
 def test_theta_normalized_into_half_open_interval():
@@ -135,7 +147,7 @@ def test_pyramid_preserves_mean_within_one_gray_level():
 
 def test_identity_resample_is_bitwise():
     img = random_image(12, 20, 24)
-    out = resample(img, identity_transform())
+    out = resample(img, RegistrationTransform("translation"))
     assert np.array_equal(out.pixels, img.pixels)
 
 

@@ -615,6 +615,16 @@ def test_grid_text_errors_name_the_file_line():
         grid_from_text("\nsomqe-grid v1 2 1\n0 0 0\n0 0\n")
 
 
+def test_grid_text_skips_comment_lines_and_splits_at_newlines_only():
+    """A grid file follows the blank/'#' line rule of every other text input."""
+    grid = grid_from_text("# a 1x1 map\nsomqe-grid v1 1 1\n  # its model\n0.5 0.25 1\n")
+    assert grid.models.tolist() == [[0.5, 0.25, 1.0]]
+    with pytest.raises(InputError, match="grid line 4: expected 3 components"):
+        grid_from_text("somqe-grid v1 2 1\n# first\n0 0 0\n0 0\n")
+    with pytest.raises(InputError, match="malformed grid header"):  # a form feed ends no line
+        grid_from_text("somqe-grid v1 1 1\x0c0 0 0\n")
+
+
 def test_grid_text_rejects_out_of_range_values():
     with pytest.raises(InputError, match="lie in"):
         grid_from_text("somqe-grid v1 1 1\n0 0 1.5\n")

@@ -95,6 +95,18 @@ def test_constant_y_reports_degenerate_fit():
     assert fit.p == 1.0
 
 
+def test_series_data_rules():
+    with pytest.raises(InputError, match="^series data must be one-dimensional$"):
+        Series("grid", np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(InputError, match="^length mismatch: 3 x values against 2 y values$"):
+        Series("short", np.arange(3.0), np.arange(2.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="^series values must be finite$"):
+            Series("gap", np.array([1.0, bad, 3.0]), np.arange(3.0))
+        with pytest.raises(InputError, match="^series values must be finite$"):
+            Series("gap", np.arange(3.0), np.array([1.0, 2.0, bad]))
+
+
 def test_constant_x_raises():
     with pytest.raises(InputError, match="degenerate x"):
         linear_fit(Series("bad", np.full(5, 2.0), np.arange(5.0)))
