@@ -11,7 +11,7 @@ built around.
 import numpy as np
 
 from somqe import RasterImage, TrainingParams, fit_som, quantization_error
-from somqe.som import empty_model_count, map_size_search
+from somqe.som import empty_model_count
 
 rng = np.random.default_rng(11)
 
@@ -26,22 +26,12 @@ params = TrainingParams(
     learning_rate=0.2, neighborhood_radius=1.2, iterations=1000, seed=0
 )
 
-for width, height in [(1, 1), (2, 2), (4, 4)]:
+# a model is "empty" when no pixel picks it as nearest; oversized maps waste
+# models that way, so the largest size with none empty is large enough
+for width, height in [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (6, 6)]:
     grid = fit_som(image, width, height, params)
     result = quantization_error(image, grid)
     print(
         f"{width}x{height} map: qe {result.qe:.5f}, "
         f"{empty_model_count(result)} empty models"
-    )
-
-# a model is "empty" when no pixel picks it as nearest; oversized maps waste
-# models that way. The search returns the largest size with none empty.
-(best_w, best_h), report = map_size_search(
-    image, [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (6, 6)], params
-)
-print(f"\nlargest size with no empty models: {best_w}x{best_h}")
-for candidate in report.candidates:
-    print(
-        f"  {candidate.width}x{candidate.height}: qe {candidate.qe:.5f}, "
-        f"{candidate.empty_models} empty"
     )

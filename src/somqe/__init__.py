@@ -26,7 +26,6 @@ from .pipeline import (
 from .raster import RasterImage, load_image, normalize_contrast, save_image
 from .register import RegistrationTransform, register_pair, resample
 from .som import (
-    MapSizeReport,
     QeResult,
     SomGrid,
     TrainingParams,
@@ -35,7 +34,6 @@ from .som import (
     fit_som,
     initialize_grid,
     load_grid,
-    map_size_search,
     quantization_error,
     save_grid,
     train,
@@ -76,7 +74,6 @@ __all__ = [
     "RegistrationTransform",
     "register_pair",
     "resample",
-    "MapSizeReport",
     "QeResult",
     "SomGrid",
     "TrainingParams",
@@ -85,7 +82,6 @@ __all__ = [
     "fit_som",
     "initialize_grid",
     "load_grid",
-    "map_size_search",
     "quantization_error",
     "save_grid",
     "train",

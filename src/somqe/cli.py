@@ -211,18 +211,24 @@ def _cmd_plot(args, config: RunConfig) -> int:
 def _cmd_run(args, config: RunConfig) -> int:
     faults = minor_faults()
     manifest = read_manifest(_require(args, "manifest"))
-    if args.trace is not None and (args.trace.is_dir() or not args.trace.parent.is_dir()):
-        raise InputError(f"--trace {args.trace}: not a file in an existing directory")
     out = _out_dir(config)  # a bad output target fails here, not after the last frame
+    trace = args.trace
+    if trace is not None:
+        if trace.is_dir() or not trace.parent.is_dir():
+            raise InputError(f"--trace {trace}: not a file in an existing directory")
+        target, root = trace.resolve(), out.resolve()
+        for name in ("report.csv", "grid.txt", "transforms.txt", "plots"):
+            if root / name in (target, *target.parents):
+                raise InputError(f"--trace {trace}: would overwrite the run's {name}")
     report = run_pipeline(manifest, config)
     emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)
     save_grid(report.grid, out / "grid.txt")
     write_transform_sidecar(out / "transforms.txt", _transform_records(report.frames))
     plots = emit_svg_plots(report, out / "plots")
-    if args.trace is not None:
+    if trace is not None:
         emit_s = time.perf_counter() - emit_start
-        _write_trace(args.trace, report.frames, emit_s, minor_faults() - faults)
+        _write_trace(trace, report.frames, emit_s, minor_faults() - faults)
     print(
         f"{report.roi_name}: {len(report.rows)} frames, trend slope "
         f"{report.regression.slope:.6g} per year (r2 {report.regression.r2:.4f}, "

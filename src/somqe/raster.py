@@ -27,7 +27,6 @@ import os
 import re
 import stat
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 
@@ -380,7 +379,9 @@ def text_records(text: str) -> list[tuple[int, str]]:
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".somqe-tmp-")
+    # mode 0666 less the umask, as open() gives; mkstemp's 0600 would stick
+    tmp = os.path.join(directory, f".somqe-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, RegistrationError
-from .raster import RasterImage, atomic_write_bytes, luminance_plane, read_text, text_records
+from .raster import RasterImage, atomic_write_bytes, luminance_plane
 
 _MODES = ("translation", "rigid")
 
@@ -413,23 +413,3 @@ def write_transform_sidecar(path, records) -> None:
                transform.theta, residual)
         )
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def read_transform_sidecar(path):
-    """Parse a sidecar back into [(index, transform, residual)]."""
-    records = []
-    for lineno, line in text_records(read_text(path, "ascii")):
-        parts = line.split()
-        if len(parts) != 6:
-            raise InputError(f"transform sidecar line {lineno}: expected 6 fields")
-        try:
-            index = int(parts[0])
-            dx, dy, theta, residual = map(float, parts[2:])
-        except ValueError:
-            raise InputError(
-                f"transform sidecar line {lineno}: non-numeric field"
-            ) from None
-        records.append(
-            (index, RegistrationTransform(parts[1], dx, dy, theta), residual)
-        )
-    return records

@@ -15,8 +15,7 @@ RGB distance from each pixel to its best-matching model.  Scoring walks the
 pixels in fixed-size blocks and passes each block through every model while
 it sits in cache; the bits do not depend on the block size.  A map that scores
 the image it was trained on with no empty models (models never chosen as a
-winner) is considered large enough for that image; the size search below
-automates that trial-and-error.
+winner) is considered large enough for that image.
 
 Pixels are handled as float vectors in [0, 1], 8-bit samples divided by 255.
 All reductions are ordered deterministically, so every result here is a pure
@@ -278,53 +277,6 @@ def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
 def empty_model_count(result: QeResult) -> int:
     """Number of models that won no pixel at all."""
     return int(np.count_nonzero(result.assignment_counts == 0))
-
-
-@dataclass(frozen=True)
-class MapSizeCandidate:
-    width: int
-    height: int
-    qe: float
-    empty_models: int
-
-
-@dataclass(frozen=True)
-class MapSizeReport:
-    candidates: tuple[MapSizeCandidate, ...]
-    all_sizes_leave_empty_models: bool
-
-
-def map_size_search(
-    image: RasterImage,
-    candidate_sizes,
-    params: TrainingParams,
-) -> tuple[tuple[int, int], MapSizeReport]:
-    """Train each candidate size on the image and pick one.
-
-    Preference: the largest size (by model count) that leaves no model
-    empty; among equals, the lower quantization error; among those, the
-    earlier candidate.  When every size leaves empties the report is
-    flagged and the pick minimizes the empty count instead.
-    """
-    sizes = list(candidate_sizes)
-    if not sizes:
-        raise InputError("candidate_sizes must not be empty")
-    entries = []
-    for width, height in sizes:
-        trained = fit_som(image, width, height, params)
-        result = quantization_error(image, trained)
-        entries.append(
-            MapSizeCandidate(width, height, result.qe, empty_model_count(result))
-        )
-    viable = [e for e in entries if e.empty_models == 0]
-    flagged = not viable
-    # min keeps the earliest of equal keys
-    if flagged:
-        best = min(entries, key=lambda e: (e.empty_models, e.qe))
-    else:
-        best = min(viable, key=lambda e: (-e.width * e.height, e.qe))
-    report = MapSizeReport(tuple(entries), flagged)
-    return (best.width, best.height), report
 
 
 # ---------------------------------------------------------------------------

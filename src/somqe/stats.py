@@ -201,13 +201,16 @@ def parse_decimal(text: str) -> float:
 
     A lone comma is treated as the decimal mark.  Mixed marks or multiple
     commas (thousands grouping) are rejected rather than guessed at, and so
-    are nan, infinities and numbers too large for a float.
+    are '_' grouping, digits other than ASCII 0-9, nan, infinities and
+    numbers too large for a float.
     """
     cleaned = text.strip()
     if "," in cleaned:
         if "." in cleaned or cleaned.count(",") > 1:
             raise ValueError(f"ambiguous decimal syntax: {text!r}")
         cleaned = cleaned.replace(",", ".")
+    if not cleaned.isascii() or "_" in cleaned:  # float() reads 1_5, and any script's digits
+        raise ValueError(f"not a decimal number: {text!r}")
     value = float(cleaned)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")

@@ -195,32 +195,6 @@ def train_by_steps(grid, image, params):
 
 
 # ---------------------------------------------------------------------------
-# map size search
-
-def map_size_pick_by_loop(candidates):
-    """(the picked candidate, whether every one leaves a model empty), by a
-    pairwise scan in candidate order that replaces the best only on a strict
-    improvement: more models, then lower QE; or, when no candidate is free
-    of empty models, fewer empty models, then lower QE."""
-    viable = [c for c in candidates if c.empty_models == 0]
-    flagged = not viable
-    pool = candidates if flagged else viable
-    best = pool[0]
-    for cand in pool[1:]:
-        if flagged:
-            better = cand.empty_models < best.empty_models or (
-                cand.empty_models == best.empty_models and cand.qe < best.qe
-            )
-        else:
-            count_c = cand.width * cand.height
-            count_b = best.width * best.height
-            better = count_c > count_b or (count_c == count_b and cand.qe < best.qe)
-        if better:
-            best = cand
-    return best, flagged
-
-
-# ---------------------------------------------------------------------------
 # dense scoring and warping kernels
 
 def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):

@@ -19,7 +19,6 @@ from somqe.pipeline import (
     CONFIG_KEYS, RunConfig, load_config_file, read_manifest, report_csv_text, run_pipeline
 )
 from somqe.raster import RasterImage, save_image
-from somqe.register import read_transform_sidecar
 from somqe.som import SomGrid, save_grid
 
 from conftest import sinusoid_sampler
@@ -89,9 +88,12 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert report.startswith("# somqe-report v1\n# roi: frames\n")
     assert "# correlations: label,r,t,df,p" in report
     assert "\nheat," in report
-    records = read_transform_sidecar(out / "transforms.txt")
-    assert [r[0] for r in records] == [0, 1, 2]
-    assert all(t.dx == 0.0 and t.dy == 0.0 for _, t, _ in records)
+    records = [
+        line.split() for line in (out / "transforms.txt").read_text().splitlines()
+        if not line.startswith("#")
+    ]
+    assert [int(r[0]) for r in records] == [0, 1, 2]
+    assert all(float(r[2]) == 0.0 and float(r[3]) == 0.0 for r in records)
 
 
 def test_run_is_repeatable_byte_for_byte(tmp_path):
@@ -960,6 +962,37 @@ def test_run_refuses_a_bad_output_target_before_loading_a_frame(
     assert not (out / "report.csv").exists()
     assert taken.read_text() == "kept\n"
     assert list((tmp_path / "a-dir").iterdir()) == []
+
+
+def test_run_writes_a_trace_inside_a_new_out(tmp_path, one_cpu):
+    manifest, _ = make_workspace(tmp_path)
+    out = tmp_path / "new"
+    argv = ["run", "--manifest", str(manifest), "--out", str(out)]
+    assert main([*argv, "--trace", str(out / "trace.jsonl")]) == 0
+    assert len((out / "trace.jsonl").read_text().splitlines()) == 3 + 1
+    assert (out / "report.csv").is_file()
+
+
+@pytest.mark.parametrize("artifact", [
+    "report.csv", "grid.txt", "transforms.txt", "plots", "plots/frames_qe_trend.svg",
+    "sub/../report.csv",
+])
+def test_run_refuses_a_trace_onto_an_artifact_before_loading_a_frame(
+    tmp_path, capsys, one_cpu, frame_loads, artifact
+):
+    manifest, _ = make_workspace(tmp_path)
+    out = tmp_path / "o"
+    (out / "sub").mkdir(parents=True)
+    if artifact.startswith("plots/"):
+        (out / "plots").mkdir()
+    argv = ["run", "--manifest", str(manifest), "--out", str(out)]
+    assert main([*argv, "--trace", str(out / artifact)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert f"--trace {out / artifact}: " in captured.err
+    assert frame_loads == []
+    assert not (out / "report.csv").exists()
+    assert list((out / "plots").glob("*")) == []
 
 
 def _somqe_limited(argv, cwd, timeout=60):

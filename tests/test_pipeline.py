@@ -45,7 +45,6 @@ from somqe.raster import RasterImage, load_image, normalize_contrast, save_image
 from somqe.register import (
     luminance_pyramid,
     mean_square_residual,
-    read_transform_sidecar,
     reference_pyramid,
     register_pair,
 )
@@ -321,6 +320,10 @@ def test_ingest_covariates_errors(tmp_path):
 
     path.write_text("year,v\n1984,twelve\n")
     with pytest.raises(InputError, match="line 2, column 2: 'twelve'"):
+        ingest_covariates(path)
+
+    path.write_text("year;v\n2000;1_5\n")  # float() alone would read 15
+    with pytest.raises(InputError, match="line 2, column 2: '1_5'"):
         ingest_covariates(path)
 
     path.write_text("# visitors\n\n  # none yet\n")
@@ -1061,10 +1064,6 @@ _TEXT_SEEDS = {
     "covariates": b"year;heat;rain\n# note\n2000;1,5;3\n2001;2;4\r\n2001;2.5;\"5\"\n",
     "qe": b"# roi: patch\n# qe rows: label,year,qe,empty_models\n\"a,b\",2000,0.1,0\nc,2001,0.25,1\n",
     "grid": b"somqe-grid v1 2 1\n0.5 0.25 0\n1 0.75 1e-3\n",
-    "sidecar": (
-        b"# somqe-transforms v1\n# columns: index mode dx dy theta residual\n"
-        b"0 translation 0.5 -1 0 2.5\n1 rigid 0 0 0.01 0\n"
-    ),
 }
 
 _TEXT_READERS = {
@@ -1073,7 +1072,6 @@ _TEXT_READERS = {
     "covariates": ingest_covariates,
     "qe": read_qe_csv,
     "grid": load_grid,
-    "sidecar": read_transform_sidecar,
 }
 
 _TEXT_EDITS = st.lists(
@@ -1103,7 +1101,7 @@ _TEXT_EDITS = st.lists(
 )
 def test_mutated_text_inputs_parse_or_raise_input_error(tmp_path, kind, edits):
     """Bytes flipped, deleted or inserted (non-ASCII ones too) in a valid
-    manifest, config, covariate CSV, QE CSV, grid or sidecar end as a value
+    manifest, config, covariate CSV, QE CSV or grid end as a value
     or InputError, never another exception."""
     data = bytearray(_TEXT_SEEDS[kind])
     for edit, position, value in edits:

@@ -1,6 +1,8 @@
 """Image IO and contrast: exact bytes in, exact values out."""
 
 import ast
+import os
+import stat
 import struct
 import time
 import tracemalloc
@@ -204,8 +206,48 @@ def test_read_bytes_is_the_only_place_an_input_file_is_opened():
     one other open is the temporary file `atomic_write_bytes` writes."""
     assert _package_calls(_opens_a_file) == {
         ("raster", "read_bytes", "open"),
+        ("raster", "atomic_write_bytes", "os.open"),
         ("raster", "atomic_write_bytes", "os.fdopen"),
     }
+
+
+# definitions that no command reaches, and the acceptance criterion keeping each
+_KEPT_WITHOUT_A_CALLER = {
+    "train_step": "criterion 04a",
+    "best_matching_unit": "criterion 04a",
+    "model_position": "criterion 04a",
+    "load_qe_series": "criteria 01-03",
+    "load_demographics": "criteria 01-03",
+}
+
+
+def test_every_definition_is_named_by_the_package():
+    """Each top-level function and class, and each method but the dunders,
+    outside `__init__.py` is named by some package code (an import does not
+    count), unless an acceptance criterion keeps it."""
+    defined, named = set(), set()
+    for module in sorted(Path(raster.__file__).parent.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (module.stem, method.name) for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                )
+        named.update(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+        )
+    unnamed = {f"{module}.{name}" for module, name in defined if name not in named}
+    assert unnamed == {
+        f"{module}.{name}" for module, name in defined if name in _KEPT_WITHOUT_A_CALLER
+    }
+    assert {name for _, name in defined} >= set(_KEPT_WITHOUT_A_CALLER)
 
 
 def test_text_records_is_the_one_line_splitter_besides_read_qe_csv():
@@ -224,6 +266,21 @@ def test_text_records_numbers_every_line_and_keeps_the_rest_stripped():
     text = "# head\n\n  a b \n\t# indented comment\nc\x0cd\r\n   \ne"
     assert raster.text_records(text) == [(3, "a b"), (5, "c\x0cd"), (7, "e")]
     assert raster.text_records("") == []
+
+
+def test_an_atomic_write_takes_its_mode_from_the_umask(tmp_path):
+    """0666 less the umask, as open() gives, on a new file and on a replaced one."""
+    path = tmp_path / "report.csv"
+    previous = os.umask(0o022)
+    try:
+        for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+            os.umask(umask)
+            raster.atomic_write_bytes(path, b"a,b\n1,2\n")
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+            assert path.read_bytes() == b"a,b\n1,2\n"
+    finally:
+        os.umask(previous)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------

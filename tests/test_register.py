@@ -23,7 +23,6 @@ from somqe.register import (
     _valid_selector,
     luminance_pyramid,
     mean_square_residual,
-    read_transform_sidecar,
     reference_pyramid,
     write_transform_sidecar,
 )
@@ -463,16 +462,11 @@ def test_transform_sidecar_round_trip(tmp_path):
         (1, RegistrationTransform("translation", 0.1, 0.2), 7.0),
     ]
     write_transform_sidecar(path, records)
-    back = read_transform_sidecar(path)
+    back = [
+        line.split() for line in path.read_text().splitlines() if not line.startswith("#")
+    ]
     assert len(back) == 2
-    for (i0, t0, r0), (i1, t1, r1) in zip(records, back):
-        assert i0 == i1 and r0 == r1
-        assert t0.mode == t1.mode
-        assert (t0.dx, t0.dy, t0.theta) == (t1.dx, t1.dy, t1.theta)
-
-
-def test_transform_sidecar_rejects_garbage(tmp_path):
-    path = tmp_path / "broken.txt"
-    path.write_text("0 translation 1 2\n")
-    with pytest.raises(InputError, match="expected 6 fields"):
-        read_transform_sidecar(path)
+    for (i0, t0, r0), (i1, mode, dx, dy, theta, r1) in zip(records, back):
+        assert i0 == int(i1) and r0 == float(r1)
+        assert t0.mode == mode
+        assert (t0.dx, t0.dy, t0.theta) == (float(dx), float(dy), float(theta))

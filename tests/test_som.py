@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from somqe import (
     InputError,
-    QeResult,
     RasterImage,
     SomGrid,
     TrainingParams,
@@ -17,7 +16,6 @@ from somqe import (
     empty_model_count,
     fit_som,
     initialize_grid,
-    map_size_search,
     quantization_error,
     train,
     train_step,
@@ -32,7 +30,6 @@ from oracles import (
     broadcast_quantization_error,
     brute_force_bmu,
     grid_neighbors_within,
-    map_size_pick_by_loop,
     pixel_vectors,
     splitmix64_sequence,
     train_by_steps,
@@ -468,94 +465,6 @@ def test_qe_traced_peak_stays_linear_in_pixels():
     finally:
         tracemalloc.stop()
     assert peak < 8 * image.pixel_count * 8
-
-
-# ---------------------------------------------------------------------------
-# size search
-
-def test_size_search_prefers_largest_without_empty_models():
-    # two distinct colors: at most two models can ever win a pixel, so any
-    # grid with more than two models must leave empties
-    image = two_color_image((255, 0, 0), (0, 0, 255), 40, 40)
-    params = TrainingParams(neighborhood_radius=0.5, iterations=400, seed=2)
-    chosen, report = map_size_search(image, [(1, 1), (2, 1), (3, 3)], params)
-    assert not report.all_sizes_leave_empty_models
-    by_size = {(c.width, c.height): c for c in report.candidates}
-    assert by_size[(3, 3)].empty_models >= 7
-    assert chosen == (2, 1)
-    assert by_size[(2, 1)].empty_models == 0
-
-
-def test_size_search_flags_when_everything_has_empties():
-    image = two_color_image((10, 10, 10), (240, 240, 240), 2, 2)
-    params = TrainingParams(iterations=50, seed=1)
-    chosen, report = map_size_search(image, [(3, 3), (4, 4)], params)
-    assert report.all_sizes_leave_empty_models
-    assert chosen == (3, 3)  # fewest empty models wins the fallback
-
-
-def _search_with_drawn_results(sizes, qes, counts):
-    """map_size_search with training and scoring replaced by the drawn results."""
-    results = iter(
-        QeResult(qe, int(sum(c)), np.array(c)) for qe, c in zip(qes, counts)
-    )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(som, "fit_som", lambda image, width, height, params: None)
-        patch.setattr(som, "quantization_error", lambda image, grid: next(results))
-        return map_size_search(random_image(1), sizes, TrainingParams())
-
-
-def _assert_pick_matches_loop(sizes, qes, counts):
-    chosen, report = _search_with_drawn_results(sizes, qes, counts)
-    assert [(c.width, c.height, c.qe) for c in report.candidates] == [
-        (w, h, qe) for (w, h), qe in zip(sizes, qes)
-    ]
-    best, flagged = map_size_pick_by_loop(list(report.candidates))
-    assert report.all_sizes_leave_empty_models == flagged
-    assert chosen == (best.width, best.height)
-    return chosen, flagged
-
-
-@pytest.mark.parametrize("sizes, qes, empties, expected", [
-    # equal model counts, 2x3 against 3x2: the lower QE, else the earlier
-    ([(2, 3), (3, 2)], [0.2, 0.1], [0, 0], ((3, 2), False)),
-    ([(2, 3), (3, 2)], [0.1, 0.2], [0, 0], ((2, 3), False)),
-    ([(2, 3), (3, 2)], [0.1, 0.1], [0, 0], ((2, 3), False)),
-    ([(3, 2), (2, 3)], [0.1, 0.1], [0, 0], ((3, 2), False)),
-    # more models beat lower QE; a size with an empty model never wins
-    ([(1, 1), (2, 2), (3, 3)], [0.05, 0.3, 0.01], [0, 0, 1], ((2, 2), False)),
-    # every size leaves a model empty: fewest empties, then QE, then order
-    ([(3, 3), (4, 4)], [0.2, 0.1], [7, 14], ((3, 3), True)),
-    ([(2, 3), (3, 2), (1, 6)], [0.3, 0.2, 0.2], [2, 2, 2], ((3, 2), True)),
-    ([(2, 2), (1, 4)], [0.2, 0.2], [1, 1], ((2, 2), True)),
-])
-def test_size_search_pick_matches_the_pairwise_loop(sizes, qes, empties, expected):
-    counts = [[0] * e + [5] * (w * h - e) for (w, h), e in zip(sizes, empties)]
-    assert _assert_pick_matches_loop(sizes, qes, counts) == expected
-
-
-@st.composite
-def drawn_size_results(draw):
-    sizes = draw(st.lists(
-        st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 6)]),
-        min_size=1, max_size=6,
-    ))
-    # few distinct values, so equal QEs and equal empty counts are common
-    qes = [draw(st.sampled_from([0.0, 0.125, 0.25, 0.5])) for _ in sizes]
-    counts = [draw(st.lists(st.integers(0, 2), min_size=w * h, max_size=w * h))
-              for w, h in sizes]
-    return sizes, qes, counts
-
-
-@given(drawn_size_results())
-@settings(max_examples=200, deadline=None)
-def test_size_search_pick_matches_the_pairwise_loop_on_drawn_results(case):
-    _assert_pick_matches_loop(*case)
-
-
-def test_size_search_rejects_empty_candidates():
-    with pytest.raises(InputError):
-        map_size_search(random_image(1), [], TrainingParams())
 
 
 # ---------------------------------------------------------------------------

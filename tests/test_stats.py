@@ -292,6 +292,9 @@ def test_parse_decimal_accepts_both_marks():
     assert parse_decimal("3,5") == 3.5
     assert parse_decimal(" -0,25 ") == -0.25
     assert parse_decimal("1984") == 1984.0
+    assert parse_decimal("1e3") == 1000.0
+    assert parse_decimal("+5") == 5.0
+    assert parse_decimal(".5") == 0.5
 
 
 def test_parse_decimal_rejects_ambiguity():
@@ -301,6 +304,10 @@ def test_parse_decimal_rejects_ambiguity():
         parse_decimal("1,2,3")
     with pytest.raises(ValueError):
         parse_decimal("abc")
+    # float() reads these as 15, 1990 and 1990: '_' grouping, Arabic-Indic digits
+    for text in ("1_5", "19_90", "\u0661\u0669\u0669\u0660"):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            parse_decimal(text)
 
 
 @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1,5e999"])
