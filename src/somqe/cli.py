@@ -220,6 +220,11 @@ def _cmd_run(args, config: RunConfig) -> int:
         for name in ("report.csv", "grid.txt", "transforms.txt", "plots"):
             if root / name in (target, *target.parents):
                 raise InputError(f"--trace {trace}: would overwrite the run's {name}")
+        frames = (entry.path for entry in manifest.entries)
+        inputs = (args.manifest, args.config, config.covariates, *frames)
+        for path in filter(None, inputs):  # samefile also sees a symlink or hard link
+            if trace.exists() and path.exists() and os.path.samefile(trace, path):
+                raise InputError(f"--trace {trace}: would overwrite the input {path}")
     report = run_pipeline(manifest, config)
     emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)

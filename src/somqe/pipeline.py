@@ -52,6 +52,7 @@ from .stats import (
     correlation_csv_row,
     csv_label,
     linear_fit,
+    parse_count,
     parse_decimal,
     pearson,
     regression_csv_row,
@@ -175,10 +176,10 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def parse_grid_size(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(\d+)x(\d+)", text.strip())
+    match = re.fullmatch(r"([0-9]+)x([0-9]+)", text.strip())
     if not match:
         raise InputError(f"grid size must look like '4x4', got {text!r}")
-    return int(match.group(1)), int(match.group(2))
+    return parse_count(match[1]), parse_count(match[2])
 
 
 def _parse_switch(text: str) -> bool:
@@ -194,9 +195,9 @@ def _parse_switch(text: str) -> bool:
 # (the RunConfig field, or fields, it sets; the parser of its value text;
 #  the flag's help text, None for a key that has no flag)
 CONFIG_KEYS = {
-    "seed": ("seed", int, "run seed (default 0)"),
+    "seed": ("seed", parse_count, "run seed (default 0)"),
     "grid": (("grid_width", "grid_height"), parse_grid_size, "map size as WxH (default 4x4)"),
-    "iterations": ("iterations", int, "training presentations"),
+    "iterations": ("iterations", parse_count, "training presentations"),
     "alpha": ("learning_rate", parse_decimal, "learning rate (default 0.2)"),
     "radius": ("neighborhood_radius", parse_decimal, "neighborhood radius (default 1.2)"),
     "decay": ("decay_mode", str,
@@ -320,21 +321,14 @@ def read_covariates(path, year_fix: str) -> list[Series]:
     return fixed
 
 
-def check_pairing(labels, years, covariates, source=None, correlated=()) -> None:
+def check_pairing(labels, years, covariates, source=None) -> None:
     """Raise InputError unless each covariate has one row per QE row, with its
-    year, and no two share a plot name (one plot would overwrite the other),
-    nor one with a label in `correlated`, the labels a report already plots.
+    year, and no two share a plot name (one plot would overwrite the other).
     """
     where = f" in {source}" if source is not None else ""
-    taken = {slugify(label): label for label in correlated}
     by_name = {}
     for cov in covariates:
         name = slugify(cov.label)
-        if name in taken:
-            raise InputError(
-                f"covariate column {cov.label!r}{where} shares the plot name "
-                f"{name!r} with the correlated {taken[name]!r}"
-            )
         other = by_name.setdefault(name, cov)
         if other is not cov:
             raise InputError(
@@ -663,22 +657,18 @@ def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
 
 
 def correlate(report: QeReport, covariates, source=None) -> QeReport:
-    """Report with each covariate correlated against the QE series.
-
-    Pairing is by position, so covariate files must list one row per frame
-    in manifest order; `check_pairing` (naming the `source` file) raises
-    InputError where they do not pair, or where a covariate's plot name is
-    one the report's earlier correlations already hold.
+    """Report with each covariate correlated against the QE series, in place
+    of any correlations it held.  Pairing is by position, so covariate files
+    list one row per frame in manifest order; `check_pairing` (naming the
+    `source` file) raises InputError where they do not pair.
     """
     qe_series = Series(
         "qe",
         np.array([row.year for row in report.rows]),
         np.array([row.qe for row in report.rows]),
     )
-    labels = [row.label for row in report.rows]
-    correlated = [entry.label for entry in report.correlations]
-    check_pairing(labels, qe_series.x, covariates, source, correlated)
-    entries = report.correlations + tuple(
+    check_pairing([row.label for row in report.rows], qe_series.x, covariates, source)
+    entries = tuple(
         CorrelationEntry(cov.label, cov.y, pearson(qe_series, cov)) for cov in covariates
     )
     return replace(report, correlations=entries)
@@ -696,24 +686,23 @@ def qe_rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_csv_text(report: QeReport, config: RunConfig | None = None) -> str:
+def report_csv_text(report: QeReport, config: RunConfig) -> str:
     parts = ["# somqe-report v1", f"# roi: {report.roi_name}"]
-    if config is not None:
-        parts.append(
-            "# run: grid %dx%d seed %d iterations %d alpha %.10g radius %.10g "
-            "decay %s registration %s normalize %s"
-            % (
-                config.grid_width,
-                config.grid_height,
-                config.seed,
-                config.iterations,
-                config.learning_rate,
-                config.neighborhood_radius,
-                config.decay_mode,
-                config.registration_mode,
-                "on" if config.normalize else "off",
-            )
+    parts.append(
+        "# run: grid %dx%d seed %d iterations %d alpha %.10g radius %.10g "
+        "decay %s registration %s normalize %s"
+        % (
+            config.grid_width,
+            config.grid_height,
+            config.seed,
+            config.iterations,
+            config.learning_rate,
+            config.neighborhood_radius,
+            config.decay_mode,
+            config.registration_mode,
+            "on" if config.normalize else "off",
         )
+    )
     parts.append(qe_rows_csv(report.rows).rstrip("\n"))
     parts.append(REGRESSION_HEADER)
     parts.append("# df = n - 2")
@@ -730,36 +719,23 @@ def report_csv_text(report: QeReport, config: RunConfig | None = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_csv(report: QeReport, path, config: RunConfig | None = None) -> None:
+def emit_csv(report: QeReport, path, config: RunConfig) -> None:
     atomic_write_bytes(path, report_csv_text(report, config).encode("utf-8"))
 
 
 def read_qe_csv(path):
     """Parse the qe-rows section of a report (or a bare qe CSV) back in.
 
-    Returns (roi name or None, list of QeRow).  Comment lines are skipped.
-    Rows under a report's '# regression:' and '# correlations:' headers are
-    ignored so a full report round-trips; anywhere else a row must have the
-    four qe fields.
+    Returns (roi name or None, list of QeRow): the name on the first
+    '# roi:' line, and every record before a report's first '# regression:'
+    or '# correlations:' header, each of which must have the four qe fields.
     """
-    roi = None
-    in_qe_rows = True
+    text = read_text(path)
+    # such a line may start with blanks ([^\S\n]), as every '#' line may
+    fit = re.search(r"^[^\S\n]*# (?:regression|correlations):", text, re.M)
+    roi = re.search(r"^[^\S\n]*# roi:(.*)", text, re.M)
     rows = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if stripped.startswith("# roi:"):
-                roi = stripped[len("# roi:"):].strip()
-            elif any(stripped.startswith(h[: h.index(":") + 1])
-                     for h in (REGRESSION_HEADER, CORRELATION_HEADER)):
-                in_qe_rows = False
-            elif stripped.startswith("# qe rows:"):
-                in_qe_rows = True
-            continue
-        if not in_qe_rows:
-            continue
+    for lineno, stripped in text_records(text if fit is None else text[: fit.start()]):
         try:
             fields = next(csv.reader([stripped]))
         except csv.Error as exc:
@@ -774,7 +750,7 @@ def read_qe_csv(path):
                     fields[0],
                     parse_decimal(fields[1]),
                     parse_decimal(fields[2]),
-                    int(fields[3]),
+                    parse_count(fields[3]),
                 )
             )
         except ValueError:
@@ -783,7 +759,7 @@ def read_qe_csv(path):
             ) from None
     if not rows:
         raise InputError(f"{path}: no qe rows found")
-    return roi, rows
+    return (roi[1].strip() if roi else None), rows
 
 
 def slugify(text: str) -> str:
@@ -806,13 +782,10 @@ def emit_svg_plots(report: QeReport, out_dir) -> list[Path]:
         else "degenerate fit: constant values",
     )]
     for entry in report.correlations:
-        xs = [float(v) for v in entry.values]
-        try:
-            fit = linear_fit(Series(entry.label, np.array(xs), np.array(qes)))
-        except InputError:
-            fit = None
+        # pearson held both series to 3 points and nonzero variance: this fit holds
+        fit = linear_fit(Series(entry.label, entry.values, qes))
         plots.append((
-            f"vs_{slugify(entry.label)}", xs, f"vs {entry.label}", entry.label, fit,
+            f"vs_{slugify(entry.label)}", entry.values, f"vs {entry.label}", entry.label, fit,
             "r = %.6g, p = %.3g" % (entry.result.r, entry.result.p),
         ))
     written = []
@@ -824,7 +797,7 @@ def emit_svg_plots(report: QeReport, out_dir) -> list[Path]:
             title=f"{report.roi_name}: quantization error {title_tail}",
             xlabel=xlabel,
             ylabel="quantization error",
-            line=None if fit is None or fit.degenerate else (fit.slope, fit.intercept),
+            line=None if fit.degenerate else (fit.slope, fit.intercept),
             annotation=annotation,
         )
         atomic_write_bytes(path, svg.encode("utf-8"))

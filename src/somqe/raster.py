@@ -150,11 +150,11 @@ def _ppm_tokens(data: bytes, count: int, start: int):
 def decode_ppm(data: bytes) -> RasterImage:
     if data[:2] != b"P6":
         raise InputError("malformed header: missing P6 magic")
-    (width_tok, height_tok, maxval_tok), pos = _ppm_tokens(data, 3, 2)
-    try:
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except ValueError:
-        raise InputError("malformed header: non-numeric dimension field") from None
+    tokens, pos = _ppm_tokens(data, 3, 2)
+    # ASCII digits, where int() takes '1_0' and '+1' too; a '-' is named below
+    if not all(tok.removeprefix(b"-").isdigit() for tok in tokens):
+        raise InputError("malformed header: non-numeric dimension field")
+    width, height, maxval = map(int, tokens)
     if width < 1 or height < 1:
         raise InputError("malformed header: non-positive dimensions")
     if maxval != 255:

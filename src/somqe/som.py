@@ -32,6 +32,7 @@ import numpy as np
 from .errors import InputError
 from .raster import RasterImage, atomic_write_bytes, read_text, text_records
 from .rng import INIT_STREAM, SAMPLE_STREAM, SplitMix64, substream_seed
+from .stats import parse_count, parse_decimal
 
 DECAY_MODES = ("constant", "linear")
 
@@ -306,7 +307,7 @@ def grid_from_text(text: str) -> SomGrid:
     if len(fields) != 4 or fields[0] != _GRID_MAGIC or fields[1] != _GRID_VERSION:
         raise InputError("malformed grid header: expected 'somqe-grid v1 <w> <h>'")
     try:
-        width, height = int(fields[2]), int(fields[3])
+        width, height = parse_count(fields[2]), parse_count(fields[3])
     except ValueError:
         raise InputError("malformed grid header: non-numeric dimensions") from None
     body = lines[1:]
@@ -320,7 +321,7 @@ def grid_from_text(text: str) -> SomGrid:
         if len(parts) != 3:
             raise InputError(f"grid line {lineno}: expected 3 components")
         try:
-            models[i] = [float(p) for p in parts]
+            models[i] = [parse_decimal(p) for p in parts]
         except ValueError:
             raise InputError(f"grid line {lineno}: non-numeric component") from None
     return SomGrid(width, height, models)

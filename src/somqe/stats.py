@@ -217,6 +217,15 @@ def parse_decimal(text: str) -> float:
     return value
 
 
+def parse_count(text: str) -> int:
+    """Parse a whole number of ASCII digits 0-9 alone, blanks around it
+    stripped; int() would also take a sign, '_' and any script's digits."""
+    cleaned = text.strip()
+    if not (cleaned.isascii() and cleaned.isdigit()):
+        raise ValueError(f"not a whole number: {text!r}")
+    return int(cleaned)
+
+
 def _fmt(value: float) -> str:
     return "%.10g" % value
 

@@ -18,7 +18,7 @@ from somqe.errors import RegistrationError
 from somqe.pipeline import (
     CONFIG_KEYS, RunConfig, load_config_file, read_manifest, report_csv_text, run_pipeline
 )
-from somqe.raster import RasterImage, save_image
+from somqe.raster import RasterImage, load_image, save_image
 from somqe.som import SomGrid, save_grid
 
 from conftest import sinusoid_sampler
@@ -340,6 +340,54 @@ def test_run_pipeline_correlates_the_covariates_run_writes(tmp_path):
     report = run_pipeline(read_manifest(manifest), config)
     assert [entry.label for entry in report.correlations] == ["heat"]
     assert report_csv_text(report, config) == (out / "report.csv").read_text()
+
+
+def test_stats_correlate_and_plot_read_a_run_report_back(tmp_path, capsys):
+    """The report's QE rows feed the standalone commands as they fed the run:
+    the same plots byte for byte, and the same fits to the QE column's 12
+    printed digits."""
+    manifest, covariates = make_workspace(tmp_path, n_frames=5)
+    for k, line in enumerate(manifest.read_text().splitlines()):
+        # a red square that grows frame by frame moves QE well past its
+        # 12th printed digit, as the paper's new-colour regions do
+        arr = load_image(tmp_path / line.split("\t")[0]).to_uint8().copy()
+        arr[40 - 8 * k:, 40 - 8 * k:] = (240, 30, 30)
+        save_image(RasterImage(arr), tmp_path / line.split("\t")[0])
+    covariates.write_text(
+        "year,heat,Rain (mm)\n2000,10,7\n2001,12,3\n2002,15,9\n2003,13,4\n2004,20,8\n"
+    )
+    run_out, out = tmp_path / "run", tmp_path / "again"
+    trend = ["--covariates", str(covariates)]
+    assert main(["run", "--manifest", str(manifest), *trend, "--grid", "2x2",
+                 "--iterations", "40", "--mode", "none", "--out", str(run_out)]) == 0
+    report = run_out / "report.csv"
+    from_report = ["--qe", str(report), *trend, "--out", str(out)]
+    for command in ("stats", "correlate", "plot"):
+        assert main([command, *from_report]) == 0
+    capsys.readouterr()
+
+    ran = sorted(p.name for p in (run_out / "plots").iterdir())
+    assert ran == ["frames_qe_trend.svg", "frames_vs_heat.svg", "frames_vs_rain-mm.svg"]
+    assert sorted(p.name for p in out.glob("*.svg")) == ran
+    for name in ran:
+        assert (out / name).read_bytes() == (run_out / "plots" / name).read_bytes()
+
+    rows = {}  # label -> fields, of the run's report and the commands' CSVs
+    for name in ("report.csv", "stats.csv", "correlations.csv"):
+        directory = run_out if name == "report.csv" else out
+        for line in (directory / name).read_text().splitlines():
+            if not line.startswith("#"):
+                rows.setdefault(name, {})[line.split(",")[0]] = line.split(",")[1:]
+    assert list(rows["stats.csv"]) == ["frames", "heat", "Rain (mm)"]
+    assert list(rows["correlations.csv"]) == ["heat", "Rain (mm)"]
+    pairs = [(rows["stats.csv"]["frames"], rows["report.csv"]["qe_trend"])] + [
+        (rows["correlations.csv"][label], rows["report.csv"][label])
+        for label in ("heat", "Rain (mm)")
+    ]
+    for got, want in pairs:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert float(g) == pytest.approx(float(w), rel=1e-9, abs=0.0)
 
 
 def test_stats_on_covariates_does_not_check_plot_names(tmp_path, capsys):
@@ -976,16 +1024,23 @@ def test_run_writes_a_trace_inside_a_new_out(tmp_path, one_cpu):
 @pytest.mark.parametrize("artifact", [
     "report.csv", "grid.txt", "transforms.txt", "plots", "plots/frames_qe_trend.svg",
     "sub/../report.csv",
+    # the run's inputs, by their own path and by a symlink or a hard link
+    "../frames.tsv", "../run.cfg", "../cov.csv", "../img_0.ppm", "symlink.ppm", "hardlink.ppm",
 ])
 def test_run_refuses_a_trace_onto_an_artifact_before_loading_a_frame(
     tmp_path, capsys, one_cpu, frame_loads, artifact
 ):
-    manifest, _ = make_workspace(tmp_path)
+    manifest, covariates = make_workspace(tmp_path)
+    (tmp_path / "run.cfg").write_text("seed = 1\n")
     out = tmp_path / "o"
     (out / "sub").mkdir(parents=True)
     if artifact.startswith("plots/"):
         (out / "plots").mkdir()
-    argv = ["run", "--manifest", str(manifest), "--out", str(out)]
+    (out / "symlink.ppm").symlink_to(tmp_path / "img_1.ppm")
+    os.link(tmp_path / "img_2.ppm", out / "hardlink.ppm")
+    inputs = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    argv = ["run", "--manifest", str(manifest), "--out", str(out),
+            "--config", str(tmp_path / "run.cfg"), "--covariates", str(covariates)]
     assert main([*argv, "--trace", str(out / artifact)]) == 1
     captured = capsys.readouterr()
     assert_single_error_line(captured, "input")
@@ -993,6 +1048,7 @@ def test_run_refuses_a_trace_onto_an_artifact_before_loading_a_frame(
     assert frame_loads == []
     assert not (out / "report.csv").exists()
     assert list((out / "plots").glob("*")) == []
+    assert {path: path.read_bytes() for path in inputs} == inputs
 
 
 def _somqe_limited(argv, cwd, timeout=60):

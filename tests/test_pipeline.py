@@ -26,6 +26,7 @@ from somqe.pipeline import (
     FrameStage,
     Manifest,
     ManifestEntry,
+    QeRow,
     RunConfig,
     apply_config_entries,
     apply_year_fix,
@@ -191,8 +192,10 @@ def test_config_file_rejects_a_key_set_twice(tmp_path):
 def test_config_rejects_unknown_and_bad_values(tmp_path):
     with pytest.raises(InputError, match="unknown config key"):
         apply_config_entries(RunConfig(), {"gird": "4x4"})
-    with pytest.raises(InputError, match="'seed'"):
-        apply_config_entries(RunConfig(), {"seed": "soon"})
+    for key, value in (("seed", "soon"), ("seed", "1_0"), ("seed", "+3"),
+                       ("iterations", "\u0661\u0660\u0660")):
+        with pytest.raises(InputError, match=f"^config key '{key}': unparseable value"):
+            apply_config_entries(RunConfig(), {key: value})
     with pytest.raises(InputError, match="'normalize'"):
         apply_config_entries(RunConfig(), {"normalize": "maybe"})
     cfg_path = tmp_path / "bad.cfg"
@@ -224,7 +227,7 @@ def test_run_config_checks_its_training_params_too():
 def test_parse_grid_size():
     assert parse_grid_size("4x4") == (4, 4)
     assert parse_grid_size(" 12x3 ") == (12, 3)
-    for bad in ("4 x 4", "4by4", "x4", "4x", "-2x3"):
+    for bad in ("4 x 4", "4by4", "x4", "4x", "-2x3", "\u0662x\u0662", "4x1_0", "+4x4"):
         with pytest.raises(InputError):
             parse_grid_size(bad)
 
@@ -905,17 +908,21 @@ def test_correlate_rejects_covariates_sharing_a_plot_name(tmp_path):
         correlate(report, pair)
 
 
-def test_correlate_rejects_a_plot_name_an_earlier_call_correlated(tmp_path):
+def test_a_second_correlate_replaces_the_first(tmp_path):
+    """A report plots one covariate set, so a plot name the first call used
+    is free again, and every plot written is the second call's."""
     report = run_small_report(tmp_path)
     years = np.array([r.year for r in report.rows])
-    report = correlate(report, [Series("Visitors", years, years * 2.0)])
-    with pytest.raises(
-        InputError,
-        match=r"^covariate column 'visitors' shares the plot name 'visitors' "
-              r"with the correlated 'Visitors'$",
-    ):
-        correlate(report, [Series("visitors", years, years)])
-    assert [entry.label for entry in report.correlations] == ["Visitors"]
+    first = correlate(report, [Series("Visitors", years, years * 2.0)])
+    second = correlate(first, [Series("visitors", years, years), Series("heat", years, -years)])
+    assert [entry.label for entry in first.correlations] == ["Visitors"]
+    assert [entry.label for entry in second.correlations] == ["visitors", "heat"]
+    assert [list(entry.values) for entry in second.correlations] == [list(years), list(-years)]
+    written = emit_svg_plots(second, tmp_path / "plots")
+    assert len(set(written)) == 1 + len(second.correlations)
+    assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == [
+        "synthetic_qe_trend.svg", "synthetic_vs_heat.svg", "synthetic_vs_visitors.svg",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -952,13 +959,13 @@ def test_report_degenerate_comment(tmp_path):
     report = run_pipeline(
         manifest, RunConfig(registration_mode="none", normalize=False)
     )
-    assert "# regression degenerate: constant qe values" in report_csv_text(report)
+    assert "# regression degenerate: constant qe values" in report_csv_text(report, RunConfig())
 
 
 def test_emit_csv_round_trips_qe_rows(tmp_path):
     report = run_small_report(tmp_path)
     out = tmp_path / "report.csv"
-    emit_csv(report, out)
+    emit_csv(report, out, RunConfig())
     roi, rows = read_qe_csv(out)
     assert roi == "synthetic"
     assert len(rows) == len(report.rows)
@@ -977,8 +984,11 @@ def test_read_qe_csv_errors(tmp_path):
     path.write_text("label,bad-year,0.5,3\n")
     with pytest.raises(InputError, match="unparseable qe row"):
         read_qe_csv(path)
-    for year, qe in (("nan", "0.5"), ("2001", "inf"), ("2001", "1e400")):
-        path.write_text(f"a,2000,0.5,3\nb,{year},{qe},3\n")
+    for year, qe, empty in (
+        ("nan", "0.5", "3"), ("2001", "inf", "3"), ("2001", "1e400", "3"),
+        ("2001", "0.5", "1_0"), ("2001", "0.5", "\u0663"), ("2001", "0.5", "+2"),
+    ):
+        path.write_text(f"a,2000,0.5,3\nb,{year},{qe},{empty}\n", encoding="utf-8")
         with pytest.raises(InputError, match="line 2: unparseable qe row"):
             read_qe_csv(path)
 
@@ -1009,13 +1019,15 @@ def test_read_qe_csv_skips_only_the_fit_sections(tmp_path):
     years = np.array([r.year for r in report.rows])
     report = correlate(report, [Series("heat", years, years * 2.0)])
     path = tmp_path / "report.csv"
-    emit_csv(report, path)
+    emit_csv(report, path, RunConfig())
     roi, rows = read_qe_csv(path)
     assert roi == "synthetic"
     assert [(r.label, r.year) for r in rows] == [(r.label, r.year) for r in report.rows]
+    # the rows end at the first fit header: a later qe-rows header opens no section
     path.write_text(path.read_text() + "# qe rows: label,year,qe,empty_models\nz,1\n")
-    with pytest.raises(InputError, match=r"line \d+: expected 4 qe fields, got 2"):
-        read_qe_csv(path)
+    assert read_qe_csv(path) == (roi, rows)
+    path.write_text("# roi: r\n a,2000,0.1,0\n  # correlations: x\nb,2001,0.2,0\n")
+    assert read_qe_csv(path) == ("r", [QeRow("a", 2000.0, 0.1, 0)])
 
 
 def test_slugify():

@@ -250,11 +250,10 @@ def test_every_definition_is_named_by_the_package():
     assert {name for _, name in defined} >= set(_KEPT_WITHOUT_A_CALLER)
 
 
-def test_text_records_is_the_one_line_splitter_besides_read_qe_csv():
-    """Every text input shares one blank/'#' line rule; QE rows keep their own
-    loop because their '#' lines carry the roi name and section headers."""
+def test_text_records_is_the_one_line_splitter():
+    """Every text input, QE rows too, shares one blank/'#' line rule."""
     splitters = {(module, function) for module, function, _ in _package_calls(_splits_lines)}
-    assert splitters == {("raster", "text_records"), ("pipeline", "read_qe_csv")}
+    assert splitters == {("raster", "text_records")}
 
 
 def test_no_code_polls_the_parent_pid():
@@ -312,6 +311,11 @@ def test_ppm_error_malformed_header():
         decode_ppm(b"P5\n2 2\n255\n" + bytes(12))
     with pytest.raises(InputError, match="malformed header"):
         decode_ppm(b"P6\n2 two\n255\n" + bytes(12))
+    # int() reads these as a 10x1 frame with maxval 255
+    for header in (b"P6 1_0 1 255\n", b"P6 10 +1 255\n", b"P6 10 1 25_5\n",
+                   b"P6 1_0 +1 25_5\n", b"P6 --2 1 255\n"):
+        with pytest.raises(InputError, match="^malformed header: non-numeric dimension field$"):
+            decode_ppm(header + bytes(30))
     with pytest.raises(InputError, match="malformed header"):
         decode_ppm(b"P6\n2 2")
     # a comment that runs to the end of the data is no token, nor is its tail

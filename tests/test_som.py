@@ -504,6 +504,8 @@ def test_grid_text_header_line_format():
         "somqe-grid v2 2 2\n",
         "somqe-grid v1 2\n",
         "somqe-grid v1 2 two\n",
+        "somqe-grid v1 1_0 1\n",
+        "somqe-grid v1 +1 1\n",
     ],
 )
 def test_grid_text_rejects_bad_headers(text):
@@ -518,8 +520,9 @@ def test_grid_text_rejects_wrong_model_count():
 
 def test_grid_text_errors_name_the_file_line():
     """Blank lines count: the bad model is on file line 5, body line 2."""
-    with pytest.raises(InputError, match="grid line 5: non-numeric component"):
-        grid_from_text("somqe-grid v1 2 1\n\n0 0 0\n\n0 x 0\n")
+    for component in ("x", "0.2_5", "nan"):  # float() reads 0.2_5 as 0.25
+        with pytest.raises(InputError, match="grid line 5: non-numeric component"):
+            grid_from_text(f"somqe-grid v1 2 1\n\n0 0 0\n\n0 {component} 0\n")
     with pytest.raises(InputError, match="grid line 4: expected 3 components"):
         grid_from_text("\nsomqe-grid v1 2 1\n0 0 0\n0 0\n")
 

@@ -25,6 +25,7 @@ from somqe.stats import (
     DF_MAX,
     P_FLOOR,
     correlation_csv_row,
+    parse_count,
     parse_decimal,
     regression_csv_row,
 )
@@ -308,6 +309,18 @@ def test_parse_decimal_rejects_ambiguity():
     for text in ("1_5", "19_90", "\u0661\u0669\u0669\u0660"):
         with pytest.raises(ValueError, match="not a decimal number"):
             parse_decimal(text)
+
+
+def test_parse_count_takes_ascii_digits_alone():
+    assert parse_count("0") == 0
+    assert parse_count(" 1000\t") == 1000
+    assert parse_count("007") == 7
+    assert parse_count(str(2**64)) == 2**64
+    # int() reads all but the first six as 10, 2, -2, 100, 3 and 10
+    for text in ("", " ", "1.0", "1e3", "4 4", "x", "1_0", "+2", "-2",
+                 "\u0661\u0660\u0660", "\u0663", "\uff11\uff10"):
+        with pytest.raises(ValueError, match="not a whole number"):
+            parse_count(text)
 
 
 @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1,5e999"])
