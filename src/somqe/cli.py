@@ -212,12 +212,16 @@ def _cmd_run(args, config: RunConfig) -> int:
     faults = minor_faults()
     manifest = read_manifest(_require(args, "manifest"))
     out = _out_dir(config)  # a bad output target fails here, not after the last frame
+    artifacts = ("report.csv", "grid.txt", "transforms.txt", "plots")  # plots a directory
+    for name in artifacts:  # and so does an artifact path of the other kind
+        if (out / name).exists() and (out / name).is_dir() != (name == "plots"):
+            raise InputError(f"{out / name}: {'not' if name == 'plots' else 'is'} a directory")
     trace = args.trace
     if trace is not None:
         if trace.is_dir() or not trace.parent.is_dir():
             raise InputError(f"--trace {trace}: not a file in an existing directory")
         target, root = trace.resolve(), out.resolve()
-        for name in ("report.csv", "grid.txt", "transforms.txt", "plots"):
+        for name in artifacts:
             if root / name in (target, *target.parents):
                 raise InputError(f"--trace {trace}: would overwrite the run's {name}")
         frames = (entry.path for entry in manifest.entries)

@@ -782,7 +782,8 @@ def emit_svg_plots(report: QeReport, out_dir) -> list[Path]:
         else "degenerate fit: constant values",
     )]
     for entry in report.correlations:
-        # pearson held both series to 3 points and nonzero variance: this fit holds
+        # pearson held both series to 3 points, nonzero variance and finite
+        # sums and products: this fit holds
         fit = linear_fit(Series(entry.label, entry.values, qes))
         plots.append((
             f"vs_{slugify(entry.label)}", entry.values, f"vs {entry.label}", entry.label, fit,

@@ -354,14 +354,16 @@ def save_image(image: RasterImage, path) -> None:
     atomic_write_bytes(path, encode_ppm(image))
 
 def read_text(path, encoding: str = "utf-8") -> str:
-    """A text input's contents, with CRLF and CR line ends read as LF.
+    """A text input's contents, with CRLF and CR line ends read as LF and
+    one leading byte-order mark, which spreadsheet exports write, dropped.
 
     A byte that does not decode raises InputError naming the file and its
     offset, and so does a NUL, which no field (and no path) may hold,
     naming its line."""
     data = read_bytes(path)
     try:
-        text = data.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode(encoding).removeprefix("\ufeff")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         byte = f"byte {data[exc.start]:#04x} at offset {exc.start}"
         raise InputError(f"{path}: {byte} is not {encoding}") from None

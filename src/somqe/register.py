@@ -30,6 +30,12 @@ Conventions, shared with `resample`:
     center ((w-1)/2, (h-1)/2) and R a counterclockwise rotation in (x, y)
   * resampling is bilinear with clamp-to-edge, inverse mapping, and is exact
     for integer shifts (the identity transform copies the image bitwise)
+  * one `_warp` per transform serves every caller: it computes the sample
+    coordinates, their clamped corner indices and blend weights once, and
+    returns a `sample` that writes a plane's bilinear samples into a given
+    array with the valid-pixel `select` and `count`.  `resample` samples
+    its three planes into one stack, `_gn_level` samples into one plane per
+    pyramid level, and `mean_square_residual` takes only the valid pixels
   * at theta = 0 (every translation, and the rigid solver's start) the
     sample coordinates are separable: one row of x and one column of y,
     with the same bits as the dense rotated grid.  Bilinear sampling is then
@@ -159,70 +165,13 @@ def reference_pyramid(image: RasterImage) -> tuple[ReferenceLevel, ...]:
     return tuple(levels)
 
 
-def _inverse_sample_coords(height, width, dx, dy, theta):
-    cx = (width - 1) / 2.0
-    cy = (height - 1) / 2.0
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)
-    if theta == 0.0:  # a row and a column; "- c - d + c" rounds as below
-        return (xs - cx - dx + cx)[None, :], (ys - cy - dy + cy)[:, None]
-    X, Y = np.meshgrid(xs, ys)
-    ux = X - cx - dx
-    uy = Y - cy - dy
-    c, s = math.cos(theta), math.sin(theta)
-    sx = c * ux + s * uy + cx
-    sy = -s * ux + c * uy + cy
-    return sx, sy
-
-
-def _separable(sx: np.ndarray, sy: np.ndarray) -> bool:
-    # a (1, w) row of x and an (h, 1) column of y; a dense grid passes only
-    # at 1x1, where both forms agree
-    return sx.shape[0] == 1 and sy.shape[1] == 1
-
-
-def _bilinear(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample an (h, w) plane at float coords, clamping to edges; float64.
-
-    Coordinates are (h, w) grids, or a (1, w) row and an (h, 1) column.  A
-    uint8 plane's samples are blended in float64, as its float64 copy's are."""
-    h, w = data.shape
-    sxc = np.clip(sx, 0.0, w - 1.0)
-    syc = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(sxc).astype(np.int64)
-    y0 = np.floor(syc).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = sxc - x0
-    fy = syc - y0
-    if _separable(sx, sy):
-        # row i of `across` is the x blend of data row i, so its rows y0 and
-        # y1 are the per-pixel `top` and `bottom` below, bit for bit
-        across = np.take(data, x0[0], axis=1).astype(np.float64, copy=False)
-        across *= 1.0 - fx
-        right = np.take(data, x1[0], axis=1).astype(np.float64, copy=False)
-        right *= fx
-        across += right
-        out = np.take(across, y0[:, 0], axis=0)
-        out *= 1.0 - fy
-        bottom = np.take(across, y1[:, 0], axis=0)
-        bottom *= fy
-        out += bottom
-        return out
-    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
-    bottom = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
-    return (1.0 - fy) * top + fy * bottom
-
-
-def resample(image: RasterImage, transform: RegistrationTransform) -> RasterImage:
-    """Apply the transform to the image, sampling by inverse mapping; float64."""
-    sx, sy = _inverse_sample_coords(
-        image.height, image.width, transform.dx, transform.dy, transform.theta
-    )
-    planes = np.empty(image.planes.shape)
-    for plane, out in zip(image.planes, planes):
-        out[...] = _bilinear(plane, sx, sy)
-    return RasterImage.from_planes(planes)
+def _corners(coords: np.ndarray, size: int):
+    # the clamped neighbours below and above each coordinate along one axis,
+    # and the weights of each in the blend
+    clamped = np.clip(coords, 0.0, size - 1.0)
+    low = np.floor(clamped).astype(np.int64)
+    upper = clamped - low
+    return low, np.minimum(low + 1, size - 1), 1.0 - upper, upper
 
 
 def _run(inside: np.ndarray) -> slice:
@@ -231,24 +180,67 @@ def _run(inside: np.ndarray) -> slice:
     return slice(int(where[0]), int(where[-1]) + 1) if where.size else slice(0, 0)
 
 
-def _valid_selector(sx: np.ndarray, sy: np.ndarray, height: int, width: int):
-    """(select, count): `select(a)` holds the valid pixels of an (h, w) plane.
+def _warp(height: int, width: int, t: RegistrationTransform):
+    """(sample, select, count) of the inverse mapping through `t` on an (h, w) grid.
 
-    They come in row-major order, as indexing by the boolean mask gives
-    them, in a 2-D array.  At theta = 0 the mask is a row mask times a
-    column mask, and each is one run: every rounding step of `j - c - d + c`
-    is monotone in j, so the coordinates never decrease along a row or a
-    column.  The selection is then one rectangular slice, a view that
-    copies nothing, and the full mask is never built.  Otherwise it is one
-    row of the masked pixels."""
+    `sample(plane, out)` writes the bilinear samples of an (h, w) plane into
+    the float64 (h, w) array `out`; a uint8 plane's samples are blended in
+    float64, as its float64 copy's are.  `select(a)` holds the `count` valid
+    pixels of an (h, w) array in row-major order, in a 2-D array.  At theta
+    = 0 the valid pixels are a run of rows times a run of columns, each one
+    run because every rounding step of `j - c - d + c` is monotone in j, so
+    the selection is one rectangular view that copies nothing.  Otherwise it
+    is one row of the pixels under the dense mask."""
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    ux = np.arange(width, dtype=np.float64) - cx - t.dx
+    uy = np.arange(height, dtype=np.float64) - cy - t.dy
+    if t.theta == 0.0:  # a row and a column; "- c - d + c" rounds as below
+        sx, sy = ux + cx, uy + cy
+    else:
+        c, s = math.cos(t.theta), math.sin(t.theta)
+        uy = uy[:, None]
+        sx = c * ux + s * uy + cx
+        sy = -s * ux + c * uy + cy
+    x0, x1, gx, fx = _corners(sx, width)
+    y0, y1, gy, fy = _corners(sy, height)
     inside_x = (sx >= 0.0) & (sx <= width - 1.0)
     inside_y = (sy >= 0.0) & (sy <= height - 1.0)
-    if _separable(sx, sy):
-        rows, cols = _run(inside_y[:, 0]), _run(inside_x[0])
-        count = (rows.stop - rows.start) * (cols.stop - cols.start)
-        return (lambda a: a[rows, cols]), count
-    mask = inside_x & inside_y
-    return (lambda a: a[mask][None]), int(mask.sum())
+    if t.theta != 0.0:
+        def sample(plane, out):
+            top = gx * plane[y0, x0] + fx * plane[y0, x1]
+            bottom = gx * plane[y1, x0] + fx * plane[y1, x1]
+            np.add(gy * top, fy * bottom, out=out)
+
+        mask = inside_x & inside_y
+        return sample, (lambda a: a[mask][None]), int(mask.sum())
+    gy, fy = gy[:, None], fy[:, None]
+
+    def sample(plane, out):
+        # row i of `across` is the x blend of plane row i, so its rows y0 and
+        # y1 are the per-pixel `top` and `bottom` above, bit for bit
+        across = np.take(plane, x0, axis=1).astype(np.float64, copy=False)
+        across *= gx
+        right = np.take(plane, x1, axis=1).astype(np.float64, copy=False)
+        right *= fx
+        across += right
+        np.take(across, y0, axis=0, out=out, mode="clip")
+        out *= gy
+        np.take(across, y1, axis=0, out=right, mode="clip")
+        right *= fy
+        out += right
+
+    rows, cols = _run(inside_y), _run(inside_x)
+    count = (rows.stop - rows.start) * (cols.stop - cols.start)
+    return sample, (lambda a: a[rows, cols]), count
+
+
+def resample(image: RasterImage, transform: RegistrationTransform) -> RasterImage:
+    """Apply the transform to the image, sampling by inverse mapping; float64."""
+    sample, _, _ = _warp(image.height, image.width, transform)
+    planes = np.empty(image.planes.shape)
+    for plane, out in zip(image.planes, planes):
+        sample(plane, out)
+    return RasterImage.from_planes(planes)
 
 
 def _update_is_small(delta: np.ndarray) -> bool:
@@ -298,12 +290,13 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
         planes.append(gy * ux - gx * uy)
     k = len(planes)
     t = start
+    warped = np.empty((h, w))
     for iteration in range(_MAX_GN_ITERATIONS + 1):
-        sx, sy = _inverse_sample_coords(h, w, t.dx, t.dy, t.theta)
-        select, count = _valid_selector(sx, sy, h, w)
+        sample, select, count = _warp(h, w, t)
         if count == 0:
             return t, math.inf, False
-        residual = select(_bilinear(moving, sx, sy)) - select(plane)
+        sample(moving, warped)
+        residual = select(warped) - select(plane)
         cost = _dot(residual, residual) / count
         if iteration == 0:
             # fixed for the level: a scale recomputed every step changes the
@@ -380,9 +373,7 @@ def mean_square_residual(
 
     `reference_luminance` is the reference's luminance plane, the first
     level of its `luminance_pyramid`."""
-    h, w = reference_luminance.shape
-    sx, sy = _inverse_sample_coords(h, w, transform.dx, transform.dy, transform.theta)
-    select, count = _valid_selector(sx, sy, h, w)
+    _, select, count = _warp(*reference_luminance.shape, transform)
     if count == 0:
         return math.inf
     diff = select(aligned.luminance()) - select(reference_luminance)

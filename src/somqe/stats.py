@@ -92,12 +92,17 @@ class CorrelationResult:
     p: float
 
 
-def _centered_sums(x: np.ndarray, y: np.ndarray):
-    mx = x.mean()
-    my = y.mean()
-    dx = x - mx
-    dy = y - my
-    return mx, my, float(dx @ dx), float(dy @ dy), float(dx @ dy)
+def _centered_sums(x: np.ndarray, y: np.ndarray, names: str):
+    """(mean x, mean y, Sxx, Syy, Sxy); InputError naming `names` where a sum,
+    Sxx Syy or Sxy^2 passes the float range, which would read as r 0 and p 1.
+    The sums are not rescaled: that would change the bits of every finite fit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx, my = x.mean(), y.mean()
+        dx, dy = x - mx, y - my
+        sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+    if not all(map(math.isfinite, (sxx, syy, sxy, sxx * syy, sxy * sxy))):
+        raise InputError(f"{names}: values too large, their sums overflow a float")
+    return mx, my, sxx, syy, sxy
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -166,7 +171,7 @@ def linear_fit(series: Series) -> RegressionResult:
     """
     if series.n < 3:
         raise InputError("series too short: need at least 3 points")
-    _, my, sxx, syy, sxy = _centered_sums(series.x, series.y)
+    _, my, sxx, syy, sxy = _centered_sums(series.x, series.y, f"series {series.label!r}")
     if sxx == 0.0:
         raise InputError("degenerate x values: no variance to fit a slope")
     df = series.n - 2
@@ -185,7 +190,7 @@ def pearson(a: Series, b: Series) -> CorrelationResult:
         raise InputError(f"length mismatch: {a.n} against {b.n} points")
     if a.n < 3:
         raise InputError("series too short: need at least 3 points")
-    _, _, saa, sbb, sab = _centered_sums(a.y, b.y)
+    _, _, saa, sbb, sab = _centered_sums(a.y, b.y, f"series {a.label!r} against {b.label!r}")
     if saa == 0.0 or sbb == 0.0:
         raise InputError("zero variance: correlation is undefined")
     r = sab / float(np.sqrt(saa * sbb))

@@ -554,6 +554,20 @@ def test_stats_and_correlate_from_qe_rows(tmp_path, capsys):
     assert names == ["patch_qe_trend.svg", "patch_vs_heat.svg"]
 
 
+def test_correlate_refuses_a_covariate_whose_sums_overflow(tmp_path, capsys):
+    qe = tmp_path / "qe.csv"
+    qe.write_text("# roi: patch\na,2000,0.10,0\nb,2001,0.14,0\nc,2002,0.19,1\n")
+    covariates = tmp_path / "cov.csv"
+    covariates.write_text("year,big\n2000,1e300\n2001,-1e300\n2002,0\n")
+    assert main(["correlate", "--qe", str(qe), "--covariates", str(covariates)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "somqe: error: input: series 'qe' against 'big': "
+        "values too large, their sums overflow a float\n"
+    )
+
+
 def test_correlate_without_covariates_exits_1(tmp_path, capsys):
     qe = tmp_path / "qe.csv"
     qe.write_text("# roi: patch\na,2000,0.10,0\nb,2001,0.14,0\nc,2002,0.19,1\n")
@@ -1010,6 +1024,27 @@ def test_run_refuses_a_bad_output_target_before_loading_a_frame(
     assert not (out / "report.csv").exists()
     assert taken.read_text() == "kept\n"
     assert list((tmp_path / "a-dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("artifact", ["report.csv", "grid.txt", "transforms.txt", "plots"])
+def test_run_refuses_an_artifact_path_of_the_other_kind_before_loading_a_frame(
+    tmp_path, capsys, one_cpu, frame_loads, artifact
+):
+    manifest, _ = make_workspace(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    if artifact == "plots":
+        (out / artifact).write_text("kept\n")
+        message = "not a directory"
+    else:
+        (out / artifact).mkdir()
+        message = "is a directory"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert captured.err.endswith(f": {out / artifact}: {message}\n")
+    assert frame_loads == []
+    assert sorted(p.name for p in out.iterdir()) == [artifact]
 
 
 def test_run_writes_a_trace_inside_a_new_out(tmp_path, one_cpu):

@@ -1132,6 +1132,32 @@ def test_mutated_text_inputs_parse_or_raise_input_error(tmp_path, kind, edits):
         pass
 
 
+@pytest.mark.parametrize("kind, text, error", [
+    ("manifest", "img_0.ppm\tframe 0\t2000\nimg_1.ppm\tframe 1\t2001\n", None),
+    ("manifest", "# path\tlabel\tyear\nimg_0.ppm\tframe 0\tnext\n", "line 2: unparseable"),
+    ("covariates", "year,heat,rain\n2000,1.5,3\n2001,2,4\n2002,2.5,5\n", None),
+    ("covariates", "year,heat,rain\n2000,1.5,3\n2001,2,4\n2002,2.5\n", "line 4:"),
+])
+def test_a_leading_byte_order_mark_reads_as_the_file_without_it(tmp_path, kind, text, error):
+    """Spreadsheet "CSV UTF-8" exports start with U+FEFF; the file reads, or
+    fails on the same line, as it does without the mark."""
+    path = tmp_path / f"{kind}.txt"
+    results = []
+    for data in (text.encode(), "\ufeff".encode() + text.encode()):
+        path.write_bytes(data)
+        try:
+            got = _TEXT_READERS[kind](path)
+        except InputError as exc:
+            results.append(str(exc))
+            continue
+        if kind == "covariates":
+            got = [(series.label, series.x.tolist(), series.y.tolist()) for series in got]
+        results.append(got)
+    assert results[0] == results[1]
+    assert isinstance(results[0], str) == (error is not None)
+    assert error is None or error in results[0]
+
+
 def test_every_text_seed_parses(tmp_path):
     for kind, data in _TEXT_SEEDS.items():
         path = tmp_path / f"{kind}.txt"

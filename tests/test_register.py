@@ -17,10 +17,8 @@ from somqe import (
 )
 from somqe import register
 from somqe.register import (
-    _bilinear,
-    _inverse_sample_coords,
     _gn_level,
-    _valid_selector,
+    _warp,
     luminance_pyramid,
     mean_square_residual,
     reference_pyramid,
@@ -180,8 +178,7 @@ def test_rotation_by_quarter_turn_about_center():
 
 
 def test_valid_mask_for_pure_shift():
-    sx, sy = _inverse_sample_coords(4, 6, 2.0, -1.0, 0.0)
-    select, count = _valid_selector(sx, sy, 4, 6)
+    _, select, count = _warp(4, 6, RegistrationTransform("translation", 2.0, -1.0))
     # source x = out x - 2 must be >= 0; source y = out y + 1 must be <= 3
     expected = np.zeros((4, 6), dtype=bool)
     expected[0:3, 2:6] = True
@@ -210,17 +207,15 @@ def test_mean_square_residual_matches_the_dense_mask(transform):
 
 def _assert_warp_matches_dense_oracle(image, transform):
     h, w = image.height, image.width
-    args = (h, w, transform.dx, transform.dy, transform.theta)
-    dense_sx, dense_sy = dense_sample_coords(*args)
-    sx, sy = _inverse_sample_coords(*args)
-    assert np.broadcast_to(sx, (h, w)).tobytes() == dense_sx.tobytes()
-    assert np.broadcast_to(sy, (h, w)).tobytes() == dense_sy.tobytes()
-    expected = dense_bilinear(image.pixels, dense_sx, dense_sy)
+    args = (transform.dx, transform.dy, transform.theta)
+    expected = dense_bilinear(image.pixels, *dense_sample_coords(h, w, *args))
+    sample, _, _ = _warp(h, w, transform)
+    got = np.empty((h, w))
     for c, plane in enumerate(image.planes):
-        got = _bilinear(plane, dense_sx, dense_sy)
+        sample(plane, got)
         assert got.tobytes() == expected[:, :, c].tobytes()
     assert resample(image, transform).pixels.tobytes() == expected.tobytes()
-    _assert_window_matches_dense_mask(*args[2:], h, w)
+    _assert_window_matches_dense_mask(*args, h, w)
 
 
 @pytest.mark.parametrize("mode,theta", [
@@ -267,14 +262,11 @@ def random_plane(seed, height, width):
 
 def _assert_plane_warp_matches_dense_oracle(plane, dx, dy, theta):
     h, w = plane.shape
-    sx, sy = _inverse_sample_coords(h, w, dx, dy, theta)
-    assert sx.shape == (1, w) and sy.shape == (h, 1)
-    dense_sx, dense_sy = dense_sample_coords(h, w, dx, dy, theta)
-    expected = dense_bilinear(plane, dense_sx, dense_sy)
-    got = _bilinear(plane, sx, sy)
-    assert got.shape == (h, w)
+    expected = dense_bilinear(plane, *dense_sample_coords(h, w, dx, dy, theta))
+    sample, _, _ = _warp(h, w, RegistrationTransform("rigid", dx, dy, theta))
+    got = np.empty((h, w))
+    sample(plane, got)
     assert got.tobytes() == expected.tobytes()
-    assert _bilinear(plane, dense_sx, dense_sy).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.0])
@@ -317,8 +309,7 @@ def test_lm_residual_window_matches_dense_mask_property(height, width, dx, dy, t
 
 
 def _assert_window_matches_dense_mask(dx, dy, theta, height, width):
-    sx, sy = _inverse_sample_coords(height, width, dx, dy, theta)
-    select, count = _valid_selector(sx, sy, height, width)
+    _, select, count = _warp(height, width, RegistrationTransform("rigid", dx, dy, theta))
     dense_sx, dense_sy = dense_sample_coords(height, width, dx, dy, theta)
     mask = (
         (dense_sx >= 0.0) & (dense_sx <= width - 1.0)

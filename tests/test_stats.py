@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,31 @@ def test_pearson_validation_errors():
     tiny = Series("t", np.arange(2.0), np.array([1.0, 2.0]))
     with pytest.raises(InputError, match="series too short"):
         pearson(tiny, tiny)
+
+
+@pytest.mark.parametrize("scale, squares_overflow", [(1e152, False), (1e160, True)])
+def test_fits_refuse_sums_that_overflow(scale, squares_overflow):
+    """Past the float range the fit would read r2 0 and p 1, or nan.
+
+    At 1e152 only the product of two centered sums overflows; at 1e160 the
+    sums of squares themselves do.  Either is one input error naming the
+    series, with no numpy warning on the way."""
+    years = np.arange(1984.0, 2009.0)
+    rng = np.random.default_rng(3)
+    big = Series("big", years, rng.normal(size=25) * scale)
+    other = Series("qe", years, rng.normal(size=25) * scale)
+    with np.errstate(over="ignore"):
+        squares = [float(np.sum((s.y - s.y.mean()) ** 2)) for s in (big, other)]
+    assert not any(map(math.isfinite, squares)) if squares_overflow else all(
+        map(math.isfinite, squares)
+    )
+    message = "values too large, their sums overflow a float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^series 'big': {message}$"):
+            linear_fit(big)
+        with pytest.raises(InputError, match=f"^series 'qe' against 'big': {message}$"):
+            pearson(other, big)
 
 
 def test_correlation_t_p_relationship():
