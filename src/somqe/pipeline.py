@@ -49,6 +49,7 @@ from .stats import (
     CorrelationResult,
     RegressionResult,
     Series,
+    _centered_sums,
     correlation_csv_row,
     csv_label,
     linear_fit,
@@ -394,7 +395,8 @@ class FrameStage:
     """Load, register, resample, residual, stretch and tail of one frame.
 
     Calling it on the anchor index first builds the anchor's reference: its
-    `reference_pyramid` (its luminance plane alone in mode 'none').  Every
+    float64 luminance plane for the residual and, unless the mode is 'none',
+    its `reference_pyramid` for the solver.  Every
     later call loads one frame, checks it against the anchor's size,
     registers it to that reference and resamples it, takes its mean-square
     residual and, when `config.normalize` is set, stretches its contrast.
@@ -426,11 +428,10 @@ class FrameStage:
         frame = timed("load", self._load, i)
         transform = self.identity
         if i == self.manifest.anchor_index:
-            if self.mode == "none":
-                self.luminance = frame.luminance()
-            else:
+            # the residual is float64; the solver's pyramid is float32
+            self.luminance = frame.luminance()
+            if self.mode != "none":
                 self.levels = timed("pyramid", reference_pyramid, frame)
-                self.luminance = self.levels[0].plane
         else:
             height, width = self.luminance.shape
             if (frame.height, frame.width) != (height, width):
@@ -642,13 +643,20 @@ def run_pipeline(manifest: Manifest, config: RunConfig) -> QeReport:
 
     The manifest's year-fixed years must admit a trend, and a
     `config.covariates` file is read, year-fixed and paired with them, before
-    any frame is loaded.  `frames` holds each frame's StagedFrame.
+    any frame is loaded; so is each covariate column's own variance, which
+    must be nonzero and within the float range for `pearson` to take it
+    against any QE series.  `frames` holds each frame's StagedFrame.
     """
     fixed = apply_year_fix(Series("", manifest.years, manifest.years), config.year_fix)
     linear_fit(fixed)  # the trend's rules: 3 points, 2 distinct years
     source = config.covariates
     covariates = [] if source is None else read_covariates(source, config.year_fix)
     check_pairing([e.label for e in manifest.entries], fixed.x, covariates, source)
+    for cov in covariates:
+        name = f"covariate {cov.label!r} in {source}"
+        # against a constant x, only the column's own sum of squares is checked
+        if _centered_sums(np.zeros(cov.n), cov.y, name)[3] == 0.0:
+            raise InputError(f"{name}: zero variance: correlation is undefined")
     tail = ScoreTail(manifest, config)
     staged = list(preprocessed_frames(manifest, config, tail))
     rows = [s.result for s in sorted(staged, key=lambda s: s.index)]

@@ -8,9 +8,18 @@ IJCV 2004) fits the moving plane, resampled through the held transform, to
 the fixed reference plane.  Each step is solved as a motion of the
 reference, so the Jacobian is the reference's own gradient, built once per
 stack by `reference_pyramid`, and the inverse of the step is composed into
-the held transform.  The normal equations are summed column by column with
-`np.einsum`, which runs in one thread, so the estimates do not depend on how
-many threads BLAS would have split a dot product across.
+the held transform.
+The solver works in float32: each level's luminance is computed in float64
+and then rounded to float32 (so an 8-bit frame and its float64 copy give the
+same planes), and the gradients, the warped plane, the residual and the
+weights are float32, half the bytes the warp and the sums stream.  Each sum
+of the normal equations and of the cost forms its elementwise product in
+float32 in one contiguous buffer and adds it up with numpy's pairwise
+reduction, whose rounding error grows with the log of the pixel count, not
+with the count, as a running float32 total's (or a float32 `np.einsum`'s)
+does.  The reduction runs in one thread, so the estimates do not depend on
+how many threads BLAS would have split a dot product across.  The steps
+after registration (`resample` and `mean_square_residual`) stay float64.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker,
@@ -33,13 +42,15 @@ Conventions, shared with `resample`:
   * one `_warp` per transform serves every caller: it computes the sample
     coordinates, their clamped corner indices and blend weights once, and
     returns a `sample` that writes a plane's bilinear samples into a given
-    array with the valid-pixel `select` and `count`.  `resample` samples
+    array of the warp's dtype (float64, or float32 for the solver) with the
+    valid-pixel `select` and `count`.  `resample` samples
     its three planes into one stack, `_gn_level` samples into one plane per
     pyramid level, and `mean_square_residual` takes only the valid pixels
   * at theta = 0 (every translation, and the rigid solver's start) the
     sample coordinates are separable: one row of x and one column of y,
     with the same bits as the dense rotated grid.  Bilinear sampling is then
-    a column pass over every row followed by a row pass, and the valid
+    a column pass over every row (its columns copied in a few blocks, see
+    `_column_blocks`) followed by a row pass, and the valid
     pixels form one rectangle, a run of rows times a run of columns; both
     do the same float operations in the same order as the per-pixel form,
     so the output bits are unchanged.  Only a rotation gathers pixel by
@@ -113,29 +124,32 @@ class RegistrationTransform:
 
 
 def _halve(a: np.ndarray) -> np.ndarray:
-    # plain 2x2 block means of (3, h, w) planes, summed in float64 so 8-bit
-    # samples cannot wrap; a trailing odd row or column is dropped so every
-    # level has exactly floor(previous / 2) in each dimension
+    # plain 2x2 block means of (3, h, w) planes, in float64.  8-bit samples
+    # are summed in uint16, which cannot wrap (4 x 255 < 2^16) and holds the
+    # same whole numbers the float64 sum would; a trailing odd row or column
+    # is dropped so every level has exactly floor(previous / 2) in each
+    # dimension
     h2, w2 = a.shape[1] // 2, a.shape[2] // 2
     t = a[:, : 2 * h2, : 2 * w2]
-    out = np.add(t[:, 0::2, 0::2], t[:, 0::2, 1::2], dtype=np.float64)
+    total = np.uint16 if a.dtype == np.uint8 else np.float64
+    out = np.add(t[:, 0::2, 0::2], t[:, 0::2, 1::2], dtype=total)
     out += t[:, 1::2, 0::2]
     out += t[:, 1::2, 1::2]
-    out *= 0.25
-    return out
+    return np.multiply(out, 0.25, dtype=np.float64)
 
 
 def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
-    """Luminance planes of a 2x2 box-filter pyramid, full resolution first.
+    """float32 luminance planes of a 2x2 box-filter pyramid, full resolution first.
 
     The RGB planes are halved until the next level would drop below 32
     pixels in either dimension, and each level's plane is the luminance of
-    its halved RGB, which rounds differently from halving the luminance."""
+    its halved RGB, which rounds differently from halving the luminance.
+    The luminance is computed in float64 and then rounded to float32."""
     current = image.planes
-    planes = [luminance_plane(current)]
+    planes = [luminance_plane(current).astype(np.float32)]
     while min(current.shape[1:]) // 2 >= _MIN_PYRAMID_DIM:
         current = _halve(current)
-        planes.append(luminance_plane(current))
+        planes.append(luminance_plane(current).astype(np.float32))
     return tuple(planes)
 
 
@@ -165,13 +179,30 @@ def reference_pyramid(image: RasterImage) -> tuple[ReferenceLevel, ...]:
     return tuple(levels)
 
 
-def _corners(coords: np.ndarray, size: int):
+def _corners(coords: np.ndarray, size: int, dtype):
     # the clamped neighbours below and above each coordinate along one axis,
-    # and the weights of each in the blend
+    # and the weights of each in the blend, rounded to `dtype`
     clamped = np.clip(coords, 0.0, size - 1.0)
     low = np.floor(clamped).astype(np.int64)
     upper = clamped - low
-    return low, np.minimum(low + 1, size - 1), 1.0 - upper, upper
+    weights = (1.0 - upper).astype(dtype, copy=False), upper.astype(dtype, copy=False)
+    return low, np.minimum(low + 1, size - 1), *weights
+
+
+def _column_blocks(index: np.ndarray):
+    # (destination, source) slices that copy the columns `index` (non-
+    # decreasing) of a plane, one pair per run with a constant step: a column
+    # repeated by the clamp is broadcast, a shifted run is one strided block.
+    # A block copy moves whole rows, where `np.take(..., axis=1)` moves one
+    # sample at a time, about 4x slower
+    step = np.diff(index)
+    bounds = [0, *(np.flatnonzero(step[1:] != step[:-1]) + 2).tolist(), index.size]
+    blocks = []
+    for a, b in zip(bounds, bounds[1:]):
+        first, last = int(index[a]), int(index[b - 1])
+        source = slice(first, first + 1) if first == last else slice(first, last + 1, int(step[a]))
+        blocks.append((slice(a, b), source))
+    return blocks
 
 
 def _run(inside: np.ndarray) -> slice:
@@ -180,17 +211,18 @@ def _run(inside: np.ndarray) -> slice:
     return slice(int(where[0]), int(where[-1]) + 1) if where.size else slice(0, 0)
 
 
-def _warp(height: int, width: int, t: RegistrationTransform):
+def _warp(height: int, width: int, t: RegistrationTransform, dtype=np.float64):
     """(sample, select, count) of the inverse mapping through `t` on an (h, w) grid.
 
     `sample(plane, out)` writes the bilinear samples of an (h, w) plane into
-    the float64 (h, w) array `out`; a uint8 plane's samples are blended in
-    float64, as its float64 copy's are.  `select(a)` holds the `count` valid
-    pixels of an (h, w) array in row-major order, in a 2-D array.  At theta
-    = 0 the valid pixels are a run of rows times a run of columns, each one
-    run because every rounding step of `j - c - d + c` is monotone in j, so
-    the selection is one rectangular view that copies nothing.  Otherwise it
-    is one row of the pixels under the dense mask."""
+    the (h, w) array `out` of `dtype`, blending with weights of that dtype;
+    a uint8 plane's samples are blended as its `dtype` copy's are.
+    `select(a)` holds the `count` valid pixels of an (h, w) array in
+    row-major order, in a 2-D array.  At theta = 0 the valid pixels are a
+    run of rows times a run of columns, each one run because every rounding
+    step of `j - c - d + c` is monotone in j, so the selection is one
+    rectangular view that copies nothing.  Otherwise it is one row of the
+    pixels under the dense mask."""
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     ux = np.arange(width, dtype=np.float64) - cx - t.dx
     uy = np.arange(height, dtype=np.float64) - cy - t.dy
@@ -201,8 +233,8 @@ def _warp(height: int, width: int, t: RegistrationTransform):
         uy = uy[:, None]
         sx = c * ux + s * uy + cx
         sy = -s * ux + c * uy + cy
-    x0, x1, gx, fx = _corners(sx, width)
-    y0, y1, gy, fy = _corners(sy, height)
+    x0, x1, gx, fx = _corners(sx, width, dtype)
+    y0, y1, gy, fy = _corners(sy, height, dtype)
     inside_x = (sx >= 0.0) & (sx <= width - 1.0)
     inside_y = (sy >= 0.0) & (sy <= height - 1.0)
     if t.theta != 0.0:
@@ -214,14 +246,17 @@ def _warp(height: int, width: int, t: RegistrationTransform):
         mask = inside_x & inside_y
         return sample, (lambda a: a[mask][None]), int(mask.sum())
     gy, fy = gy[:, None], fy[:, None]
+    left_blocks, right_blocks = _column_blocks(x0), _column_blocks(x1)
 
     def sample(plane, out):
         # row i of `across` is the x blend of plane row i, so its rows y0 and
-        # y1 are the per-pixel `top` and `bottom` above, bit for bit
-        across = np.take(plane, x0, axis=1).astype(np.float64, copy=False)
-        across *= gx
-        right = np.take(plane, x1, axis=1).astype(np.float64, copy=False)
-        right *= fx
+        # y1 are the per-pixel `top` and `bottom` above, bit for bit; the
+        # columns are gathered straight into the weights' dtype
+        across, right = np.empty_like(out), np.empty_like(out)
+        for gathered, blocks, weight in ((across, left_blocks, gx), (right, right_blocks, fx)):
+            for columns, source in blocks:
+                gathered[:, columns] = plane[:, source]
+            gathered *= weight
         across += right
         np.take(across, y0, axis=0, out=out, mode="clip")
         out *= gy
@@ -249,11 +284,15 @@ def _update_is_small(delta: np.ndarray) -> bool:
     return len(delta) < 3 or abs(delta[2]) < _CONVERGED_RAD
 
 
-def _dot(*factors: np.ndarray) -> float:
-    # the sum of the 2-D factors' elementwise product, in one thread: BLAS
-    # splits a long dot product across threads, and its rounding then
-    # depends on how many it was given
-    return float(np.einsum(",".join(["ij"] * len(factors)) + "->", *factors))
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
+    """The sum of a * b, formed in the contiguous array `out`, in one thread.
+
+    numpy reduces a contiguous run pairwise, so the rounding error of a
+    float32 sum grows with log n, where a running total's grows with n;
+    BLAS would split a long dot product across threads, and its rounding
+    would then depend on how many it was given."""
+    np.multiply(a, b, out=out)
+    return float(np.add.reduce(out.ravel()))
 
 
 def _median(values: np.ndarray) -> float:
@@ -262,13 +301,15 @@ def _median(values: np.ndarray) -> float:
     The same order statistics, and for an even count the same (a + b) / 2,
     so the same bits; but `np.median` imports `numpy.ma` on its first call
     (about 18 ms and 1 MB of objects that live on), which in a frame worker
-    lands amid its first frame's buffers and splits the heap they leave."""
+    lands amid its first frame's buffers and splits the heap they leave.
+    For an even count the lower middle value is the largest of the k below
+    the k-th: one partition and a max take about a tenth of the time of a
+    partition at both middle positions."""
     k = values.size // 2
+    values.partition(k)
     if values.size % 2:
-        values.partition(k)
         return float(values[k])
-    values.partition((k - 1, k))
-    return float((values[k - 1] + values[k]) / 2.0)
+    return float((values[:k].max() + values[k]) / 2.0)
 
 
 def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: RegistrationTransform):
@@ -285,19 +326,20 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
     h, w = plane.shape
     planes = [gx, gy]
     if start.mode == "rigid":
-        ux = np.arange(w) - (w - 1) / 2.0
-        uy = np.arange(h)[:, None] - (h - 1) / 2.0
+        ux = (np.arange(w) - (w - 1) / 2.0).astype(np.float32)
+        uy = (np.arange(h)[:, None] - (h - 1) / 2.0).astype(np.float32)
         planes.append(gy * ux - gx * uy)
     k = len(planes)
     t = start
-    warped = np.empty((h, w))
+    warped = np.empty((h, w), np.float32)
     for iteration in range(_MAX_GN_ITERATIONS + 1):
-        sample, select, count = _warp(h, w, t)
+        sample, select, count = _warp(h, w, t, np.float32)
         if count == 0:
             return t, math.inf, False
         sample(moving, warped)
         residual = select(warped) - select(plane)
-        cost = _dot(residual, residual) / count
+        product = np.empty_like(residual)
+        cost = _dot(residual, residual, product) / count
         if iteration == 0:
             # fixed for the level: a scale recomputed every step changes the
             # cost between steps, and the estimates settle further from the
@@ -316,13 +358,15 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
         np.maximum(0.0, weight, out=weight)
         np.square(weight, out=weight)
         columns = [select(p) for p in planes]
+        weighted = [weight * c for c in columns]
         normal = np.empty((k, k))
         for a in range(k):
             for b in range(a, k):
-                normal[a, b] = normal[b, a] = _dot(weight, columns[a], columns[b])
+                normal[a, b] = normal[b, a] = _dot(weighted[a], columns[b], product)
         normal += 1e-12 * np.eye(k)
+        residual *= weight
         try:
-            delta = np.linalg.solve(normal, [_dot(weight, c, residual) for c in columns])
+            delta = np.linalg.solve(normal, [_dot(c, residual, product) for c in columns])
         except np.linalg.LinAlgError:
             return t, cost, False
         if _update_is_small(delta):
@@ -377,7 +421,8 @@ def mean_square_residual(
     if count == 0:
         return math.inf
     diff = select(aligned.luminance()) - select(reference_luminance)
-    return _dot(diff, diff) / count
+    # one thread, as the solver's sums: BLAS rounding depends on its threads
+    return float(np.einsum("ij,ij->", diff, diff)) / count
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,14 @@ def _shared_plot_name(path):
     path.write_text("year,Visitors,visitors\n2000,1,2\n2001,3,3\n2002,4,6\n")
 
 
+def _constant(path):
+    path.write_text("year,heat\n2000,5\n2001,5\n2002,5\n")
+
+
+def _huge(path):
+    path.write_text("year,heat\n2000,1e300\n2001,-1e300\n2002,0\n")
+
+
 @pytest.mark.parametrize("spoil, message", [
     (Path.unlink, "No such file or directory"),
     (_short, "length mismatch: covariate 'heat' has 2 rows, the QE series has 3"),
@@ -288,7 +296,9 @@ def _shared_plot_name(path):
                  "QE row 2 (frame2) is year 2002"),
     (_shared_plot_name, "covariate columns 'Visitors' and 'visitors' in {path} "
                         "share the plot name 'visitors'"),
-], ids=["missing", "short", "late-year", "shared-plot-name"])
+    (_constant, "covariate 'heat' in {path}: zero variance: correlation is undefined"),
+    (_huge, "covariate 'heat' in {path}: values too large, their sums overflow a float"),
+], ids=["missing", "short", "late-year", "shared-plot-name", "constant", "huge"])
 def test_run_rejects_bad_covariates_before_loading_a_frame(
     tmp_path, capsys, one_cpu, frame_loads, spoil, message
 ):

@@ -774,13 +774,14 @@ def frames(draw):
 @settings(max_examples=60, deadline=None)
 def test_planar_frame_steps_match_the_interleaved_float64_oracles(image, dx, dy, theta):
     """Pyramid, warp, stretch and score of a uint8 or float64 frame give the
-    bits of the same steps on its interleaved float64 copy.  Both the frame
-    and its warp are scored stretched and, as `normalize = off` scores them,
-    unstretched; the warp's fractional samples stay unrounded."""
+    bits of the same steps on its interleaved float64 copy; the solver's
+    pyramid is that copy's float64 pyramid rounded to float32.  Both the
+    frame and its warp are scored stretched and, as `normalize = off` scores
+    them, unstretched; the warp's fractional samples stay unrounded."""
     pixels = image.pixels.astype(np.float64)
     pyramid = zip(luminance_pyramid(image), interleaved_luminance_pyramid(pixels), strict=True)
     for got, expected in pyramid:
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.astype(np.float32).tobytes()
     mode = "rigid" if theta else "translation"
     warped = resample(image, RegistrationTransform(mode, dx, dy, theta))
     warped_pixels = interleaved_resample(pixels, dx, dy, theta)

@@ -1,7 +1,10 @@
 """Alignment: transform algebra, pyramids, resampling, recovery."""
 
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from somqe import (
     RasterImage,
     RegistrationError,
     RegistrationTransform,
+    load_image,
     register_pair,
     resample,
 )
@@ -129,6 +133,30 @@ def test_halving_uint8_planes_of_255_sums_in_float64():
     assert halved.shape == (3, 32, 33)
     assert np.all(halved == 255.0)
     assert np.array_equal(luminance_pyramid(image)[1], image.luminance()[:32, :33])
+
+
+@given(st.integers(2, 19), st.integers(2, 19), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_halving_uint8_planes_in_integers_gives_the_float64_bits(height, width, seed,
+                                                                 saturated):
+    if saturated:  # every 2x2 block sums to 1020, past uint8 but not uint16
+        planes = np.full((3, height, width), 255, dtype=np.uint8)
+    else:
+        planes = np.random.default_rng(seed).integers(0, 256, (3, height, width), np.uint8)
+    halved = register._halve(planes)
+    assert halved.dtype == np.float64
+    assert halved.shape == (3, height // 2, width // 2)
+    assert halved.tobytes() == register._halve(planes.astype(np.float64)).tobytes()
+
+
+@pytest.mark.parametrize("as_uint8", [False, True])
+def test_solver_planes_are_float32(as_uint8):
+    image = smooth_image(8, size=128)
+    if as_uint8:
+        image = RasterImage(np.round(image.pixels).astype(np.uint8))
+    assert [plane.dtype for plane in luminance_pyramid(image)] == [np.float32] * 3
+    for level in reference_pyramid(image):
+        assert {level.plane.dtype, level.gx.dtype, level.gy.dtype} == {np.dtype(np.float32)}
 
 
 def test_pyramid_preserves_mean_within_one_gray_level():
@@ -255,6 +283,16 @@ def test_median_matches_numpy(values, rounded):
     assert register._median(spread).hex() == float(expected).hex()
 
 
+def test_solver_sums_do_not_drift_with_the_pixel_count():
+    """2^22 float32 copies of 0.1, a full 2048^2 plane, sum to within 1e-6
+    of the exact total; a running float32 total drifts by percents."""
+    tenth = np.full((2048, 2048), 0.1, dtype=np.float32)
+    exact = float(np.float32(0.1)) * tenth.size
+    got = register._dot(tenth, np.ones_like(tenth), np.empty_like(tenth))
+    assert abs(got - exact) <= 1e-6 * exact
+    assert abs(float(np.cumsum(tenth)[-1]) - exact) > 1e-6 * exact
+
+
 def random_plane(seed, height, width):
     # float luminance-like plane with negative values and fractional bits
     return np.random.default_rng(seed).normal(100.0, 60.0, (height, width))
@@ -289,6 +327,18 @@ def test_separable_plane_warp_matches_dense_grid_property(height, width, dx, dy,
     _assert_plane_warp_matches_dense_oracle(
         random_plane(seed, height, width), dx, dy, theta
     )
+
+
+@given(st.lists(st.integers(0, 2), max_size=30), st.integers(0, 3), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_column_blocks_gather_what_take_gathers(steps, start, extra):
+    """Any non-decreasing index, a step of 2 (two roundings apart) included."""
+    index = start + np.cumsum([0, *steps])
+    plane = random_plane(len(steps), 3, int(index[-1]) + 1 + extra)
+    gathered = np.empty((3, index.size))
+    for columns, source in register._column_blocks(index):
+        gathered[:, columns] = plane[:, source]
+    assert gathered.tobytes() == np.take(plane, index, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("dx,dy,theta", [
@@ -461,3 +511,25 @@ def test_transform_sidecar_round_trip(tmp_path):
         assert i0 == int(i1) and r0 == float(r1)
         assert t0.mode == mode
         assert (t0.dx, t0.dy, t0.theta) == (float(dx), float(dy), float(theta))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bench_translation_stacks_register_within_their_bound(tmp_path, monkeypatch, seed):
+    """Every frame of the benchmark's 512^2 translation stack lands within
+    0.0121 px of the generator's truth (0.01203 px at worst on seeds 1-5)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "stackgen.py"
+    monkeypatch.setattr("sys.dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("somqe_bench_stackgen", path)
+    stackgen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, stackgen)  # its dataclasses look it up
+    spec.loader.exec_module(stackgen)
+    spec = stackgen.StackSpec(512, "translation", "ppm", max_shift=6.0)
+    truth = stackgen.write_stack(spec, seed, tmp_path)
+    anchor = truth["anchor_index"]
+    levels = reference_pyramid(load_image(tmp_path / truth["frames"][anchor]["file"]))
+    worst = 0.0
+    for i, frame in enumerate(truth["frames"]):
+        if i != anchor:
+            t = register_pair(levels, load_image(tmp_path / frame["file"]), "translation")
+            worst = max(worst, math.hypot(t.dx - frame["dx"], t.dy - frame["dy"]))
+    assert worst <= 0.0121
