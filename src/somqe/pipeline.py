@@ -516,7 +516,7 @@ def _map_frames(stage: FrameStage, indices: list[int]):
         with warnings.catch_warnings():
             # Python 3.12+ warns on any fork once numpy's BLAS threads exist;
             # OpenBLAS rebuilds its pool in the child, and the stage's sums
-            # are one-thread einsums
+            # are one-thread `np.add.reduce` and `np.einsum` calls
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )

@@ -18,8 +18,11 @@ float32 in one contiguous buffer and adds it up with numpy's pairwise
 reduction, whose rounding error grows with the log of the pixel count, not
 with the count, as a running float32 total's (or a float32 `np.einsum`'s)
 does.  The reduction runs in one thread, so the estimates do not depend on
-how many threads BLAS would have split a dot product across.  The steps
-after registration (`resample` and `mean_square_residual`) stay float64.
+how many threads BLAS would have split a dot product across; it is the
+package's one summation rule (see `somqe.som`).  The steps after
+registration (`resample` and `mean_square_residual`) stay float64, and
+`mean_square_residual` keeps its `np.einsum`, one of the rule's two
+exceptions, because `transforms.txt` prints the residual to 17 digits.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker,

@@ -19,7 +19,13 @@ winner) is considered large enough for that image.
 
 Pixels are handled as float vectors in [0, 1], 8-bit samples divided by 255.
 All reductions are ordered deterministically, so every result here is a pure
-function of (image bytes, parameters, seed).
+function of (image bytes, parameters, seed).  A long sum, here and everywhere
+in the package, is numpy's one-thread pairwise `np.add.reduce` of one
+contiguous array, never BLAS, whose rounding follows its thread count;
+`tests/test_som.py::test_numpy_reduction_matches_its_restatement` pins the
+order against `tests/oracles.numpy_pairwise_sum`.  The two exceptions are
+fixed-order `np.einsum` sums: `_nearest`'s three channel terms and
+`register.mean_square_residual`.
 """
 
 from __future__ import annotations
@@ -130,26 +136,6 @@ class QeResult:
         object.__setattr__(self, "assignment_counts", counts)
 
 
-def pairwise_sum(values) -> float:
-    """Sum by repeatedly adding adjacent pairs.
-
-    Each round replaces the sequence with sums of elements (2k, 2k+1); an odd
-    trailing element is carried unchanged into the next round.  The addition
-    tree depends only on the length, so the result is bit-stable no matter
-    how the caller produced the values.
-    """
-    a = np.asarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        even = a.size & ~1
-        paired = a[0:even:2] + a[1:even:2]
-        if a.size & 1:
-            paired = np.append(paired, a[-1])
-        a = paired
-    return float(a[0])
-
-
 def initialize_grid(image: RasterImage, width: int, height: int, seed: int) -> SomGrid:
     """Fill a width x height grid with pixels drawn from the image.
 
@@ -237,10 +223,10 @@ def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
     R, G and B planes go through every model while they are still in cache.
     Per pixel, squared channel terms are summed as (r + g) + b, and a later
     model replaces the running best only when strictly closer, so the lowest
-    row-major index wins ties.  The mean uses the adjacent-pairs summation
-    above over all pixels at once, so the value is a pure function of the
-    pixels and models and does not depend on the block size.  Assignment
-    counts record how many pixels each model won.
+    row-major index wins ties.  The mean is one `np.add.reduce` over all
+    pixels at once, so the value is a pure function of the pixels and
+    models and does not depend on the block size.  Assignment counts
+    record how many pixels each model won.
     """
     pixels = image.planes.reshape(3, -1)
     n = pixels.shape[1]
@@ -271,7 +257,7 @@ def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
                 np.minimum(nearest, d2, out=nearest)
                 chosen[won] = k
         counts += np.bincount(chosen, minlength=grid.model_count)
-    qe = pairwise_sum(np.sqrt(best, out=best)) / n
+    qe = float(np.add.reduce(np.sqrt(best, out=best))) / n
     return QeResult(qe=qe, pixel_count=n, assignment_counts=counts)
 
 

@@ -1,6 +1,8 @@
 """Trend fits and correlation for short yearly series.
 
-Ordinary least squares on centered sums:
+Ordinary least squares on centered sums, each product reduced by numpy's
+one-thread pairwise `np.add.reduce` (the package's one summation rule, see
+`somqe.som`), not by a BLAS dot product:
 
     slope = Sxy / Sxx        intercept = mean(y) - slope * mean(x)
     r2 = Sxy^2 / (Sxx Syy)   t = sqrt(r2 * df / (1 - r2)),  df = n - 2
@@ -99,7 +101,7 @@ def _centered_sums(x: np.ndarray, y: np.ndarray, names: str):
     with np.errstate(over="ignore", invalid="ignore"):
         mx, my = x.mean(), y.mean()
         dx, dy = x - mx, y - my
-        sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+        sxx, syy, sxy = (float(np.add.reduce(a * b)) for a, b in ((dx, dx), (dy, dy), (dx, dy)))
     if not all(map(math.isfinite, (sxx, syy, sxy, sxx * syy, sxy * sxy))):
         raise InputError(f"{names}: values too large, their sums overflow a float")
     return mx, my, sxx, syy, sxy

@@ -56,6 +56,14 @@ def random_image(seed: int, height: int = 16, width: int = 16) -> RasterImage:
     return RasterImage(rng.integers(0, 256, (height, width, 3)).astype(np.float64))
 
 
+def sawtooth_stripes(side: int) -> RasterImage:
+    """Grey diagonal stripes, ((x + y) * 7) mod 256: the gradient is the same
+    along x as along y everywhere, so the normal matrix of a shift is singular."""
+    y, x = np.mgrid[:side, :side]
+    grey = ((x + y) * 7) % 256
+    return RasterImage(np.repeat(grey[:, :, None], 3, axis=2).astype(np.uint8))
+
+
 def smooth_image(seed: int, size: int = 256, max_freq: float = 0.12) -> RasterImage:
     """Band-limited random field, gentle enough for subpixel resampling."""
     rng = np.random.default_rng(seed)

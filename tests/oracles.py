@@ -2,18 +2,19 @@
 
 Everything here deliberately takes a different route from the library code:
 the generator is re-derived step by step from its five constants, sums are
-exact rationals or 50-digit mpmath, the t-tail probability is numerical
-integration of the density or mpmath's hypergeometric incomplete beta rather
-than the library's continued fraction, the OLS oracle uses raw
-(uncentered) textbook sums, PNG scanlines are unfiltered byte by byte
-as the specification states it, and PPM header tokens are lexed by a loop
-over the bytes instead of a regular expression.  The scoring and warping
-kernels are kept here in their first, dense form, which the fast kernels
-must match bit for bit, and so are the frame steps in their first form, on
-interleaved (height, width, 3) float64 pixels, which the planar steps must
-match bit for bit whether a frame's planes are uint8 or float64.  The
-map-size pick is kept as the pairwise loop it first was, and training as
-the fold of the public `train_step` over every drawn pixel that it first was.
+exact rationals or 50-digit mpmath, or, where the library's bits are pinned,
+numpy's pairwise reduction restated one addition at a time in Python, the
+t-tail probability is numerical integration of the density or mpmath's
+hypergeometric incomplete beta rather than the library's continued
+fraction, the OLS oracle uses raw (uncentered) textbook sums, PNG scanlines
+are unfiltered byte by byte as the specification states it, and PPM header
+tokens are lexed by a loop over the bytes instead of a regular expression.
+The scoring and warping kernels are kept here in their first, dense form,
+which the fast kernels must match bit for bit, and so are the frame steps in
+their first form, on interleaved (height, width, 3) float64 pixels, which
+the planar steps must match bit for bit whether a frame's planes are uint8
+or float64.  Training is kept as the fold of the public `train_step` over
+every drawn pixel that it first was.
 """
 
 from __future__ import annotations
@@ -60,17 +61,41 @@ SPLITMIX64_REFERENCE_OUTPUTS = [
 # ---------------------------------------------------------------------------
 # summation
 
-def adjacent_pairs_sum(values) -> float:
-    """Recursive adjacent-pairs tree sum in pure Python floats."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+def numpy_pairwise_sum(values, dtype=np.float64):
+    """numpy's `np.add.reduce` of a contiguous 1-D array, restated in Python.
+
+    Fewer than 8 values are added in order.  Up to 128 go into eight running
+    sums, r_j += values[8i + j], joined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), and the tail past the last multiple of 8 is then
+    added in order.  A longer run splits at n // 2 rounded down to a multiple
+    of 8 and adds the two halves' sums.  The whole is added to 0.0, add's
+    identity, so a lone -0.0 sums to 0.0.  Every addition rounds to `dtype`
+    (numpy scalars of that type), as numpy's float32 and float64 loops do.
+    """
+    vals = [dtype(v) for v in values]
+    zero = dtype(0.0)
+
+    def tree(lo: int, n: int):
+        if n < 8:
+            total = zero
+            for v in vals[lo : lo + n]:
+                total = total + v
+            return total
+        if n <= 128:
+            r = vals[lo : lo + 8]
+            i = 8
+            while i < n - n % 8:
+                r = [r[j] + vals[lo + i + j] for j in range(8)]
+                i += 8
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for v in vals[lo + i : lo + n]:
+                total = total + v
+            return total
+        half = n // 2
+        half -= half % 8
+        return tree(lo, half) + tree(lo + half, n - half)
+
+    return zero + tree(0, len(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +227,7 @@ def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):
 
     Blocks of `chunk` pixels; per pixel the first argmin of the summed
     squared channel differences wins.  Returns (qe, assignment counts), the
-    mean taken with the adjacent-pairs tree.
+    mean taken with `numpy_pairwise_sum`.
     """
     x = np.asarray(pixels, dtype=np.float64).reshape(-1, 3) / 255.0
     models = np.asarray(models, dtype=np.float64)
@@ -216,7 +241,7 @@ def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):
         winners[start : start + chunk] = best
         distances[start : start + chunk] = np.sqrt(d2[np.arange(len(block)), best])
     counts = np.bincount(winners, minlength=len(models))
-    return adjacent_pairs_sum(distances) / n, counts
+    return float(numpy_pairwise_sum(distances)) / n, counts
 
 
 def dense_sample_coords(height, width, dx, dy, theta):

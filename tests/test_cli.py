@@ -19,9 +19,10 @@ from somqe.pipeline import (
     CONFIG_KEYS, RunConfig, load_config_file, read_manifest, report_csv_text, run_pipeline
 )
 from somqe.raster import RasterImage, load_image, save_image
+from somqe.register import RegistrationTransform, resample
 from somqe.som import SomGrid, save_grid
 
-from conftest import sinusoid_sampler
+from conftest import sawtooth_stripes, sinusoid_sampler
 
 
 def make_workspace(tmp_path, n_frames: int = 3, side: int = 48):
@@ -718,6 +719,17 @@ def test_score_requires_grid_file(tmp_path, capsys):
     assert "--grid-file is required" in captured.err
 
 
+def test_score_with_a_grid_file_of_no_models_exits_1(tmp_path, capsys, frame_loads):
+    manifest, _ = make_workspace(tmp_path)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("somqe-grid v1 0 1\n")
+    assert main(["score", "--manifest", str(manifest), "--grid-file", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert "grid dimensions must be positive" in captured.err
+    assert frame_loads == []
+
+
 @pytest.mark.parametrize("command, target, old, new, where", [
     ("run", "frames.tsv", b"frame1", b"fr\xffame1", "offset"),
     ("correlate", "cov.csv", b"heat", b"h\xffeat", "offset"),
@@ -772,6 +784,21 @@ def test_registration_failure_exits_2(tmp_path, capsys, monkeypatch):
         raise RegistrationError("no convergence", residual=9.9)
 
     monkeypatch.setattr("somqe.pipeline.register_pair", explode)
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "computation")
+    assert "frame 0" in captured.err
+
+
+def test_a_frame_with_a_singular_normal_matrix_exits_2(tmp_path, capsys, one_cpu):
+    anchor = sawtooth_stripes(64)
+    lines = []
+    for k, (dx, dy) in enumerate([(1.3, -0.4), (-0.6, 0.8), (0.0, 0.0)]):
+        moved = resample(anchor, RegistrationTransform("translation", dx, dy))
+        save_image(RasterImage(np.round(moved.pixels).astype(np.uint8)), tmp_path / f"{k}.ppm")
+        lines.append(f"{k}.ppm\tf{k}\t{2000 + k}\n")
+    manifest = tmp_path / "frames.tsv"
+    manifest.write_text("".join(lines))
     assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert_single_error_line(captured, "computation")

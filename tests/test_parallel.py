@@ -141,6 +141,24 @@ def test_one_frame_after_the_anchor_runs_in_this_process(tmp_path, two_cpus):
     assert [s.result for s in staged] == [os.getpid()] * 2
 
 
+def test_without_an_affinity_call_every_frame_runs_in_this_process(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    manifest = write_stack(tmp_path / "stack")
+    staged = preprocessed_frames(
+        read_manifest(manifest), RunConfig(registration_mode="none"),
+        lambda i, frame, timed: os.getpid(),
+    )
+    assert [s.result for s in staged] == [os.getpid()] * len(MOTIONS)
+
+
+def test_without_mallopt_keep_freed_buffers_changes_nothing(monkeypatch):
+    """A libc with no `mallopt` symbol, as on macOS: nothing is set, False."""
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert pipeline_module.keep_freed_buffers() is False
+
+
 # ---------------------------------------------------------------------------
 # the trace
 

@@ -146,6 +146,15 @@ def test_planes_with_a_zero_dimension_rejected():
         RasterImage.from_planes(np.zeros((3, 0, 2), dtype=np.uint8))
 
 
+def test_planes_of_another_dtype_or_layout_rejected():
+    with pytest.raises(InputError, match="^planes must be uint8 or float64$"):
+        RasterImage.from_planes(np.zeros((3, 2, 2), dtype=np.float32))
+    strided = np.zeros((3, 2, 4), dtype=np.uint8)[:, :, ::2]
+    message = r"^planes must be one C-contiguous \(3, height, width\) array$"
+    with pytest.raises(InputError, match=message):
+        RasterImage.from_planes(strided)
+
+
 def test_to_uint8_rounds_half_up():
     image = RasterImage(np.array([[[0.5, 1.49, 254.5]]]))
     assert list(image.to_uint8()[0, 0]) == [1, 1, 255]
@@ -250,6 +259,37 @@ def test_every_definition_is_named_by_the_package():
     assert {name for _, name in defined} >= set(_KEPT_WITHOUT_A_CALLER)
 
 
+_BLAS_CALLS = ("np.dot", "np.matmul", "np.inner", "np.vdot", "np.tensordot", "np.linalg.multi_dot")
+
+
+def test_no_sum_goes_through_blas_and_einsum_keeps_its_two_places():
+    """Long sums are one-thread `np.add.reduce` calls: BLAS rounding follows
+    its thread count.  The `np.einsum` sums kept are `_nearest`'s three
+    channel terms and `mean_square_residual`'s 17-digit residual."""
+    package = Path(raster.__file__).parent
+    matmul = [
+        module.name for module in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert matmul == []
+    assert _package_calls(lambda call, callee: callee in _BLAS_CALLS) == set()
+    assert _package_calls(lambda call, callee: callee == "np.einsum") == {
+        ("som", "_nearest", "np.einsum"),
+        ("register", "mean_square_residual", "np.einsum"),
+    }
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """pyproject.toml promises Python 3.10, older than the interpreter that
+    runs the tests, so no file may use newer syntax."""
+    root = Path(__file__).resolve().parent.parent
+    files = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_text_records_is_the_one_line_splitter():
     """Every text input, QE rows too, shares one blank/'#' line rule."""
     splitters = {(module, function) for module, function, _ in _package_calls(_splits_lines)}
@@ -280,6 +320,15 @@ def test_an_atomic_write_takes_its_mode_from_the_umask(tmp_path):
     finally:
         os.umask(previous)
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_an_atomic_write_onto_a_directory_raises_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "report.csv"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        raster.atomic_write_bytes(target, b"a,b\n")
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +370,9 @@ def test_ppm_error_malformed_header():
     # a comment that runs to the end of the data is no token, nor is its tail
     with pytest.raises(InputError, match="^malformed header: unexpected end of file$"):
         decode_ppm(b"P6 2 2 #255")
+    # the data ends at the maxval, with no byte to separate a payload
+    with pytest.raises(InputError, match="^malformed header: missing separator before payload$"):
+        decode_ppm(b"P6 1 1 255")
 
 
 # every byte that decides a token boundary: the six ASCII whitespace bytes
@@ -455,6 +507,12 @@ def test_png_error_cases():
     ihdr16 = struct.pack(">IIBBBBB", 2, 2, 16, 2, 0, 0, 0)
     with pytest.raises(InputError, match="unsupported bit depth"):
         decode_png(_png_from_ihdr(ihdr16))
+    # compression method 1, then filter method 1: only method 0 of each exists
+    for methods in ((1, 0), (0, 1)):
+        ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, *methods, 0)
+        message = "^malformed header: unknown compression or filter method$"
+        with pytest.raises(InputError, match=message):
+            decode_png(_png_from_ihdr(ihdr))
     # truncated IDAT payload
     with pytest.raises(InputError, match="truncated payload"):
         ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)

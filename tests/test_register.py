@@ -29,7 +29,7 @@ from somqe.register import (
     write_transform_sidecar,
 )
 
-from conftest import random_image, sinusoid_sampler, smooth_image
+from conftest import random_image, sawtooth_stripes, sinusoid_sampler, smooth_image
 from oracles import dense_bilinear, dense_sample_coords
 
 
@@ -480,6 +480,33 @@ def test_register_pair_out_of_iterations_raises_with_its_estimate(monkeypatch, m
     assert exc.transform.mode == mode
     assert (exc.transform.dx, exc.transform.dy) != (0.0, 0.0)
     assert math.isfinite(exc.residual)
+
+
+def counting_solve(monkeypatch) -> list:
+    """Patch `np.linalg.solve` to append each LinAlgError it raises to a list."""
+    failures = []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return failures
+
+
+@pytest.mark.parametrize("side", [64, 128])
+@pytest.mark.parametrize("mode", ["translation", "rigid"])
+def test_a_singular_normal_matrix_ends_as_registration_error(monkeypatch, mode, side):
+    ref = sawtooth_stripes(side)
+    moved = resample(ref, RegistrationTransform("translation", 1.3, -0.4))
+    failures = counting_solve(monkeypatch)
+    with pytest.raises(RegistrationError, match="did not converge"):
+        register_pair(reference_pyramid(ref), moved, mode)
+    assert len(failures) == 1
 
 
 def test_register_pair_size_mismatch():

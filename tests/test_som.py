@@ -21,15 +21,15 @@ from somqe import (
     train_step,
 )
 from somqe import som
-from somqe.som import grid_from_text, grid_to_text, pairwise_sum
+from somqe.som import grid_from_text, grid_to_text
 from somqe.rng import INIT_STREAM, SAMPLE_STREAM, substream_seed
 
 from conftest import random_image, two_color_image
 from oracles import (
-    adjacent_pairs_sum,
     broadcast_quantization_error,
     brute_force_bmu,
     grid_neighbors_within,
+    numpy_pairwise_sum,
     pixel_vectors,
     splitmix64_sequence,
     train_by_steps,
@@ -44,18 +44,45 @@ def small_grid(seed: int, width: int = 3, height: int = 2) -> SomGrid:
 # ---------------------------------------------------------------------------
 # summation
 
-@given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), min_size=1, max_size=300))
-def test_pairwise_sum_matches_recursive_oracle(values):
-    assert pairwise_sum(values) == adjacent_pairs_sum(values)
+SUM_DTYPES = (np.float64, np.float32)  # QE and fits; the solver's `_dot`
 
 
-def test_pairwise_sum_edges():
-    assert pairwise_sum([]) == 0.0
-    assert pairwise_sum([3.5]) == 3.5
-    # the tree for 5 elements: ((a+b)+(c+d)) + e, carried tail last
-    vals = [0.1, 0.2, 0.3, 0.4, 0.5]
-    expected = ((0.1 + 0.2) + (0.3 + 0.4)) + 0.5
-    assert pairwise_sum(vals) == expected
+@pytest.mark.parametrize("dtype", SUM_DTYPES)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_numpy_reduction_matches_its_restatement(dtype, data):
+    """Every long sum in the package is `np.add.reduce` of a contiguous array,
+    so its order is pinned to the oracle's restatement bit for bit."""
+    width = 64 if dtype is np.float64 else 32
+    values = data.draw(st.lists(
+        st.floats(-(2.0**40), 2.0**40, width=width), max_size=300
+    ))
+    a = np.array(values, dtype=dtype)
+    got = np.add.reduce(a)
+    assert got.dtype == dtype
+    assert got.tobytes() == numpy_pairwise_sum(a, dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", SUM_DTYPES)
+def test_numpy_reduction_order_on_every_length(dtype):
+    """Lengths 0..300 cross every branch of the tree; 2^18 is a 512² plane."""
+    rng = np.random.default_rng(7)
+    for n in [*range(301), 65_537, 2**18]:
+        a = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 7, n)).astype(dtype)
+        expected = numpy_pairwise_sum(a, dtype)
+        assert np.add.reduce(a).tobytes() == expected.tobytes(), n
+
+
+def test_numpy_reduction_edges():
+    # add's identity 0.0 starts the sum, so a lone -0.0 sums to +0.0
+    assert math.copysign(1.0, numpy_pairwise_sum([-0.0])) == 1.0
+    assert math.copysign(1.0, np.add.reduce(np.array([-0.0]))) == 1.0
+    assert numpy_pairwise_sum([]) == 0.0
+    # 9 values: eight running sums, joined as a tree, then the tail
+    vals = [0.1 * k for k in range(1, 10)]
+    r = vals[:8]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    assert numpy_pairwise_sum(vals) == head + vals[8] == np.add.reduce(np.array(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +194,11 @@ def test_repeated_steps_follow_geometric_closed_form():
 def test_step_rejects_negative_alpha():
     with pytest.raises(InputError):
         train_step(small_grid(1), np.zeros(3), -0.1, 1.0)
+
+
+def test_step_rejects_negative_radius():
+    with pytest.raises(InputError, match="^radius_t must be non-negative$"):
+        train_step(small_grid(1), np.zeros(3), 0.1, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +548,12 @@ def test_grid_text_rejects_bad_headers(text):
 def test_grid_text_rejects_wrong_model_count():
     with pytest.raises(InputError, match="promises"):
         grid_from_text("somqe-grid v1 2 2\n0 0 0\n")
+
+
+def test_grid_text_of_zero_models_rejected():
+    """A 0 x 1 header promises an empty body, and no map has no models."""
+    with pytest.raises(InputError, match="^grid dimensions must be positive$"):
+        grid_from_text("somqe-grid v1 0 1\n")
 
 
 def test_grid_text_errors_name_the_file_line():
