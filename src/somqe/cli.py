@@ -250,25 +250,18 @@ def _cmd_run(args, config: RunConfig) -> int:
 def _write_trace(path: Path, staged, emit_s: float, minflt: int) -> None:
     """JSONL: one line per frame, anchor first, then one for this process.
 
-    A frame's line holds its index, the pid of the process that ran its
-    stage, each stage's seconds, the minor page faults that process took
-    during the stage and, for a registered frame, that its solve converged
-    (a frame that did not ends the run instead).  The last line holds this
-    process's anchor stage (the anchor's own line less training), training
+    A frame's line holds its index and its `StagedFrame.record`: the pid of
+    the process that ran its stage, each step's seconds and the minor page
+    faults that process took during the stage.  The last line holds this
+    process's anchor stage (the anchor's own steps less training), training
     and artifact emit seconds, and the minor page faults it took from the
     start of the run to the end of the emit.
     """
     import json
 
-    lines = []
-    for s in staged:
-        record = {"frame": s.index, "pid": s.pid}
-        record.update((f"{name}_s", seconds) for name, seconds in s.seconds.items())
-        record["minflt"] = s.minflt
-        record["converged"] = True if "register" in s.seconds else None
-        lines.append(json.dumps(record))
-    anchor = dict(staged[0].seconds)
-    train_s = anchor.pop("train", 0.0)
+    lines = [json.dumps({"frame": s.index, **s.record}) for s in staged]
+    anchor = {key: value for key, value in staged[0].record.items() if key.endswith("_s")}
+    train_s = anchor.pop("train_s", 0.0)
     lines.append(json.dumps({
         "pid": os.getpid(),
         "anchor_s": sum(anchor.values()),

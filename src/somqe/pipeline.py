@@ -386,9 +386,9 @@ class StagedFrame(NamedTuple):
     transform: RegistrationTransform
     residual: float
     result: object  # what the stage's tail returned for this frame
-    pid: int  # the process that ran the stage
-    seconds: dict  # stage name -> wall seconds, in the order the stages ran
-    minflt: int  # minor page faults that process took during the stage
+    # "pid" of the process that ran the stage, "<step>_s" wall seconds in the
+    # order the steps ran, and the "minflt" minor page faults it took
+    record: dict
 
 
 class FrameStage:
@@ -398,8 +398,9 @@ class FrameStage:
     float64 luminance plane for the residual and, unless the mode is 'none',
     its `reference_pyramid` for the solver.  Every
     later call loads one frame, checks it against the anchor's size,
-    registers it to that reference and resamples it, takes its mean-square
-    residual and, when `config.normalize` is set, stretches its contrast.
+    registers it to that reference and resamples it and takes its
+    mean-square residual (the anchor's is 0.0); every call then, when
+    `config.normalize` is set, stretches the frame's contrast.
     `tail(index, frame, timed)` then turns the frame into the call's
     result; `timed(name, fn, *args)` runs one of its steps and records that
     step's seconds.  Only the reference stays held between calls, so a call
@@ -417,16 +418,17 @@ class FrameStage:
 
     def __call__(self, i: int) -> StagedFrame:
         faults = minor_faults()
-        seconds = {}
+        record = {"pid": os.getpid()}
 
         def timed(name, fn, *args):
             start = time.perf_counter()
             out = fn(*args)
-            seconds[name] = time.perf_counter() - start
+            record[f"{name}_s"] = time.perf_counter() - start
             return out
 
         frame = timed("load", self._load, i)
         transform = self.identity
+        residual = 0.0
         if i == self.manifest.anchor_index:
             # the residual is float64; the solver's pyramid is float32
             self.luminance = frame.luminance()
@@ -450,13 +452,12 @@ class FrameStage:
                         index=i,
                     ) from exc
                 frame = timed("resample", resample, frame, transform)
-        residual = timed("residual", mean_square_residual, self.luminance, frame, transform)
+            residual = timed("residual", mean_square_residual, self.luminance, frame, transform)
         if self.normalize:
             frame = timed("normalize", normalize_contrast, frame)
         result = self.tail(i, frame, timed)
-        return StagedFrame(
-            i, transform, residual, result, os.getpid(), seconds, minor_faults() - faults
-        )
+        record["minflt"] = minor_faults() - faults
+        return StagedFrame(i, transform, residual, result, record)
 
     def _load(self, i: int) -> RasterImage:
         try:  # each error names the file already

@@ -406,7 +406,9 @@ def normalize_contrast(image: RasterImage) -> RasterImage:
     integer, in float64 whatever the input's dtype.  A constant channel maps
     to 0.  The multiply-before-divide order keeps every exactly-representable
     half-integer exact, so ties round the same way real arithmetic would,
-    and a second application is the identity on the result.
+    and a second application is the identity on the result.  The rounding
+    is the cast to uint8 of the value plus 0.5: the cast truncates, which
+    for values in [0.5, 255.5] is the floor.
     """
     out = np.empty(image.planes.shape, dtype=np.uint8)
     for plane, stretched in zip(image.planes, out):
@@ -419,6 +421,5 @@ def normalize_contrast(image: RasterImage) -> RasterImage:
             span *= 255.0
             span /= hi - lo
             span += 0.5
-            np.floor(span, out=span)
             stretched[...] = span
     return RasterImage.from_planes(out)

@@ -1,28 +1,29 @@
 """Subpixel alignment of equal-size frames by robust intensity descent.
 
 A translation (optionally translation plus rotation about the frame center)
-is fitted coarse to fine over a pyramid of plain luminance planes, one per
-2x2 box-filter halving of the RGB planes.  At each level an inverse-
-compositional, iteratively reweighted Gauss-Newton loop (Baker & Matthews,
-IJCV 2004) fits the moving plane, resampled through the held transform, to
-the fixed reference plane.  Each step is solved as a motion of the
-reference, so the Jacobian is the reference's own gradient, built once per
-stack by `reference_pyramid`, and the inverse of the step is composed into
-the held transform.
-The solver works in float32: each level's luminance is computed in float64
-and then rounded to float32 (so an 8-bit frame and its float64 copy give the
-same planes), and the gradients, the warped plane, the residual and the
-weights are float32, half the bytes the warp and the sums stream.  Each sum
-of the normal equations and of the cost forms its elementwise product in
-float32 in one contiguous buffer and adds it up with numpy's pairwise
-reduction, whose rounding error grows with the log of the pixel count, not
-with the count, as a running float32 total's (or a float32 `np.einsum`'s)
-does.  The reduction runs in one thread, so the estimates do not depend on
-how many threads BLAS would have split a dot product across; it is the
-package's one summation rule (see `somqe.som`).  The steps after
-registration (`resample` and `mean_square_residual`) stay float64, and
-`mean_square_residual` keeps its `np.einsum`, one of the rule's two
-exceptions, because `transforms.txt` prints the residual to 17 digits.
+is fitted coarse to fine over a pyramid of plain luminance planes: the
+frame's luminance and its repeated 2x2 box-filter halvings.  At each level
+an inverse-compositional, iteratively reweighted Gauss-Newton loop (Baker &
+Matthews, IJCV 2004) fits the moving plane, resampled through the held
+transform, to the fixed reference plane.  Each step is solved as a motion
+of the reference, so the Jacobian is the reference's own gradient, built
+once per stack by `reference_pyramid`, and the inverse of the step is
+composed into the held transform.
+The solver works in float32: the luminance is computed and halved in
+float64 and each level is then rounded to float32 (so an 8-bit frame and
+its float64 copy give the same planes), and the gradients, the warped
+plane, the residual and the weights are float32, half the bytes the warp
+and the sums stream.  Each sum of the normal equations and of the cost
+forms its elementwise product in float32 in one contiguous buffer and adds
+it up with numpy's pairwise reduction, whose rounding error grows with the
+log of the pixel count, not with the count, as a running float32 total's
+(or a float32 `np.einsum`'s) does.  The reduction runs in one thread, so
+the estimates do not depend on how many threads BLAS would have split a
+dot product across; it is the package's one summation rule (see
+`somqe.som`).  The steps after registration (`resample` and
+`mean_square_residual`) stay float64, and `mean_square_residual` keeps its
+`np.einsum`, one of the rule's two exceptions, because `transforms.txt`
+prints the residual to 17 digits.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker,
@@ -126,33 +127,30 @@ class RegistrationTransform:
         return RegistrationTransform(mode, dx, dy, self.theta + other.theta)
 
 
-def _halve(a: np.ndarray) -> np.ndarray:
-    # plain 2x2 block means of (3, h, w) planes, in float64.  8-bit samples
-    # are summed in uint16, which cannot wrap (4 x 255 < 2^16) and holds the
-    # same whole numbers the float64 sum would; a trailing odd row or column
-    # is dropped so every level has exactly floor(previous / 2) in each
-    # dimension
-    h2, w2 = a.shape[1] // 2, a.shape[2] // 2
-    t = a[:, : 2 * h2, : 2 * w2]
-    total = np.uint16 if a.dtype == np.uint8 else np.float64
-    out = np.add(t[:, 0::2, 0::2], t[:, 0::2, 1::2], dtype=total)
-    out += t[:, 1::2, 0::2]
-    out += t[:, 1::2, 1::2]
-    return np.multiply(out, 0.25, dtype=np.float64)
+def _halve(plane: np.ndarray) -> np.ndarray:
+    # plain 2x2 block means of a float64 plane, (a + b + c + d) * 0.25 added
+    # left to right; a trailing odd row or column is dropped so every level
+    # has exactly floor(previous / 2) in each dimension
+    h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
+    t = plane[: 2 * h2, : 2 * w2]
+    out = t[0::2, 0::2] + t[0::2, 1::2]
+    out += t[1::2, 0::2]
+    out += t[1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
     """float32 luminance planes of a 2x2 box-filter pyramid, full resolution first.
 
-    The RGB planes are halved until the next level would drop below 32
-    pixels in either dimension, and each level's plane is the luminance of
-    its halved RGB, which rounds differently from halving the luminance.
-    The luminance is computed in float64 and then rounded to float32."""
-    current = image.planes
-    planes = [luminance_plane(current).astype(np.float32)]
-    while min(current.shape[1:]) // 2 >= _MIN_PYRAMID_DIM:
+    The float64 luminance plane is halved until the next level would drop
+    below 32 pixels in either dimension, and each level is rounded to
+    float32."""
+    current = luminance_plane(image.planes)
+    planes = [current.astype(np.float32)]
+    while min(current.shape) // 2 >= _MIN_PYRAMID_DIM:
         current = _halve(current)
-        planes.append(luminance_plane(current).astype(np.float32))
+        planes.append(current.astype(np.float32))
     return tuple(planes)
 
 
@@ -335,13 +333,22 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
     k = len(planes)
     t = start
     warped = np.empty((h, w), np.float32)
+    # the residual, product, weight (which first holds the |residual| spread)
+    # and weighted columns of every iteration are views of whole-plane
+    # buffers allocated once per level: the valid region's size changes with
+    # the transform, and buffers of changing sizes land in new parts of the
+    # heap from frame to frame, faulting in fresh pages
+    work = [np.empty(h * w, np.float32) for _ in range(3 + k)]
     for iteration in range(_MAX_GN_ITERATIONS + 1):
         sample, select, count = _warp(h, w, t, np.float32)
         if count == 0:
             return t, math.inf, False
         sample(moving, warped)
-        residual = select(warped) - select(plane)
-        product = np.empty_like(residual)
+        target = select(warped)
+        residual, product, weight, *weighted = (
+            row[:count].reshape(target.shape) for row in work
+        )
+        np.subtract(target, select(plane), out=residual)
         cost = _dot(residual, residual, product) / count
         if iteration == 0:
             # fixed for the level: a scale recomputed every step changes the
@@ -349,19 +356,22 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
             # truth.  Measured where the reference has a gradient; on a
             # constant ground the residuals are 0 at any shift and would
             # shrink the scale until no textured pixel counts
-            spread = residual[select(textured)]
+            inside = select(textured).ravel()
+            spread = weight.ravel()[: np.count_nonzero(inside)]
+            np.compress(inside, residual, out=spread)
             np.abs(spread, out=spread)
             sigma = _MAD_TO_SIGMA * _median(spread) if spread.size else 0.0
             scale = _TUKEY_C * max(sigma, _SIGMA_FLOOR)
         elif iteration == _MAX_GN_ITERATIONS:
             break
-        weight = residual / scale
+        np.divide(residual, scale, out=weight)
         np.square(weight, out=weight)
         np.subtract(1.0, weight, out=weight)
         np.maximum(0.0, weight, out=weight)
         np.square(weight, out=weight)
         columns = [select(p) for p in planes]
-        weighted = [weight * c for c in columns]
+        for c, out in zip(columns, weighted):
+            np.multiply(weight, c, out=out)
         normal = np.empty((k, k))
         for a in range(k):
             for b in range(a, k):

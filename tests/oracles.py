@@ -291,14 +291,14 @@ def interleaved_luminance(pixels):
 
 
 def interleaved_luminance_pyramid(pixels, min_dim: int = 32):
-    """Luma of each 2x2 box halving of the RGB pixels, full resolution first."""
-    current = np.asarray(pixels, dtype=np.float64)
-    planes = [interleaved_luminance(current)]
-    while min(current.shape[:2]) // 2 >= min_dim:
+    """The luma plane and each 2x2 box halving of it, full resolution first."""
+    current = interleaved_luminance(pixels)
+    planes = [current]
+    while min(current.shape) // 2 >= min_dim:
         h2, w2 = current.shape[0] // 2, current.shape[1] // 2
         t = current[: 2 * h2, : 2 * w2]
         current = (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2]) * 0.25
-        planes.append(interleaved_luminance(current))
+        planes.append(current)
     return planes
 
 

@@ -590,7 +590,7 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
     monkeypatch.setattr(register_module, "_halve", counting_halve)
     monkeypatch.setattr(RasterImage, "_hold", counting_hold)
     items = sorted(stage_items(manifest, RunConfig()), key=lambda item: item[0])
-    assert sum(np.array_equal(a, anchor.planes) for a in halved) == 1
+    assert sum(np.array_equal(a, anchor.luminance()) for a in halved) == 1
     # 128 -> 64 -> 32: two halvings per pyramid, one pyramid per frame
     assert len(halved) == 2 * len(frames)
     # 4 loads, 3 resamples and 4 stretches; pyramid levels are plain planes
@@ -631,6 +631,30 @@ def test_preprocessed_frames_builds_the_reference_gradients_once(
     assert len(built) == builds
     # one gradient per anchor level (64 and 32 px), none per pair
     assert gradients == [(64, 64), (32, 32)] * builds
+
+
+@pytest.mark.parametrize("mode", ["translation", "none"])
+def test_the_anchor_is_not_compared_with_itself(tmp_path, monkeypatch, one_cpu, mode):
+    anchor = smooth_image(7, size=64)
+    arrays = [
+        as_uint8(resample(anchor, RegistrationTransform("translation", dx, -dx)))
+        for dx in (0.5, 1.25)
+    ] + [as_uint8(anchor)]
+    manifest = write_frames(tmp_path, arrays)
+    compared = []
+    real_residual = pipeline_module.mean_square_residual
+
+    def counting_residual(luminance, frame, transform):
+        compared.append(transform)
+        return real_residual(luminance, frame, transform)
+
+    monkeypatch.setattr(pipeline_module, "mean_square_residual", counting_residual)
+    staged = list(preprocessed_frames(manifest, RunConfig(registration_mode=mode), keep_frame))
+    assert [s.index for s in staged] == [2, 0, 1]
+    assert staged[0].residual == 0.0
+    assert "residual_s" not in staged[0].record
+    assert compared == [s.transform for s in staged[1:]]
+    assert all(s.residual > 0.0 and "residual_s" in s.record for s in staged[1:])
 
 
 @pytest.mark.parametrize("height, width", [(1, 40), (40, 1)])
@@ -752,7 +776,7 @@ def test_a_stage_call_after_the_first_faults_in_no_frame_sized_buffer(tmp_path):
     stage(2)
     stage(0)
     second = stage(1)
-    assert second.minflt < base.pixel_count * np.dtype(np.float64).itemsize // 4096
+    assert second.record["minflt"] < base.pixel_count * np.dtype(np.float64).itemsize // 4096
 
 
 @st.composite

@@ -223,11 +223,14 @@ def test_fits_run_without_scipy():
 
 def test_importing_the_cli_loads_no_xml_or_process_pool_modules():
     """A fresh `import somqe.cli` stays cheap: the SVG escape is three
-    replaces, and the frame pool's modules load only when frames are mapped."""
+    replaces, the frame pool's modules load only when frames are mapped,
+    `json` only when a trace is written, `signal` only when a worker starts,
+    and `numpy.ma`, which `np.median` would import, not with the CLI."""
     code = (
         "import sys\n"
         "import somqe.cli\n"
-        "heavy = ('xml.sax', 'multiprocessing', 'concurrent.futures')\n"
+        "heavy = ('xml.sax', 'multiprocessing', 'concurrent.futures', 'json', 'signal',\n"
+        "         'numpy.ma')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
