@@ -37,7 +37,7 @@ def smooth_scene(size: int = 256) -> RasterImage:
 anchor = smooth_scene()
 # the anchor's luminance pyramid and its gradients, built once for every
 # registration below
-anchor_levels = reference_pyramid(anchor)
+anchor_levels = reference_pyramid(anchor.luminance())
 
 true_shift = RegistrationTransform("translation", dx=3.6, dy=-2.25, theta=0.0)
 moving = resample(anchor, true_shift.inverse())

@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 unusable input, 2 computation failure
 (registration that does not converge, a frame worker process that died, or
 running out of memory), 130 interrupted (SIGINT, as Ctrl-C sends it).
 Errors print exactly one line to stderr of the form
-'somqe: error: <category>: <message>'.  `run --trace FILE` also writes the
+'somqe: error: <category>: <message>', and warnings one line each, as
+'somqe: warning: <message>'.  `run --trace FILE` also writes the
 seconds each frame spent in each stage, as JSONL.
 """
 
@@ -248,27 +249,19 @@ def _cmd_run(args, config: RunConfig) -> int:
 
 
 def _write_trace(path: Path, staged, emit_s: float, minflt: int) -> None:
-    """JSONL: one line per frame, anchor first, then one for this process.
+    """JSONL: one line per frame, anchor first, then one for the emit.
 
     A frame's line holds its index and its `StagedFrame.record`: the pid of
     the process that ran its stage, each step's seconds and the minor page
-    faults that process took during the stage.  The last line holds this
-    process's anchor stage (the anchor's own steps less training), training
-    and artifact emit seconds, and the minor page faults it took from the
-    start of the run to the end of the emit.
+    faults that process took during the stage.  The anchor's stage, training
+    included, ran in this process, so its line carries this pid.  The last
+    line holds the artifact emit seconds and the minor page faults this
+    process took from the start of the run to the end of the emit.
     """
     import json
 
     lines = [json.dumps({"frame": s.index, **s.record}) for s in staged]
-    anchor = {key: value for key, value in staged[0].record.items() if key.endswith("_s")}
-    train_s = anchor.pop("train_s", 0.0)
-    lines.append(json.dumps({
-        "pid": os.getpid(),
-        "anchor_s": sum(anchor.values()),
-        "train_s": train_s,
-        "emit_s": emit_s,
-        "minflt": minflt,
-    }))
+    lines.append(json.dumps({"emit_s": emit_s, "minflt": minflt}))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -308,8 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import warnings
+
     keep_freed_buffers()  # also for frames staged in this process
     parser = build_parser()
+    # one line per shown warning; warnings a caller records are never formatted
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: _one_line("warning", message) + "\n"
     try:
         args = parser.parse_args(argv)
         return args.handler(args, _config_from_args(args))
@@ -321,11 +319,16 @@ def main(argv=None) -> int:
         return _fail(2, "computation", f"out of memory: {exc}")
     except KeyboardInterrupt:  # the frame pool was shut down as this unwound
         return _fail(130, "interrupted", "stopped by SIGINT")
+    finally:
+        warnings.formatwarning = default_format
+
+
+def _one_line(kind: str, message) -> str:
+    return f"somqe: {kind}: " + " ".join(str(message).split())
 
 
 def _fail(code: int, category: str, exc: BaseException | str) -> int:
-    message = " ".join(str(exc).split())
-    print(f"somqe: error: {category}: {message}", file=sys.stderr)
+    print(_one_line(f"error: {category}", exc), file=sys.stderr)
     return code
 
 

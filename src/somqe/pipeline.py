@@ -5,8 +5,8 @@ runs every frame through one `FrameStage`: loaded, aligned to the anchor,
 contrast stretched and handed to a command's tail (scoring, or writing the
 aligned frame).  The anchor (last entry unless overridden) goes first, in
 this process; the other frames follow in forked worker processes, one per
-usable CPU, each holding only the anchor's luminance pyramid, its gradients
-and the frame in hand.  A run trains a map on the anchor, scores each
+usable CPU, each holding only the anchor's luminance plane and reference
+pyramid and the frame in hand.  A run trains a map on the anchor, scores each
 frame's quantization error, fits the QE-versus-year trend, and optionally
 correlates the QE series with year-checked covariate series from CSV.
 Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
@@ -33,11 +33,7 @@ from .raster import (
     RasterImage, atomic_write_bytes, load_image, normalize_contrast, read_text, text_records
 )
 from .register import (
-    RegistrationTransform,
-    mean_square_residual,
-    reference_pyramid,
-    register_pair,
-    resample,
+    RegistrationTransform, mean_square_residual, reference_pyramid, register_pair, resample
 )
 from .report import scatter_svg
 from .som import (
@@ -287,28 +283,30 @@ def ingest_covariates(path) -> list[Series]:
 def apply_year_fix(series: Series, mode: str) -> Series:
     """Resolve a duplicated year label.
 
-    'as-printed' keeps the labels untouched.  'relabel-1990' decrements the
-    first member of the first adjacent duplicate pair, which turns the
-    bundled tables' doubled 1991 into the missing 1990.  A decrement onto a
-    year the series already holds, or a second adjacent duplicate pair,
-    raises InputError instead of leaving a duplicate that a second fix would
-    shift, so fixing a series twice changes nothing the second time.
+    'as-printed' keeps the labels untouched.  'relabel-1990' reads the
+    series oldest first (backwards if its first year is above its last) and
+    decrements the earlier member of the first adjacent duplicate pair, which
+    turns the bundled tables' doubled 1991 into the missing 1990.  A
+    decrement onto a year the series already holds, or a second adjacent
+    duplicate pair, raises InputError instead of leaving a duplicate that a
+    second fix would shift, so fixing a series twice changes nothing.
     """
     if mode not in YEAR_FIX_MODES:
         raise InputError(f"year_fix must be one of {YEAR_FIX_MODES}")
     if mode == "as-printed":
         return series
     x = series.x.copy()
-    pairs = np.flatnonzero(x[:-1] == x[1:])
+    in_time = x[::-1] if x.size and x[0] > x[-1] else x  # a view: writes land in x
+    pairs = np.flatnonzero(in_time[:-1] == in_time[1:])
     if pairs.size:
-        year = x[pairs[0]] - 1.0
+        year = in_time[pairs[0]] - 1.0
         if np.any(x == year):
             raise InputError(f"year fix {mode}: year {year:.10g} already present")
         if pairs.size > 1:
             raise InputError(
-                f"year fix {mode}: year {x[pairs[1]]:.10g} is also duplicated"
+                f"year fix {mode}: year {in_time[pairs[1]]:.10g} is also duplicated"
             )
-        x[pairs[0]] = year
+        in_time[pairs[0]] = year
     return Series(series.label, x, series.y)
 
 
@@ -394,9 +392,9 @@ class StagedFrame(NamedTuple):
 class FrameStage:
     """Load, register, resample, residual, stretch and tail of one frame.
 
-    Calling it on the anchor index first builds the anchor's reference: its
-    float64 luminance plane for the residual and, unless the mode is 'none',
-    its `reference_pyramid` for the solver.  Every
+    Calling it on the anchor index first builds the anchor's reference: one
+    untimed float64 luminance plane, which every residual reads and, unless
+    the mode is 'none', the solver's `reference_pyramid` is built from.  Every
     later call loads one frame, checks it against the anchor's size,
     registers it to that reference and resamples it and takes its
     mean-square residual (the anchor's is 0.0); every call then, when
@@ -430,10 +428,10 @@ class FrameStage:
         transform = self.identity
         residual = 0.0
         if i == self.manifest.anchor_index:
-            # the residual is float64; the solver's pyramid is float32
+            # one float64 plane for every residual and the float32 pyramid
             self.luminance = frame.luminance()
             if self.mode != "none":
-                self.levels = timed("pyramid", reference_pyramid, frame)
+                self.levels = timed("pyramid", reference_pyramid, self.luminance)
         else:
             height, width = self.luminance.shape
             if (frame.height, frame.width) != (height, width):

@@ -112,16 +112,11 @@ class RasterImage:
         return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
 
     def luminance(self) -> np.ndarray:
-        """Rec. 601 luma plane of the pixels, float64."""
-        return luminance_plane(self.planes)
-
-
-def luminance_plane(planes: np.ndarray) -> np.ndarray:
-    """Rec. 601 luma of (3, h, w) planes, in float64: 0.299 R + 0.587 G + 0.114 B."""
-    r, g, b = (np.multiply(w, p, dtype=np.float64) for w, p in zip(_LUMA, planes))
-    r += g
-    r += b
-    return r
+        """Rec. 601 luma plane of the pixels, float64: 0.299 R + 0.587 G + 0.114 B."""
+        r, g, b = (np.multiply(w, p, dtype=np.float64) for w, p in zip(_LUMA, self.planes))
+        r += g
+        r += b
+        return r
 
 
 # ---------------------------------------------------------------------------

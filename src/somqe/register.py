@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, RegistrationError
-from .raster import RasterImage, atomic_write_bytes, luminance_plane
+from .raster import RasterImage, atomic_write_bytes
 
 _MODES = ("translation", "rigid")
 
@@ -140,17 +140,16 @@ def _halve(plane: np.ndarray) -> np.ndarray:
     return out
 
 
-def luminance_pyramid(image: RasterImage) -> tuple[np.ndarray, ...]:
-    """float32 luminance planes of a 2x2 box-filter pyramid, full resolution first.
+def luminance_pyramid(luminance: np.ndarray) -> tuple[np.ndarray, ...]:
+    """float32 planes of a 2x2 box-filter pyramid, full resolution first.
 
-    The float64 luminance plane is halved until the next level would drop
-    below 32 pixels in either dimension, and each level is rounded to
-    float32."""
-    current = luminance_plane(image.planes)
-    planes = [current.astype(np.float32)]
-    while min(current.shape) // 2 >= _MIN_PYRAMID_DIM:
-        current = _halve(current)
-        planes.append(current.astype(np.float32))
+    The float64 (h, w) luminance plane, as `RasterImage.luminance` gives it,
+    is halved until the next level would drop below 32 pixels in either
+    dimension, and each level is rounded to float32."""
+    planes = [luminance.astype(np.float32)]
+    while min(luminance.shape) // 2 >= _MIN_PYRAMID_DIM:
+        luminance = _halve(luminance)
+        planes.append(luminance.astype(np.float32))
     return tuple(planes)
 
 
@@ -163,18 +162,19 @@ class ReferenceLevel(NamedTuple):
     textured: np.ndarray
 
 
-def reference_pyramid(image: RasterImage) -> tuple[ReferenceLevel, ...]:
-    """The levels of `luminance_pyramid(image)` with their gradients.
+def reference_pyramid(luminance: np.ndarray) -> tuple[ReferenceLevel, ...]:
+    """The levels of `luminance_pyramid(luminance)` with their gradients.
 
     They depend on the reference alone, so a caller that registers many
     frames to one reference builds them once."""
-    if min(image.height, image.width) < 2:
+    height, width = luminance.shape
+    if min(height, width) < 2:
         raise InputError(
-            f"cannot register {image.width}x{image.height} frames: a gradient "
+            f"cannot register {width}x{height} frames: a gradient "
             "needs 2 pixels along each side"
         )
     levels = []
-    for plane in luminance_pyramid(image):
+    for plane in luminance_pyramid(luminance):
         gy, gx = np.gradient(plane)
         levels.append(ReferenceLevel(plane, gx, gy, (gx != 0.0) | (gy != 0.0)))
     return tuple(levels)
@@ -395,12 +395,12 @@ def register_pair(
 ) -> RegistrationTransform:
     """Transform T such that resample(test, T) best matches the reference.
 
-    `reference_levels` is `reference_pyramid(reference)`, built once by a
-    caller that registers many frames to one reference, which then need not
-    hold the reference image itself.  Solved coarse to fine from the
-    identity, doubling the shift per level.  Raises RegistrationError
-    (carrying the best transform and its residual) when the finest level
-    fails to converge.
+    `reference_levels` is `reference_pyramid(reference.luminance())`, built
+    once by a caller that registers many frames to one reference, which then
+    need not hold the reference image itself.  Solved coarse to fine from
+    the identity, doubling the shift per level.  Raises RegistrationError
+    when the finest level fails to converge, carrying the best transform and
+    its residual and naming them in its message.
     """
     t = RegistrationTransform(mode)  # identity; an unknown mode raises InputError here
     h, w = reference_levels[0].plane.shape
@@ -408,13 +408,14 @@ def register_pair(
         raise InputError(
             f"size mismatch: reference {w}x{h}, test {test.width}x{test.height}"
         )
-    test_levels = luminance_pyramid(test)
+    test_levels = luminance_pyramid(test.luminance())
     for level, moving in zip(reference_levels[::-1], test_levels[::-1]):
         t = RegistrationTransform(mode, 2.0 * t.dx, 2.0 * t.dy, t.theta)
         t, cost, converged = _gn_level(level, moving, t)
     if not converged:
         raise RegistrationError(
-            "registration did not converge at the finest pyramid level",
+            "registration did not converge at the finest pyramid level: "
+            "dx %.6g, dy %.6g, theta %.6g, residual %.6g" % (t.dx, t.dy, t.theta, cost),
             transform=t,
             residual=cost,
         )
@@ -428,8 +429,8 @@ def mean_square_residual(
 ) -> float:
     """Mean squared luminance difference over the transform's valid pixels.
 
-    `reference_luminance` is the reference's luminance plane, the first
-    level of its `luminance_pyramid`."""
+    `reference_luminance` is the reference's float64 luminance plane, the
+    one its `reference_pyramid` was built from."""
     _, select, count = _warp(*reference_luminance.shape, transform)
     if count == 0:
         return math.inf

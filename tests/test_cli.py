@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -215,9 +216,9 @@ def test_train_builds_no_reference_pyramid(tmp_path, monkeypatch, one_cpu):
     built = []
     real_pyramid = pipeline_module.reference_pyramid
 
-    def counting_pyramid(frame):
-        built.append(frame)
-        return real_pyramid(frame)
+    def counting_pyramid(luminance):
+        built.append(luminance)
+        return real_pyramid(luminance)
 
     monkeypatch.setattr(pipeline_module, "reference_pyramid", counting_pyramid)
     for mode in ("translation", "none"):
@@ -476,6 +477,15 @@ def test_stats_year_fix_changes_fit(tmp_path, capsys):
     relabeled = capsys.readouterr().out
     assert as_printed != relabeled
     assert as_printed.splitlines()[1].startswith("v,")
+
+
+def test_a_warning_prints_as_one_line(tmp_path):
+    covariates = tmp_path / "c.csv"
+    covariates.write_text("year,v\n1999,1\n2000,2\n2000,3\n2001,4\n")
+    proc = _somqe_limited(["stats", "--covariates", "c.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "somqe: warning: duplicate year 2000 in c.csv; keeping both rows\n"
+    assert proc.stdout.splitlines()[1].startswith("v,")
 
 
 def test_year_fix_applies_to_run_report_and_trend(tmp_path, capsys):
@@ -803,6 +813,13 @@ def test_a_frame_with_a_singular_normal_matrix_exits_2(tmp_path, capsys, one_cpu
     captured = capsys.readouterr()
     assert_single_error_line(captured, "computation")
     assert "frame 0" in captured.err
+    # the line names the estimate and its residual, each as %.6g
+    number = r"-?(?:\d+(?:\.\d*)?(?:e[-+]\d+)?|inf)"
+    assert re.fullmatch(
+        "somqe: error: computation: frame 0: registration did not converge at the finest "
+        f"pyramid level: dx {number}, dy {number}, theta {number}, residual {number}\n",
+        captured.err,
+    ), captured.err
 
 
 def test_covariate_labels_sharing_a_plot_name_exit_1(tmp_path, capsys):

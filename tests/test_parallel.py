@@ -173,10 +173,10 @@ def test_trace_records_every_frame_and_leaves_the_artifacts_alone(
     assert main(common + ["--out", str(tmp_path / "plain")]) == 0
     assert main(common + ["--out", str(tmp_path / "traced"), "--trace", str(trace)]) == 0
     assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "traced")
-    *frames, parent = [json.loads(line) for line in trace.read_text().splitlines()]
+    *frames, tail = [json.loads(line) for line in trace.read_text().splitlines()]
     anchor = len(MOTIONS) - 1
     assert [f["frame"] for f in frames] == [anchor, *range(anchor)]
-    assert frames[0]["pid"] == parent["pid"] == os.getpid()
+    assert frames[0]["pid"] == os.getpid()
     assert all(f["pid"] != os.getpid() for f in frames[1:])
     registered = [] if mode == "none" else ["register_s", "resample_s"]
     first = ["load_s"] + ([] if mode == "none" else ["pyramid_s"])
@@ -186,12 +186,12 @@ def test_trace_records_every_frame_and_leaves_the_artifacts_alone(
     for f in frames[1:]:
         assert list(f) == ["frame", "pid", "load_s", *registered, "residual_s",
                            "normalize_s", "score_s", "minflt"]
-    assert list(parent) == ["pid", "anchor_s", "train_s", "emit_s", "minflt"]
-    assert parent["train_s"] == frames[0]["train_s"]
-    assert all(v >= 0.0 for record in (*frames, parent)
+    # the anchor's line holds its pid and training seconds; the tail adds the emit
+    assert list(tail) == ["emit_s", "minflt"]
+    assert all(v >= 0.0 for record in (*frames, tail)
                for k, v in record.items() if k.endswith("_s"))
     assert all(type(record["minflt"]) is int and record["minflt"] >= 0
-               for record in (*frames, parent))
+               for record in (*frames, tail))
 
 
 def test_a_one_cpu_trace_runs_every_frame_here(tmp_path, monkeypatch):
@@ -201,7 +201,8 @@ def test_a_one_cpu_trace_runs_every_frame_here(tmp_path, monkeypatch):
                                     str(tmp_path / "o"), "--trace", str(trace)]) == 0
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(lines) == len(MOTIONS) + 1
-    assert {line["pid"] for line in lines} == {os.getpid()}
+    assert {line["pid"] for line in lines[:-1]} == {os.getpid()}
+    assert list(lines[-1]) == ["emit_s", "minflt"]
 
 
 # ---------------------------------------------------------------------------

@@ -371,13 +371,31 @@ def test_apply_year_fix():
         apply_year_fix(series, "fix")
 
 
-@pytest.mark.parametrize("years,taken", [
+def test_apply_year_fix_to_a_series_listed_newest_first():
+    """The newer of the two 1991 frames keeps its year, so the trend fit
+    does not swap the older frame's value into 1991."""
+    series = Series("s", np.array([1992.0, 1991.0, 1991.0, 1989.0]), np.arange(4.0))
+    fixed = apply_year_fix(series, "relabel-1990")
+    assert list(fixed.x) == [1992.0, 1991.0, 1990.0, 1989.0]
+    assert list(fixed.y) == list(series.y)
+    assert apply_year_fix(series, "as-printed") is series
+    tail_dup = Series("s", np.array([5.0, 5.0, 1.0, 1.0]), np.arange(4.0))
+    with pytest.raises(InputError) as info:
+        apply_year_fix(tail_dup, "relabel-1990")
+    assert str(info.value) == "year fix relabel-1990: year 5 is also duplicated"
+
+
+# each case is also run listed newest first, as the bench's stacks are
+_REFUSED = [
     ([1990.0, 1991.0, 1991.0], "1990"),
     ([1990.0, 1991.0, 1991.0, 1992.0], "1990"),
     ([1990.0, 1984.0, 1991.0, 1991.0], "1990"),
     ([1988.0, 1989.0, 1989.0, 1991.0, 1991.0], "1988"),
     ([1990.5, 1991.5, 1991.5], "1990.5"),
-])
+]
+
+
+@pytest.mark.parametrize("years,taken", _REFUSED + [(y[::-1], t) for y, t in _REFUSED])
 def test_relabel_refuses_to_create_a_duplicate_year(years, taken):
     series = Series("s", np.array(years), np.arange(float(len(years))))
     with pytest.raises(InputError) as info:
@@ -385,12 +403,15 @@ def test_relabel_refuses_to_create_a_duplicate_year(years, taken):
     assert str(info.value) == f"year fix relabel-1990: year {taken} already present"
 
 
-@pytest.mark.parametrize("years", [
+_FIXED_ONCE = [
     [1989.0, 1991.0, 1991.0, 1992.0],
     [1984.0, 1985.0, 1986.0],
     [1991.0, 1991.0],
     [2000.0],
-])
+]
+
+
+@pytest.mark.parametrize("years", _FIXED_ONCE + [y[::-1] for y in _FIXED_ONCE])
 def test_relabel_twice_changes_nothing_the_second_time(years):
     once = apply_year_fix(
         Series("s", np.array(years), np.arange(float(len(years)))), "relabel-1990"
@@ -447,6 +468,10 @@ def test_run_pipeline_constant_frames_degenerate(tmp_path):
     assert report.regression.p == 1.0
     assert len(report.frames) == 3
     assert all(f.transform.dx == 0.0 and f.transform.dy == 0.0 for f in report.frames)
+    (trend,) = emit_svg_plots(report, tmp_path / "plots")
+    svg = trend.read_text()
+    assert "degenerate fit: constant values" in svg
+    assert 'stroke="#b03030"' not in svg  # the fit line's colour: no line is drawn
 
 
 def test_run_pipeline_growing_diversity(tmp_path):
@@ -596,11 +621,40 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
     # 4 loads, 3 resamples and 4 stretches; pyramid levels are plain planes
     assert len(constructed) == 11
     monkeypatch.undo()
+    levels = reference_pyramid(anchor.luminance())
     for frame, (_, transform, residual, _) in zip(frames[:3], items):
-        assert transform == register_pair(reference_pyramid(anchor), frame, "translation")
+        assert transform == register_pair(levels, frame, "translation")
         assert residual == mean_square_residual(
             anchor.luminance(), resample(frame, transform), transform
         )
+
+
+def test_the_anchor_luminance_is_computed_once(tmp_path, monkeypatch, one_cpu):
+    """One float64 luminance plane of the anchor feeds its pyramid and every
+    residual; each other frame takes one for its pyramid and one, resampled,
+    for its residual."""
+    import somqe.raster as raster_module
+
+    anchor = smooth_image(4, size=64)
+    arrays = [
+        as_uint8(resample(anchor, RegistrationTransform("translation", dx, -dx)))
+        for dx in (0.5, 1.25)
+    ] + [as_uint8(anchor)]
+    manifest = write_frames(tmp_path, arrays)
+    computed = []
+
+    class CountedWeights(tuple):
+        # every luminance plane reads the Rec. 601 weights once
+        def __iter__(self):
+            computed.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(raster_module, "_LUMA", CountedWeights(raster_module._LUMA))
+    staged = preprocessed_frames(manifest, RunConfig(), keep_frame)
+    assert next(staged).index == 2
+    assert len(computed) == 1
+    assert [s.index for s in staged] == [0, 1]
+    assert len(computed) == 1 + 2 * 2
 
 
 @pytest.mark.parametrize("mode, builds", [("translation", 1), ("rigid", 1), ("none", 0)])
@@ -616,9 +670,9 @@ def test_preprocessed_frames_builds_the_reference_gradients_once(
     built, gradients = [], []
     real_gradient = np.gradient
 
-    def counting_pyramid(image):
-        built.append(image)
-        return reference_pyramid(image)
+    def counting_pyramid(luminance):
+        built.append(luminance)
+        return reference_pyramid(luminance)
 
     def counting_gradient(plane):
         gradients.append(plane.shape)
@@ -803,7 +857,9 @@ def test_planar_frame_steps_match_the_interleaved_float64_oracles(image, dx, dy,
     frame and its warp are scored stretched and, as `normalize = off` scores
     them, unstretched; the warp's fractional samples stay unrounded."""
     pixels = image.pixels.astype(np.float64)
-    pyramid = zip(luminance_pyramid(image), interleaved_luminance_pyramid(pixels), strict=True)
+    pyramid = zip(
+        luminance_pyramid(image.luminance()), interleaved_luminance_pyramid(pixels), strict=True
+    )
     for got, expected in pyramid:
         assert got.tobytes() == expected.astype(np.float32).tobytes()
     mode = "rigid" if theta else "translation"
@@ -1075,6 +1131,7 @@ def test_emit_svg_plots(tmp_path):
         body = path.read_text()
         assert "<circle" in body
         assert "<line" in body  # fit line present for these non-degenerate fits
+        assert 'stroke="#b03030"' in body  # the fit line's colour
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;amplgt\"' x\u00e9"), max_size=30))

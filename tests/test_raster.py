@@ -503,6 +503,10 @@ def test_png_error_cases():
         decode_png(b"\x89PNG\r\n\x1a\nXXXX")
     with pytest.raises(InputError, match="malformed header"):
         decode_png(b"\x89PNG\r\n\x1a\n" + _chunk(b"IEND", b""))
+    # colour type 5 is not one PNG defines (0, 2, 3, 4 and 6 are)
+    ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 5, 0, 0, 0)
+    with pytest.raises(InputError, match="^malformed header: unknown PNG color type 5$"):
+        decode_png(_png_from_ihdr(ihdr))
     # 16-bit depth
     ihdr16 = struct.pack(">IIBBBBB", 2, 2, 16, 2, 0, 0, 0)
     with pytest.raises(InputError, match="unsupported bit depth"):

@@ -578,3 +578,17 @@ def test_grid_text_skips_comment_lines_and_splits_at_newlines_only():
 def test_grid_text_rejects_out_of_range_values():
     with pytest.raises(InputError, match="lie in"):
         grid_from_text("somqe-grid v1 1 1\n0 0 1.5\n")
+
+
+@pytest.mark.parametrize("models", [np.zeros((3, 3)), np.zeros((4, 2)), np.zeros(12)])
+def test_grid_refuses_a_model_array_of_the_wrong_shape(models):
+    with pytest.raises(InputError, match=r"^model array must have shape \(4, 3\)$"):
+        SomGrid(2, 2, models)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_refuses_non_finite_model_values(bad):
+    models = np.full((4, 3), 0.5)
+    models[2, 1] = bad
+    with pytest.raises(InputError, match="^model values must be finite$"):
+        SomGrid(2, 2, models)
