@@ -10,9 +10,7 @@ normal on smooth scenes.
 import numpy as np
 
 from somqe import RasterImage, register_pair, resample
-from somqe.register import (
-    RegistrationTransform, mean_square_residual, reference_pyramid
-)
+from somqe.register import RegistrationTransform, reference_pyramid
 
 rng = np.random.default_rng(3)
 
@@ -42,20 +40,21 @@ anchor_levels = reference_pyramid(anchor.luminance())
 true_shift = RegistrationTransform("translation", dx=3.6, dy=-2.25, theta=0.0)
 moving = resample(anchor, true_shift.inverse())
 
-found = register_pair(anchor_levels, moving, "translation")
+# the residual is the mean square luminance difference left at the found
+# transform, over the pixels it maps from inside the moving frame
+found, residual = register_pair(anchor_levels, moving, "translation")
 print(f"true shift   dx {true_shift.dx:+.3f}  dy {true_shift.dy:+.3f}")
 print(f"recovered    dx {found.dx:+.3f}  dy {found.dy:+.3f}")
 print(
     "error        dx %.1e  dy %.1e px"
     % (abs(found.dx - true_shift.dx), abs(found.dy - true_shift.dy))
 )
-realigned = resample(moving, found)
-print(f"residual     {mean_square_residual(anchor_levels[0].plane, realigned, found):.4f}\n")
+print(f"residual     {residual:.4f}\n")
 
 # rigid mode adds a rotation angle about the image center
 true_rigid = RegistrationTransform("rigid", dx=1.5, dy=-0.75, theta=0.02)
 rotated = resample(anchor, true_rigid.inverse())
-found_rigid = register_pair(anchor_levels, rotated, "rigid")
+found_rigid, _ = register_pair(anchor_levels, rotated, "rigid")
 print(f"true rigid   theta {true_rigid.theta:+.5f} rad")
 print(f"recovered    theta {found_rigid.theta:+.5f} rad")
 
@@ -65,6 +64,5 @@ stack = [resample(anchor, RegistrationTransform(
     for d in (2, 4)] + [anchor]
 print("\nstack alignment (anchor is the last frame):")
 for i, frame in enumerate(stack):
-    t = register_pair(anchor_levels, frame, "translation")
-    residual = mean_square_residual(anchor_levels[0].plane, resample(frame, t), t)
+    t, residual = register_pair(anchor_levels, frame, "translation")
     print(f"  frame {i}: dx {t.dx:+.3f}  dy {t.dy:+.3f}  residual {residual:.4f}")

@@ -144,7 +144,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     out = _out_dir(config)  # a bad output target fails here, not after the anchor
     tail = ScoreTail(manifest, config)
     # the stream yields the anchor first; no other frame is loaded, and
-    # mode 'none' skips the anchor's reference, which only registration reads
+    # mode 'none' skips the anchor's pyramid, which only registration reads
     anchor_only = replace(config, registration_mode="none")
     row = next(preprocessed_frames(manifest, anchor_only, tail)).result
     save_grid(tail.grid, out / "grid.txt")
@@ -239,11 +239,12 @@ def _cmd_run(args, config: RunConfig) -> int:
     if trace is not None:
         emit_s = time.perf_counter() - emit_start
         _write_trace(trace, report.frames, emit_s, minor_faults() - faults)
+    anchor = report.rows[manifest.anchor_index]
     print(
-        f"{report.roi_name}: {len(report.rows)} frames, trend slope "
-        f"{report.regression.slope:.6g} per year (r2 {report.regression.r2:.4f}, "
-        f"p {report.regression.p:.3g}); report, grid, transforms and "
-        f"{len(plots)} plots in {out}"
+        f"{report.roi_name}: {len(report.rows)} frames, anchor {anchor.label} "
+        f"({anchor.year:.10g}), trend slope {report.regression.slope:.6g} per year "
+        f"(r2 {report.regression.r2:.4f}, p {report.regression.p:.3g}); report, grid, "
+        f"transforms and {len(plots)} plots in {out}"
     )
     return 0
 

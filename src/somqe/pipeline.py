@@ -5,8 +5,8 @@ runs every frame through one `FrameStage`: loaded, aligned to the anchor,
 contrast stretched and handed to a command's tail (scoring, or writing the
 aligned frame).  The anchor (last entry unless overridden) goes first, in
 this process; the other frames follow in forked worker processes, one per
-usable CPU, each holding only the anchor's luminance plane and reference
-pyramid and the frame in hand.  A run trains a map on the anchor, scores each
+usable CPU, each holding only the anchor's float32 reference planes and
+the frame in hand.  A run trains a map on the anchor, scores each
 frame's quantization error, fits the QE-versus-year trend, and optionally
 correlates the QE series with year-checked covariate series from CSV.
 Every artifact (CSV report, SVG plots, grid file, transform sidecar) is
@@ -390,15 +390,16 @@ class StagedFrame(NamedTuple):
 
 
 class FrameStage:
-    """Load, register, resample, residual, stretch and tail of one frame.
+    """Load, register, resample, stretch and tail of one frame.
 
-    Calling it on the anchor index first builds the anchor's reference: one
-    untimed float64 luminance plane, which every residual reads and, unless
-    the mode is 'none', the solver's `reference_pyramid` is built from.  Every
-    later call loads one frame, checks it against the anchor's size,
-    registers it to that reference and resamples it and takes its
-    mean-square residual (the anchor's is 0.0); every call then, when
-    `config.normalize` is set, stretches the frame's contrast.
+    Calling it on the anchor index first builds the anchor's reference: its
+    float32 luminance plane, which unless the mode is 'none' is the finest
+    level of the solver's `reference_pyramid`, built from one untimed
+    float64 luminance plane.  Every later call loads one frame, checks it
+    against the anchor's size and registers it to that reference and
+    resamples it; the residual is the solver's cost at the transform, or in
+    mode 'none' `mean_square_residual` (the anchor's is 0.0).  Every call
+    then, when `config.normalize` is set, stretches the frame's contrast.
     `tail(index, frame, timed)` then turns the frame into the call's
     result; `timed(name, fn, *args)` runs one of its steps and records that
     step's seconds.  Only the reference stays held between calls, so a call
@@ -410,9 +411,9 @@ class FrameStage:
         self.mode = config.registration_mode
         self.normalize = config.normalize
         self.tail = tail
-        self.identity = RegistrationTransform("translation" if self.mode == "none" else self.mode)
+        self.identity = RegistrationTransform(self.mode)
         self.levels = None
-        self.luminance = None
+        self.reference = None
 
     def __call__(self, i: int) -> StagedFrame:
         faults = minor_faults()
@@ -425,23 +426,27 @@ class FrameStage:
             return out
 
         frame = timed("load", self._load, i)
-        transform = self.identity
-        residual = 0.0
+        transform, residual = self.identity, 0.0
         if i == self.manifest.anchor_index:
-            # one float64 plane for every residual and the float32 pyramid
-            self.luminance = frame.luminance()
-            if self.mode != "none":
-                self.levels = timed("pyramid", reference_pyramid, self.luminance)
+            if self.mode == "none":
+                self.reference = frame.luminance().astype(np.float32)
+            else:
+                self.levels = timed("pyramid", reference_pyramid, frame.luminance())
+                self.reference = self.levels[0].plane
         else:
-            height, width = self.luminance.shape
+            height, width = self.reference.shape
             if (frame.height, frame.width) != (height, width):
                 raise InputError(
                     f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
                     f"anchor frame {self.manifest.anchor_index} is {width}x{height}"
                 )
-            if self.mode != "none":
+            if self.mode == "none":
+                residual = timed("residual", mean_square_residual, self.reference, frame)
+            else:
                 try:
-                    transform = timed("register", register_pair, self.levels, frame, self.mode)
+                    transform, residual = timed(
+                        "register", register_pair, self.levels, frame, self.mode
+                    )
                 except RegistrationError as exc:
                     raise RegistrationError(
                         f"frame {i}: {exc}",
@@ -450,7 +455,6 @@ class FrameStage:
                         index=i,
                     ) from exc
                 frame = timed("resample", resample, frame, transform)
-            residual = timed("residual", mean_square_residual, self.luminance, frame, transform)
         if self.normalize:
             frame = timed("normalize", normalize_contrast, frame)
         result = self.tail(i, frame, timed)

@@ -20,10 +20,9 @@ log of the pixel count, not with the count, as a running float32 total's
 (or a float32 `np.einsum`'s) does.  The reduction runs in one thread, so
 the estimates do not depend on how many threads BLAS would have split a
 dot product across; it is the package's one summation rule (see
-`somqe.som`).  The steps after registration (`resample` and
-`mean_square_residual`) stay float64, and `mean_square_residual` keeps its
-`np.einsum`, one of the rule's two exceptions, because `transforms.txt`
-prints the residual to 17 digits.
+`somqe.som`).  The finest level's cost at the returned transform is the
+frame's residual in `transforms.txt`; `resample`, the step after
+registration, stays float64.
 Each pixel's residual gets a Tukey biweight, so pixels that changed between
 the frames, such as new colour, get zero weight and cannot pull the fit
 (robust parametric motion estimation: Odobez & Bouthemy, JVCIR 1995; Baker,
@@ -48,8 +47,8 @@ Conventions, shared with `resample`:
     returns a `sample` that writes a plane's bilinear samples into a given
     array of the warp's dtype (float64, or float32 for the solver) with the
     valid-pixel `select` and `count`.  `resample` samples
-    its three planes into one stack, `_gn_level` samples into one plane per
-    pyramid level, and `mean_square_residual` takes only the valid pixels
+    its three planes into one stack, and `_gn_level` samples into one plane
+    per pyramid level and takes only the valid pixels
   * at theta = 0 (every translation, and the rigid solver's start) the
     sample coordinates are separable: one row of x and one column of y,
     with the same bits as the dense rotated grid.  Bilinear sampling is then
@@ -92,7 +91,9 @@ _MIN_PYRAMID_DIM = 32
 
 @dataclass(frozen=True)
 class RegistrationTransform:
-    """Rigid (or pure-translation) map between equal-size frames; identity by default."""
+    """Rigid (or pure-translation) map between equal-size frames; identity by default.
+
+    Mode 'none', a frame's in a run that does not register, is the identity alone."""
 
     mode: str
     dx: float = 0.0
@@ -100,7 +101,8 @@ class RegistrationTransform:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        identity = (self.dx, self.dy, self.theta) == (0, 0, 0)
+        if self.mode not in _MODES and not (self.mode == "none" and identity):
             raise InputError(f"mode must be one of {_MODES}")
         if not all(map(math.isfinite, (self.dx, self.dy, self.theta))):
             raise InputError("transform parameters must be finite")
@@ -392,17 +394,20 @@ def register_pair(
     reference_levels: tuple[ReferenceLevel, ...],
     test: RasterImage,
     mode: str = "translation",
-) -> RegistrationTransform:
-    """Transform T such that resample(test, T) best matches the reference.
+) -> tuple[RegistrationTransform, float]:
+    """(T, residual): resample(test, T) best matches the reference.
 
     `reference_levels` is `reference_pyramid(reference.luminance())`, built
     once by a caller that registers many frames to one reference, which then
     need not hold the reference image itself.  Solved coarse to fine from
-    the identity, doubling the shift per level.  Raises RegistrationError
-    when the finest level fails to converge, carrying the best transform and
-    its residual and naming them in its message.
+    the identity, doubling the shift per level; the residual is the finest
+    level's cost at T.  Raises RegistrationError when the finest level fails
+    to converge, carrying the best transform and its residual and naming
+    them in its message.
     """
-    t = RegistrationTransform(mode)  # identity; an unknown mode raises InputError here
+    if mode not in _MODES:
+        raise InputError(f"mode must be one of {_MODES}")
+    t = RegistrationTransform(mode)
     h, w = reference_levels[0].plane.shape
     if (h, w) != (test.height, test.width):
         raise InputError(
@@ -419,24 +424,14 @@ def register_pair(
             transform=t,
             residual=cost,
         )
-    return t
+    return t, cost
 
 
-def mean_square_residual(
-    reference_luminance: np.ndarray,
-    aligned: RasterImage,
-    transform: RegistrationTransform,
-) -> float:
-    """Mean squared luminance difference over the transform's valid pixels.
-
-    `reference_luminance` is the reference's float64 luminance plane, the
-    one its `reference_pyramid` was built from."""
-    _, select, count = _warp(*reference_luminance.shape, transform)
-    if count == 0:
-        return math.inf
-    diff = select(aligned.luminance()) - select(reference_luminance)
-    # one thread, as the solver's sums: BLAS rounding depends on its threads
-    return float(np.einsum("ij,ij->", diff, diff)) / count
+def mean_square_residual(reference: np.ndarray, frame: RasterImage) -> float:
+    """An unregistered frame's residual against the float32 luminance plane
+    `reference`: `_gn_level`'s cost at the identity, bit for bit."""
+    residual = np.subtract(frame.luminance(), reference, dtype=np.float32)
+    return _dot(residual, residual, residual) / residual.size
 
 
 # ---------------------------------------------------------------------------

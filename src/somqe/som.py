@@ -23,9 +23,8 @@ function of (image bytes, parameters, seed).  A long sum, here and everywhere
 in the package, is numpy's one-thread pairwise `np.add.reduce` of one
 contiguous array, never BLAS, whose rounding follows its thread count;
 `tests/test_som.py::test_numpy_reduction_matches_its_restatement` pins the
-order against `tests/oracles.numpy_pairwise_sum`.  The two exceptions are
-fixed-order `np.einsum` sums: `_nearest`'s three channel terms and
-`register.mean_square_residual`.
+order against `tests/oracles.numpy_pairwise_sum`.  The one exception is
+`_nearest`'s fixed-order `np.einsum` sum of three channel terms.
 """
 
 from __future__ import annotations

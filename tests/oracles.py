@@ -256,13 +256,15 @@ def dense_sample_coords(height, width, dx, dy, theta):
     return c * ux + s * uy + cx, -s * ux + c * uy + cy
 
 
-def dense_bilinear(data, sx, sy):
+def dense_bilinear(data, sx, sy, dtype=np.float64):
     """Clamp-to-edge bilinear sampling by per-pixel gathers on (h, w) grids.
 
     `data` is (h, w) or (h, w, C); every output pixel gathers its four
     neighbours, blends them along x into `top` and `bottom`, then along y.
+    The data and the blend weights (computed in float64) are rounded to
+    `dtype`, and so is every product and sum.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=dtype)
     h, w = data.shape[:2]
     planar = data.ndim == 2
     if planar:
@@ -275,9 +277,11 @@ def dense_bilinear(data, sx, sy):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (sxc - x0)[:, :, None]
     fy = (syc - y0)[:, :, None]
-    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
-    bottom = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
-    out = (1.0 - fy) * top + fy * bottom
+    gx, fx = (1.0 - fx).astype(dtype), fx.astype(dtype)
+    gy, fy = (1.0 - fy).astype(dtype), fy.astype(dtype)
+    top = gx * data[y0, x0] + fx * data[y0, x1]
+    bottom = gx * data[y1, x0] + fx * data[y1, x1]
+    out = gy * top + fy * bottom
     return out[:, :, 0] if planar else out
 
 

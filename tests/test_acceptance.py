@@ -306,14 +306,14 @@ def test_criterion_05_registration_accuracy():
         dx = float(rng.uniform(-8.0, 8.0))
         dy = float(rng.uniform(-8.0, 8.0))
         levels = reference_pyramid(anchor.luminance())
-        got = register_pair(levels, sample(dx=dx, dy=dy), "translation")
+        got, _ = register_pair(levels, sample(dx=dx, dy=dy), "translation")
         worst = max(worst, abs(got.dx - dx), abs(got.dy - dy))
         assert worst <= 0.1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
 
     sample = sinusoid_sampler(np.random.default_rng(99))
-    rigid = register_pair(
+    rigid, _ = register_pair(
         reference_pyramid(sample().luminance()), sample(dx=1.5, dy=-0.75, theta=0.02), "rigid"
     )
     assert abs(rigid.theta - 0.02) <= 0.005

@@ -81,6 +81,8 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert captured.err == ""
     assert "frames.tsv" not in captured.out  # summary names the roi, not the file
     assert "frames:" in captured.out or "frames," in captured.out
+    # the summary names the anchor the map was trained on, and its year
+    assert captured.out.startswith("frames: 3 frames, anchor frame2 (2002), trend slope ")
     assert (out / "report.csv").is_file()
     assert (out / "grid.txt").is_file()
     assert (out / "transforms.txt").is_file()
@@ -782,6 +784,12 @@ def test_mode_none_flag_matches_the_config_key(tmp_path):
     assert main(common + ["--mode", "none", "--out", str(by_flag)]) == 0
     assert main(common + ["--config", str(cfg), "--out", str(by_file)]) == 0
     assert "registration none" in (by_flag / "report.csv").read_text()
+    # the sidecar's mode column says so too
+    rows = [
+        line.split() for line in (by_flag / "transforms.txt").read_text().splitlines()
+        if not line.startswith("#")
+    ]
+    assert [row[:5] for row in rows] == [[str(i), "none", "0", "0", "0"] for i in range(3)]
     for artifact in ("report.csv", "grid.txt", "transforms.txt",
                      "plots/frames_qe_trend.svg", "plots/frames_vs_heat.svg"):
         assert (by_flag / artifact).read_bytes() == (by_file / artifact).read_bytes()

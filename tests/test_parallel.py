@@ -178,13 +178,14 @@ def test_trace_records_every_frame_and_leaves_the_artifacts_alone(
     assert [f["frame"] for f in frames] == [anchor, *range(anchor)]
     assert frames[0]["pid"] == os.getpid()
     assert all(f["pid"] != os.getpid() for f in frames[1:])
-    registered = [] if mode == "none" else ["register_s", "resample_s"]
     first = ["load_s"] + ([] if mode == "none" else ["pyramid_s"])
     # the anchor is not compared with itself, so it times no residual
     assert list(frames[0]) == ["frame", "pid", *first, "normalize_s", "train_s",
                                "score_s", "minflt"]
+    # a registered frame's residual is its solver's cost, inside `register_s`
+    compared = ["residual_s"] if mode == "none" else ["register_s", "resample_s"]
     for f in frames[1:]:
-        assert list(f) == ["frame", "pid", "load_s", *registered, "residual_s",
+        assert list(f) == ["frame", "pid", "load_s", *compared,
                            "normalize_s", "score_s", "minflt"]
     # the anchor's line holds its pid and training seconds; the tail adds the emit
     assert list(tail) == ["emit_s", "minflt"]

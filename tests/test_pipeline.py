@@ -45,7 +45,6 @@ from somqe.pipeline import (
 from somqe.raster import RasterImage, load_image, normalize_contrast, save_image
 from somqe.register import (
     luminance_pyramid,
-    mean_square_residual,
     reference_pyramid,
     register_pair,
 )
@@ -578,13 +577,16 @@ def test_preprocessed_frames_yields_last_frame_anchor_first(tmp_path, two_cpus):
     _, t_anchor, _, img_anchor = items[0]
     assert t_anchor.dx == 0.0 and t_anchor.dy == 0.0
     assert np.array_equal(img_anchor.pixels, anchor.pixels)
-    for (_, t, residual, moved), true_dx, true_dy in zip(
+    levels = reference_pyramid(anchor.luminance())
+    for (i, t, residual, moved), true_dx, true_dy in zip(
         items[1:], (-1.0, 0.0), (0.0, 2.0)
     ):
         assert t.dx == pytest.approx(true_dx, abs=0.05)
         assert t.dy == pytest.approx(true_dy, abs=0.05)
-        assert mean_square_residual(anchor.luminance(), moved, t) < 1.0
-        assert residual == mean_square_residual(anchor.luminance(), moved, t)
+        assert residual < 1.0
+        frame = load_image(manifest.entries[i].path)
+        assert (t, residual) == register_pair(levels, frame, "translation")
+        assert np.array_equal(moved.pixels, resample(frame, t).pixels)
 
 
 def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatch, one_cpu):
@@ -623,16 +625,13 @@ def test_preprocessed_frames_builds_the_anchor_pyramid_once(tmp_path, monkeypatc
     monkeypatch.undo()
     levels = reference_pyramid(anchor.luminance())
     for frame, (_, transform, residual, _) in zip(frames[:3], items):
-        assert transform == register_pair(levels, frame, "translation")
-        assert residual == mean_square_residual(
-            anchor.luminance(), resample(frame, transform), transform
-        )
+        assert (transform, residual) == register_pair(levels, frame, "translation")
 
 
 def test_the_anchor_luminance_is_computed_once(tmp_path, monkeypatch, one_cpu):
-    """One float64 luminance plane of the anchor feeds its pyramid and every
-    residual; each other frame takes one for its pyramid and one, resampled,
-    for its residual."""
+    """One luminance plane of the anchor feeds its float32 reference; each
+    other frame takes one, for its pyramid, whose finest level's cost is its
+    residual, or in mode 'none' for its residual alone."""
     import somqe.raster as raster_module
 
     anchor = smooth_image(4, size=64)
@@ -650,11 +649,36 @@ def test_the_anchor_luminance_is_computed_once(tmp_path, monkeypatch, one_cpu):
             return super().__iter__()
 
     monkeypatch.setattr(raster_module, "_LUMA", CountedWeights(raster_module._LUMA))
-    staged = preprocessed_frames(manifest, RunConfig(), keep_frame)
-    assert next(staged).index == 2
-    assert len(computed) == 1
-    assert [s.index for s in staged] == [0, 1]
-    assert len(computed) == 1 + 2 * 2
+    for mode in ("translation", "none"):
+        computed.clear()
+        staged = preprocessed_frames(manifest, RunConfig(registration_mode=mode), keep_frame)
+        assert next(staged).index == 2
+        assert len(computed) == 1
+        assert [s.index for s in staged] == [0, 1]
+        assert len(computed) == 1 + 2 * 1
+
+
+@pytest.mark.parametrize("mode", ["translation", "rigid", "none"])
+def test_past_the_anchor_the_stage_holds_no_float64_plane(tmp_path, mode):
+    """The stage keeps the anchor's float32 reference: its pyramid's levels,
+    or in mode 'none' its float32 luminance plane alone."""
+    anchor = smooth_image(9, size=64)
+    manifest = write_frames(tmp_path, [as_uint8(anchor)] * 2)
+    stage = FrameStage(manifest, RunConfig(registration_mode=mode), keep_frame)
+    stage(manifest.anchor_index)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    held = list(arrays(list(vars(stage).values())))
+    assert held and all(a.dtype != np.float64 for a in held)
+    assert stage.reference.dtype == np.float32
+    luminance = load_image(manifest.entries[1].path).luminance()
+    assert np.array_equal(stage.reference, luminance.astype(np.float32))
 
 
 @pytest.mark.parametrize("mode, builds", [("translation", 1), ("rigid", 1), ("none", 0)])
@@ -695,20 +719,33 @@ def test_the_anchor_is_not_compared_with_itself(tmp_path, monkeypatch, one_cpu, 
         for dx in (0.5, 1.25)
     ] + [as_uint8(anchor)]
     manifest = write_frames(tmp_path, arrays)
-    compared = []
+    compared, registered = [], []
     real_residual = pipeline_module.mean_square_residual
+    real_register = pipeline_module.register_pair
 
-    def counting_residual(luminance, frame, transform):
-        compared.append(transform)
-        return real_residual(luminance, frame, transform)
+    def counting_residual(reference, frame):
+        compared.append(real_residual(reference, frame))
+        return compared[-1]
+
+    def counting_register(levels, frame, mode):
+        registered.append(real_register(levels, frame, mode))
+        return registered[-1]
 
     monkeypatch.setattr(pipeline_module, "mean_square_residual", counting_residual)
+    monkeypatch.setattr(pipeline_module, "register_pair", counting_register)
     staged = list(preprocessed_frames(manifest, RunConfig(registration_mode=mode), keep_frame))
     assert [s.index for s in staged] == [2, 0, 1]
     assert staged[0].residual == 0.0
     assert "residual_s" not in staged[0].record
-    assert compared == [s.transform for s in staged[1:]]
-    assert all(s.residual > 0.0 and "residual_s" in s.record for s in staged[1:])
+    # one comparison per other frame: mode 'none''s residual, or the solver's
+    # cost at the transform it returned
+    if mode == "none":
+        assert registered == [] and compared == [s.residual for s in staged[1:]]
+        assert all(s.transform == RegistrationTransform("none") for s in staged)
+    else:
+        assert compared == [] and registered == [(s.transform, s.residual) for s in staged[1:]]
+    assert all(s.residual > 0.0 for s in staged[1:])
+    assert all(("residual_s" in s.record) == (mode == "none") for s in staged[1:])
 
 
 @pytest.mark.parametrize("height, width", [(1, 40), (40, 1)])

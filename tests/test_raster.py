@@ -262,10 +262,10 @@ def test_every_definition_is_named_by_the_package():
 _BLAS_CALLS = ("np.dot", "np.matmul", "np.inner", "np.vdot", "np.tensordot", "np.linalg.multi_dot")
 
 
-def test_no_sum_goes_through_blas_and_einsum_keeps_its_two_places():
+def test_no_sum_goes_through_blas_and_einsum_keeps_one_place():
     """Long sums are one-thread `np.add.reduce` calls: BLAS rounding follows
-    its thread count.  The `np.einsum` sums kept are `_nearest`'s three
-    channel terms and `mean_square_residual`'s 17-digit residual."""
+    its thread count.  The one `np.einsum` sum kept is `_nearest`'s three
+    channel terms."""
     package = Path(raster.__file__).parent
     matmul = [
         module.name for module in sorted(package.glob("*.py"))
@@ -276,7 +276,6 @@ def test_no_sum_goes_through_blas_and_einsum_keeps_its_two_places():
     assert _package_calls(lambda call, callee: callee in _BLAS_CALLS) == set()
     assert _package_calls(lambda call, callee: callee == "np.einsum") == {
         ("som", "_nearest", "np.einsum"),
-        ("register", "mean_square_residual", "np.einsum"),
     }
 
 

@@ -89,6 +89,14 @@ def test_unknown_mode_rejected():
         RegistrationTransform("affine", 0, 0, 0)
 
 
+def test_mode_none_is_the_identity_alone():
+    """The transform of a frame in a run that does not register."""
+    assert RegistrationTransform("none") == RegistrationTransform("none", 0.0, -0.0, 0.0)
+    for params in ((0.5, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.01)):
+        with pytest.raises(InputError, match="mode"):
+            RegistrationTransform("none", *params)
+
+
 # ---------------------------------------------------------------------------
 # pyramid
 
@@ -223,22 +231,40 @@ def test_valid_mask_for_pure_shift():
     assert np.array_equal(select(plane).ravel(), plane[expected])
 
 
-@pytest.mark.parametrize("transform", [
-    RegistrationTransform("translation", 2.25, -1.5),
-    RegistrationTransform("rigid", 0.5, 1.0, 0.05),
-    RegistrationTransform("translation", 40.0, 0.0),
-])
-def test_mean_square_residual_matches_the_dense_mask(transform):
-    h, w = 20, 24
-    reference, moving = random_image(3, h, w), random_image(4, h, w)
-    aligned = resample(moving, transform)
-    sx, sy = dense_sample_coords(h, w, transform.dx, transform.dy, transform.theta)
+@pytest.mark.parametrize("mode, moved", [
+    ("translation", RegistrationTransform("translation", -2.3, 1.7)),
+    ("rigid", RegistrationTransform("rigid", 1.2, -0.8, 0.02).inverse()),
+], ids=["translation", "rigid"])
+def test_register_pair_residual_matches_the_dense_mask(mode, moved):
+    """The residual is the mean square of the float32 level-0 planes'
+    difference, the moving one warped through the returned transform, over
+    its valid pixels: the per-pixel oracle's float32 blend, reduced in the
+    same one-thread pairwise order, gives the same bits."""
+    reference = smooth_image(21, size=128)
+    frame = resample(reference, moved)
+    t, residual = register_pair(reference_pyramid(reference.luminance()), frame, mode)
+    h, w = reference.height, reference.width
+    sx, sy = dense_sample_coords(h, w, t.dx, t.dy, t.theta)
     mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-    diff = (aligned.luminance() - reference.luminance())[mask]
-    # the same one-thread reduction as the program, so the bits match exactly
-    sum_sq = float(np.einsum("i,i->", diff, diff))
-    expected = sum_sq / diff.size if diff.size else math.inf
-    assert mean_square_residual(reference.luminance(), aligned, transform) == expected
+    warped = dense_bilinear(frame.luminance().astype(np.float32), sx, sy, np.float32)
+    diff = (warped - reference.luminance().astype(np.float32))[mask]
+    assert diff.dtype == np.float32 and 0 < diff.size < h * w
+    assert residual == float(np.add.reduce(diff * diff)) / diff.size
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mean_square_residual_is_the_solver_cost_at_the_identity(monkeypatch, seed):
+    """Mode 'none''s residual is the one cost function the solver minimises,
+    taken where every pixel is valid.  With no iteration to spend, a level
+    still measures its cost at its start."""
+    reference, frame = random_image(seed, 40, 56), random_image(seed + 10, 40, 56)
+    (level,) = reference_pyramid(reference.luminance())
+    monkeypatch.setattr(register, "_MAX_GN_ITERATIONS", 0)
+    _, cost, _ = _gn_level(
+        level, frame.luminance().astype(np.float32), RegistrationTransform("translation")
+    )
+    assert mean_square_residual(level.plane, frame) == cost > 0.0
+    assert mean_square_residual(level.plane, reference) == 0.0
 
 
 def _assert_warp_matches_dense_oracle(image, transform):
@@ -395,25 +421,25 @@ def test_gn_level_without_valid_pixels_returns_inf():
 
 def test_identical_pair_registers_to_exact_zero():
     img = smooth_image(4, size=128)
-    t = register_pair(reference_pyramid(img.luminance()), img, "translation")
+    t, residual = register_pair(reference_pyramid(img.luminance()), img, "translation")
     assert t.dx == 0.0 and t.dy == 0.0
+    assert residual == 0.0
 
 
 def test_translation_recovery_subpixel():
     ref = smooth_image(21, size=128)
     moved = resample(ref, RegistrationTransform("translation", -2.3, 1.7))
-    got = register_pair(reference_pyramid(ref.luminance()), moved, "translation")
+    got, residual = register_pair(reference_pyramid(ref.luminance()), moved, "translation")
     assert got.dx == pytest.approx(2.3, abs=0.05)
     assert got.dy == pytest.approx(-1.7, abs=0.05)
-    aligned = resample(moved, got)
-    assert mean_square_residual(ref.luminance(), aligned, got) < 1.0
+    assert residual < 1.0
 
 
 def test_rigid_recovery_small_rotation():
     ref = smooth_image(33, size=128)
     true = RegistrationTransform("rigid", 1.2, -0.8, 0.02)
     moved = resample(ref, true.inverse())
-    got = register_pair(reference_pyramid(ref.luminance()), moved, "rigid")
+    got, _ = register_pair(reference_pyramid(ref.luminance()), moved, "rigid")
     assert got.theta == pytest.approx(0.02, abs=0.005)
     assert got.dx == pytest.approx(1.2, abs=0.1)
     assert got.dy == pytest.approx(-0.8, abs=0.1)
@@ -435,7 +461,7 @@ def test_frame_with_new_colour_registers_to_its_truth(mode, seed, share, ground)
     dx, dy = rng.uniform(-6.0, 6.0, 2)
     theta = float(rng.uniform(-0.02, 0.02)) if mode == "rigid" else 0.0
     anchor = sample(share=share, ground=True) if ground else sample()
-    got = register_pair(
+    got, _ = register_pair(
         reference_pyramid(anchor.luminance()), sample(dx, dy, theta, share, ground), mode
     )
     assert math.hypot(got.dx - dx, got.dy - dy) <= 0.025
@@ -452,7 +478,7 @@ def test_rounded_frames_register_near_an_integer_shift(mode, seed):
     sample = sinusoid_sampler(np.random.default_rng(seed), 128)
     anchor = RasterImage(np.round(sample().pixels))
     frame = RasterImage(np.round(sample(3.05, -1.97).pixels))
-    got = register_pair(reference_pyramid(anchor.luminance()), frame, mode)
+    got, _ = register_pair(reference_pyramid(anchor.luminance()), frame, mode)
     assert math.hypot(got.dx - 3.05, got.dy + 1.97) <= 0.025
     assert abs(got.theta) <= 1e-3
 
@@ -470,7 +496,7 @@ def test_flat_anchor_with_sparse_change_registers_to_exact_zero(mode, changed):
     frame = anchor.copy()
     spots = rng.choice(side * side, size=int(changed * side * side), replace=False)
     frame.reshape(-1, 3)[spots] = rng.integers(120, 256, (spots.size, 3))
-    got = register_pair(
+    got, _ = register_pair(
         reference_pyramid(RasterImage(anchor).luminance()), RasterImage(frame), mode
     )
     assert (got.dx, got.dy, got.theta) == (0.0, 0.0, 0.0)
@@ -530,8 +556,10 @@ def test_register_pair_size_mismatch():
 
 def test_register_pair_unknown_mode():
     img = random_image(2, 8, 8)
-    with pytest.raises(InputError, match="mode"):
-        register_pair(reference_pyramid(img.luminance()), img, "projective")
+    # 'none' names a transform, the identity, but no registration
+    for mode in ("projective", "none"):
+        with pytest.raises(InputError, match="mode"):
+            register_pair(reference_pyramid(img.luminance()), img, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +599,6 @@ def test_bench_translation_stacks_register_within_their_bound(tmp_path, monkeypa
     worst = 0.0
     for i, frame in enumerate(truth["frames"]):
         if i != anchor:
-            t = register_pair(levels, load_image(tmp_path / frame["file"]), "translation")
+            t, _ = register_pair(levels, load_image(tmp_path / frame["file"]), "translation")
             worst = max(worst, math.hypot(t.dx - frame["dx"], t.dy - frame["dy"]))
     assert worst <= 0.0121
