@@ -6,11 +6,12 @@ disk with a manifest, then runs: load, align, normalize, train a map on the
 anchor frame, score every frame, fit the year trend, correlate against a
 covariate, and emit the CSV report and SVG plots.
 
-Everything here is also reachable from the command line (which trains on
-the manifest's last frame, the default anchor):
+The manifest lists the frames newest first, so its last line, the default
+anchor that the map is trained on, is the earliest frame.  The same run
+from the command line, which names the roi after the manifest file:
 
     somqe run --manifest demo-out/frames.tsv --covariates demo-out/cov.csv \
-        --grid 2x2 --out demo-out/run
+        --grid 2x2 --iterations 500 --out demo-out/run
 """
 
 from pathlib import Path
@@ -36,8 +37,8 @@ ground = (96, 118, 84)
 positions = rng.choice(side * side, size=(n_frames - 1) * per_step, replace=False)
 colors = rng.integers(120, 256, size=(positions.size, 3), dtype=np.uint8)
 
-lines = []
-for k in range(n_frames):
+lines = []  # newest first
+for k in reversed(range(n_frames)):
     frame = np.full((side, side, 3), ground, dtype=np.uint8)
     upto = k * per_step
     frame[positions[:upto] // side, positions[:upto] % side] = colors[:upto]
@@ -48,16 +49,15 @@ for k in range(n_frames):
 (out_root / "cov.csv").write_text(
     "year,built_up_share\n"
     + "\n".join(
-        f"{1999 + k},{k * per_step / (side * side):.4f}" for k in range(n_frames)
+        f"{1999 + k},{k * per_step / (side * side):.4f}" for k in reversed(range(n_frames))
     )
     + "\n"
 )
 
-manifest = read_manifest(out_root / "frames.tsv", roi_name="toy scene",
-                         anchor_index=0)
+manifest = read_manifest(out_root / "frames.tsv", roi_name="toy scene")
 config = RunConfig(
     grid_width=2, grid_height=2, iterations=500,
-    registration_mode="translation", normalize=False, seed=0,
+    registration_mode="translation", seed=0,
     covariates=out_root / "cov.csv",
 )
 # the covariates are read and paired with the frames before any frame loads

@@ -395,15 +395,19 @@ class FrameStage:
     Calling it on the anchor index first builds the anchor's reference: its
     float32 luminance plane, which unless the mode is 'none' is the finest
     level of the solver's `reference_pyramid`, built from one untimed
-    float64 luminance plane.  Every later call loads one frame, checks it
-    against the anchor's size and registers it to that reference and
-    resamples it; the residual is the solver's cost at the transform, or in
-    mode 'none' `mean_square_residual` (the anchor's is 0.0).  Every call
-    then, when `config.normalize` is set, stretches the frame's contrast.
-    `tail(index, frame, timed)` then turns the frame into the call's
-    result; `timed(name, fn, *args)` runs one of its steps and records that
-    step's seconds.  Only the reference stays held between calls, so a call
-    on another frame needs nothing but its index.
+    float64 luminance plane.  Every later call loads one frame and
+    registers it to that reference and resamples it; the residual is the
+    solver's cost at the transform, or in mode 'none' `mean_square_residual`
+    (the anchor's is 0.0).  Both refuse a frame whose size is not the
+    anchor's.  Every call then, when `config.normalize` is set, stretches
+    the frame's contrast.  `tail(index, frame, timed)` then turns the frame
+    into the call's result; `timed(name, fn, *args)` runs one of its steps
+    and records that step's seconds.  Only the reference stays held between
+    calls, so a call on another frame needs nothing but its index.
+
+    A failure while staging frame i reads 'frame i: ...' once, wherever it
+    ran: a RegistrationError keeps its type, transform and residual and
+    gains `index` i; an InputError or OSError becomes an InputError.
     """
 
     def __init__(self, manifest: Manifest, config: RunConfig, tail):
@@ -412,10 +416,20 @@ class FrameStage:
         self.normalize = config.normalize
         self.tail = tail
         self.identity = RegistrationTransform(self.mode)
-        self.levels = None
-        self.reference = None
+        self.levels = None  # the anchor's pyramid, unless the mode is 'none'
+        self.reference = None  # the anchor's luminance plane in mode 'none'
 
     def __call__(self, i: int) -> StagedFrame:
+        try:
+            return self._stage(i)
+        except RegistrationError as exc:
+            raise RegistrationError(
+                f"frame {i}: {exc}", transform=exc.transform, residual=exc.residual, index=i
+            ) from exc
+        except (InputError, OSError) as exc:  # an error on a file names it already
+            raise InputError(f"frame {i}: {exc}") from exc
+
+    def _stage(self, i: int) -> StagedFrame:
         faults = minor_faults()
         record = {"pid": os.getpid()}
 
@@ -425,47 +439,23 @@ class FrameStage:
             record[f"{name}_s"] = time.perf_counter() - start
             return out
 
-        frame = timed("load", self._load, i)
+        frame = timed("load", load_image, self.manifest.entries[i].path)
         transform, residual = self.identity, 0.0
         if i == self.manifest.anchor_index:
             if self.mode == "none":
                 self.reference = frame.luminance().astype(np.float32)
             else:
                 self.levels = timed("pyramid", reference_pyramid, frame.luminance())
-                self.reference = self.levels[0].plane
+        elif self.mode == "none":
+            residual = timed("residual", mean_square_residual, self.reference, frame)
         else:
-            height, width = self.reference.shape
-            if (frame.height, frame.width) != (height, width):
-                raise InputError(
-                    f"size mismatch: frame {i} is {frame.width}x{frame.height}, "
-                    f"anchor frame {self.manifest.anchor_index} is {width}x{height}"
-                )
-            if self.mode == "none":
-                residual = timed("residual", mean_square_residual, self.reference, frame)
-            else:
-                try:
-                    transform, residual = timed(
-                        "register", register_pair, self.levels, frame, self.mode
-                    )
-                except RegistrationError as exc:
-                    raise RegistrationError(
-                        f"frame {i}: {exc}",
-                        transform=exc.transform,
-                        residual=exc.residual,
-                        index=i,
-                    ) from exc
-                frame = timed("resample", resample, frame, transform)
+            transform, residual = timed("register", register_pair, self.levels, frame, self.mode)
+            frame = timed("resample", resample, frame, transform)
         if self.normalize:
             frame = timed("normalize", normalize_contrast, frame)
         result = self.tail(i, frame, timed)
         record["minflt"] = minor_faults() - faults
         return StagedFrame(i, transform, residual, result, record)
-
-    def _load(self, i: int) -> RasterImage:
-        try:  # each error names the file already
-            return load_image(self.manifest.entries[i].path)
-        except (OSError, InputError) as exc:
-            raise InputError(f"frame {i}: {exc}") from None
 
 
 def preprocessed_frames(manifest: Manifest, config: RunConfig, tail):
@@ -475,8 +465,7 @@ def preprocessed_frames(manifest: Manifest, config: RunConfig, tail):
     `tail` keeps (a map trained on it, say) is in place before the other
     frames run.  They follow in manifest order, through `_map_frames`.
     A failing frame raises as it would in this process: the first one in
-    that order wins, and a non-converging pair re-raises with the offending
-    frame index attached.
+    that order wins, named as `FrameStage` names it.
     """
     stage = FrameStage(manifest, config, tail)
     yield stage(manifest.anchor_index)

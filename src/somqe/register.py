@@ -390,6 +390,14 @@ def _gn_level(reference: ReferenceLevel, moving: np.ndarray, start: Registration
     return t, cost, False
 
 
+def _check_size(reference: np.ndarray, frame: RasterImage) -> None:
+    # a frame of another size would broadcast against the reference plane,
+    # or fail deep inside numpy, instead of naming the two sizes
+    h, w = reference.shape
+    if (frame.height, frame.width) != (h, w):
+        raise InputError(f"size mismatch: {frame.width}x{frame.height}, reference {w}x{h}")
+
+
 def register_pair(
     reference_levels: tuple[ReferenceLevel, ...],
     test: RasterImage,
@@ -401,18 +409,15 @@ def register_pair(
     once by a caller that registers many frames to one reference, which then
     need not hold the reference image itself.  Solved coarse to fine from
     the identity, doubling the shift per level; the residual is the finest
-    level's cost at T.  Raises RegistrationError when the finest level fails
-    to converge, carrying the best transform and its residual and naming
-    them in its message.
+    level's cost at T.  A test frame of another size than the reference
+    raises InputError; one that the finest level fails to register raises
+    RegistrationError, carrying the best transform and its residual and
+    naming them in its message.
     """
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
+    _check_size(reference_levels[0].plane, test)
     t = RegistrationTransform(mode)
-    h, w = reference_levels[0].plane.shape
-    if (h, w) != (test.height, test.width):
-        raise InputError(
-            f"size mismatch: reference {w}x{h}, test {test.width}x{test.height}"
-        )
     test_levels = luminance_pyramid(test.luminance())
     for level, moving in zip(reference_levels[::-1], test_levels[::-1]):
         t = RegistrationTransform(mode, 2.0 * t.dx, 2.0 * t.dy, t.theta)
@@ -429,7 +434,9 @@ def register_pair(
 
 def mean_square_residual(reference: np.ndarray, frame: RasterImage) -> float:
     """An unregistered frame's residual against the float32 luminance plane
-    `reference`: `_gn_level`'s cost at the identity, bit for bit."""
+    `reference`: `_gn_level`'s cost at the identity, bit for bit.  A frame
+    of another size raises InputError, as in `register_pair`."""
+    _check_size(reference, frame)
     residual = np.subtract(frame.luminance(), reference, dtype=np.float32)
     return _dot(residual, residual, residual) / residual.size
 

@@ -138,8 +138,9 @@ def _gauss_cf(a: float, s: float, w: float) -> float:
     )
 
 
-def two_tailed_p(t: float, df: int) -> float:
-    """P(|T| >= t) for T ~ Student's t with 1 <= df <= DF_MAX degrees of freedom."""
+def two_tailed_p(t: float, df: float) -> float:
+    """P(|T| >= t) for T ~ Student's t with 1 <= df <= DF_MAX degrees of
+    freedom; df need not be a whole number."""
     if not 1 <= df <= DF_MAX:
         raise InputError(f"df must be between 1 and {DF_MAX}, got {df}")
     t = float(t)

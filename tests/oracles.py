@@ -377,7 +377,7 @@ def pearson_oracle(xs, ys) -> float:
     return float(num / den)
 
 
-def t_tail_by_integration(t: float, df: int) -> float:
+def t_tail_by_integration(t: float, df: float) -> float:
     """Two-tailed P(|T| >= t) by quadrature of the t density."""
     t = abs(t)
 
@@ -391,7 +391,7 @@ def t_tail_by_integration(t: float, df: int) -> float:
     return float(2 * mp.quad(density, [t, mp.inf]))
 
 
-def t_tail_by_betainc(t: float, df: int) -> float:
+def t_tail_by_betainc(t: float, df: float) -> float:
     """Two-tailed P(|T| >= t) as the 50-digit I_x(df/2, 1/2), x = df/(df+t^2).
 
     The argument is formed from the exact binary t, so x near 1 keeps all of

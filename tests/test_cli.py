@@ -1194,6 +1194,26 @@ def test_a_fifo_as_the_anchor_frame_exits_1_at_once(tmp_path):
     )
 
 
+def test_a_failed_write_names_its_frame_once_in_this_process_and_in_a_worker(
+    tmp_path, capsys, monkeypatch
+):
+    """register's write of frame 2 (not the anchor) meets a directory."""
+    manifest, _ = make_workspace(tmp_path, n_frames=4)
+    out = tmp_path / "o"
+    (out / "002_frame2.ppm").mkdir(parents=True)
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert main(["register", "--manifest", str(manifest), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert_single_error_line(captured, "input")
+        # the temporary file's name is random
+        errors.append(re.sub(r"\.somqe-tmp-[0-9a-f]+", ".somqe-tmp-x", captured.err))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("somqe: error: input: frame 2: [Errno 21] Is a directory: ")
+    assert errors[0].count("frame ") == 1, errors[0]
+
+
 def _missing(path):
     path.unlink()
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from somqe.pipeline import read_manifest
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -41,3 +43,14 @@ def test_readme_library_example_runs(tmp_path):
     proc = run_python(["-c", block], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) > 0.0
+
+
+def test_readme_manifest_example_anchors_on_its_earliest_year(tmp_path):
+    """The block under '**Manifest**': a stack copied from it trains on its
+    earliest frame, as the method does."""
+    section = (ROOT / "README.md").read_text().split("\n**Manifest**", 1)[1]
+    block = section.split("```\n", 1)[1].split("\n```", 1)[0]
+    (tmp_path / "frames.tsv").write_text(block + "\n")
+    manifest = read_manifest(tmp_path / "frames.tsv")
+    assert len(manifest.entries) > 1
+    assert manifest.entries[manifest.anchor_index].year == min(manifest.years)

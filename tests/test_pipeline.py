@@ -1,6 +1,8 @@
 """Manifest/config plumbing and the end-to-end scoring run."""
 
 import dataclasses
+import multiprocessing
+import os
 import re
 import tracemalloc
 import warnings
@@ -499,7 +501,7 @@ def test_run_pipeline_rejects_mismatched_frame_sizes(tmp_path):
         np.zeros((8, 8, 3), dtype=np.uint8),
     ]
     manifest = write_frames(tmp_path, arrays)
-    with pytest.raises(InputError, match="frame 1 is 9x8"):
+    with pytest.raises(InputError, match="^frame 1: size mismatch: 9x8, reference 8x8$"):
         run_pipeline(manifest, RunConfig(registration_mode="none"))
 
 
@@ -661,7 +663,8 @@ def test_the_anchor_luminance_is_computed_once(tmp_path, monkeypatch, one_cpu):
 @pytest.mark.parametrize("mode", ["translation", "rigid", "none"])
 def test_past_the_anchor_the_stage_holds_no_float64_plane(tmp_path, mode):
     """The stage keeps the anchor's float32 reference: its pyramid's levels,
-    or in mode 'none' its float32 luminance plane alone."""
+    whose finest plane is the anchor's luminance, or in mode 'none' that
+    float32 luminance plane alone."""
     anchor = smooth_image(9, size=64)
     manifest = write_frames(tmp_path, [as_uint8(anchor)] * 2)
     stage = FrameStage(manifest, RunConfig(registration_mode=mode), keep_frame)
@@ -676,9 +679,10 @@ def test_past_the_anchor_the_stage_holds_no_float64_plane(tmp_path, mode):
 
     held = list(arrays(list(vars(stage).values())))
     assert held and all(a.dtype != np.float64 for a in held)
-    assert stage.reference.dtype == np.float32
+    reference = stage.reference if mode == "none" else stage.levels[0].plane
+    assert reference.dtype == np.float32
     luminance = load_image(manifest.entries[1].path).luminance()
-    assert np.array_equal(stage.reference, luminance.astype(np.float32))
+    assert np.array_equal(reference, luminance.astype(np.float32))
 
 
 @pytest.mark.parametrize("mode, builds", [("translation", 1), ("rigid", 1), ("none", 0)])
@@ -755,7 +759,11 @@ def test_preprocessed_frames_rejects_frames_too_thin_to_register(
 ):
     arrays = [as_uint8(random_image(i, height, width)) for i in range(n_frames)]
     manifest = write_frames(tmp_path, arrays)
-    with pytest.raises(InputError, match=f"cannot register {width}x{height} frames"):
+    # the anchor, the last frame, is refused as it builds its pyramid
+    anchor = n_frames - 1
+    with pytest.raises(
+        InputError, match=f"^frame {anchor}: cannot register {width}x{height} frames"
+    ):
         stage_items(manifest, RunConfig())
     items = stage_items(manifest, RunConfig(registration_mode="none"))
     assert len(items) == n_frames
@@ -767,9 +775,7 @@ def test_preprocessed_frames_rejects_empty_and_mismatched(tmp_path):
     manifest = write_frames(
         tmp_path, [as_uint8(random_image(0, 8, 8)), as_uint8(random_image(1, 9, 8))]
     )
-    with pytest.raises(
-        InputError, match="size mismatch: frame 0 is 8x8, anchor frame 1 is 8x9"
-    ):
+    with pytest.raises(InputError, match="^frame 0: size mismatch: 8x8, reference 8x9$"):
         stage_items(manifest, RunConfig())
 
 
@@ -794,6 +800,64 @@ def test_preprocessed_frames_tags_failing_frame_index(tmp_path, monkeypatch, two
         stage_items(manifest, RunConfig())
     assert info.value.index == 0
     assert info.value.residual == 9.9
+
+
+# each spoils frame 1 of a stack and returns the stage tail to run it with
+
+def _unreadable(path, monkeypatch):
+    path.write_bytes(b"P6\n")
+    return keep_frame
+
+
+def _resized(path, monkeypatch):
+    save_image(RasterImage(as_uint8(smooth_image(3, size=64))[:, :63]), path)
+    return keep_frame
+
+
+def _unregistered(path, monkeypatch):
+    save_image(RasterImage(255 - as_uint8(smooth_image(3, size=64))), path)
+
+    def fails_unless_equal(levels, frame, mode):
+        if not np.array_equal(frame.luminance().astype(np.float32), levels[0].plane):
+            raise RegistrationError("did not converge", transform=None, residual=9.9)
+        return register_pair(levels, frame, mode)
+
+    monkeypatch.setattr(pipeline_module, "register_pair", fails_unless_equal)
+    return keep_frame
+
+
+def _unwritable(path, monkeypatch):
+    def tail(i, frame, timed):
+        if i == 1:
+            raise PermissionError(13, "Permission denied", str(path))
+        return frame
+
+    return tail
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("spoil, mode, kind", [
+    (_unreadable, "translation", InputError),
+    (_resized, "none", InputError),
+    (_resized, "translation", InputError),
+    (_unregistered, "translation", RegistrationError),
+    (_unwritable, "translation", InputError),
+], ids=["load", "size-none", "size-registered", "registration", "tail"])
+def test_a_failing_frame_is_named_once(tmp_path, monkeypatch, cpus, spoil, mode, kind):
+    """A failure while staging frame 1 reads 'frame 1: ...' once, in this
+    process or in a frame worker; a RegistrationError keeps its residual."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    manifest = write_frames(tmp_path, [as_uint8(smooth_image(3, size=64))] * 3)
+    tail = spoil(manifest.entries[1].path, monkeypatch)
+    with pytest.raises(kind) as info:
+        list(preprocessed_frames(manifest, RunConfig(registration_mode=mode), tail))
+    message = str(info.value)
+    assert type(info.value) is kind
+    assert message.startswith("frame 1: ")
+    assert len(re.findall(r"frame \d+: ", message)) == 1, message
+    if kind is RegistrationError:
+        assert (info.value.index, info.value.residual) == (1, 9.9)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("mode", ["none", "translation"])

@@ -550,8 +550,16 @@ def test_a_singular_normal_matrix_ends_as_registration_error(monkeypatch, mode, 
 
 
 def test_register_pair_size_mismatch():
-    with pytest.raises(InputError, match="size mismatch"):
-        register_pair(reference_pyramid(random_image(1, 8, 8).luminance()), random_image(1, 8, 9))
+    """Both residuals refuse a frame of another size, also one that would
+    broadcast against the reference plane (8x1, 1x8), by one message."""
+    levels = reference_pyramid(random_image(1, 8, 8).luminance())
+    for width, height in ((8, 1), (1, 8), (8, 9)):
+        frame = random_image(1, height, width)
+        message = f"^size mismatch: {width}x{height}, reference 8x8$"
+        with pytest.raises(InputError, match=message):
+            register_pair(levels, frame)
+        with pytest.raises(InputError, match=message):
+            mean_square_residual(levels[0].plane, frame)
 
 
 def test_register_pair_unknown_mode():

@@ -161,19 +161,22 @@ def test_p_is_monotone_in_t():
 
 
 def _t_grid(df):
-    """t from 0.01 to 30 in 140 log steps, a tiny t, and both sides of the
-    point where the tail switches to the symmetric continued fraction."""
+    """t from 0.01 to 40 in 145 log steps and 40 itself, a tiny t, and both
+    sides of the point where the tail switches to the symmetric continued
+    fraction."""
     switch = math.sqrt(3.0 * df / (df + 2.0))
     return (
         [1e-6]
-        + [0.01 * 10 ** (k / 40) for k in range(140)]
+        + [0.01 * 10 ** (k / 40) for k in range(145)] + [40.0]
         + [switch * (1.0 + d) for d in (-1e-9, 0.0, 1e-9)]
     )
 
 
+# a real-valued df, as an autocorrelation-adjusted test has, holds the same
 @pytest.mark.parametrize(
     "df, rel",
     [(df, 1e-13) for df in (1, 2, 5, 23, 39, 40, 41, 60, 1000)]
+    + [(df, 1e-13) for df in (1.5, 2.3, 4.3, 7.9, 25.5, 100.25, 1000.5)]
     + [(df, 1e-12) for df in (2000, 10_000, 100_000, DF_MAX)],
 )
 def test_p_relative_error_against_50_digit_beta(df, rel):
