@@ -18,8 +18,8 @@ Exit codes: 0 success, 1 unusable input, 2 computation failure
 running out of memory), 130 interrupted (SIGINT, as Ctrl-C sends it).
 Errors print exactly one line to stderr of the form
 'somqe: error: <category>: <message>', and warnings one line each, as
-'somqe: warning: <message>'.  `run --trace FILE` also writes the
-seconds each frame spent in each stage, as JSONL.
+'somqe: warning: <message>'.  `run --trace FILE` and `score --trace FILE`
+also write the seconds each frame spent in each stage, as JSONL.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from pathlib import Path
 from .errors import ComputationError, InputError
 from .pipeline import (
     CONFIG_KEYS,
+    Manifest,
     RunConfig,
     apply_config_entries,
     correlate,
@@ -142,11 +143,11 @@ def _cmd_register(args, config: RunConfig) -> int:
 def _cmd_train(args, config: RunConfig) -> int:
     manifest = read_manifest(_require(args, "manifest"))
     out = _out_dir(config)  # a bad output target fails here, not after the anchor
-    tail = ScoreTail(manifest, config)
-    # the stream yields the anchor first; no other frame is loaded, and
-    # mode 'none' skips the anchor's pyramid, which only registration reads
-    anchor_only = replace(config, registration_mode="none")
-    row = next(preprocessed_frames(manifest, anchor_only, tail)).result
+    # the anchor alone, in mode 'none': no other frame is loaded, and no
+    # reference is built, which only registration and other frames read
+    alone = Manifest((manifest.entries[manifest.anchor_index],), manifest.roi_name, 0)
+    tail = ScoreTail(alone, config)
+    row = next(preprocessed_frames(alone, replace(config, registration_mode="none"), tail)).result
     save_grid(tail.grid, out / "grid.txt")
     print(
         f"trained {config.grid_width}x{config.grid_height} map on "
@@ -157,14 +158,20 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 
 def _cmd_score(args, config: RunConfig) -> int:
+    faults = minor_faults()
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
-    if config.out_dir is not None:  # a bad output target fails before the frames
-        _out_dir(config)
+    # a bad output target fails before the frames
+    out = None if config.out_dir is None else _out_dir(config)
+    trace = _trace_target(args, config, manifest, out, ("qe.csv",) if out else ())
     tail = ScoreTail(manifest, config, grid)
-    staged = sorted(preprocessed_frames(manifest, config, tail), key=lambda s: s.index)
-    text = f"# roi: {manifest.roi_name}\n" + qe_rows_csv(s.result for s in staged)
-    _emit(config, "qe.csv", text)
+    staged = list(preprocessed_frames(manifest, config, tail))
+    emit_start = time.perf_counter()
+    rows = (s.result for s in sorted(staged, key=lambda s: s.index))
+    _emit(config, "qe.csv", f"# roi: {manifest.roi_name}\n" + qe_rows_csv(rows))
+    if trace is not None:
+        emit_s = time.perf_counter() - emit_start
+        _write_trace(trace, staged, emit_s, minor_faults() - faults)
     return 0
 
 
@@ -217,19 +224,7 @@ def _cmd_run(args, config: RunConfig) -> int:
     for name in artifacts:  # and so does an artifact path of the other kind
         if (out / name).exists() and (out / name).is_dir() != (name == "plots"):
             raise InputError(f"{out / name}: {'not' if name == 'plots' else 'is'} a directory")
-    trace = args.trace
-    if trace is not None:
-        if trace.is_dir() or not trace.parent.is_dir():
-            raise InputError(f"--trace {trace}: not a file in an existing directory")
-        target, root = trace.resolve(), out.resolve()
-        for name in artifacts:
-            if root / name in (target, *target.parents):
-                raise InputError(f"--trace {trace}: would overwrite the run's {name}")
-        frames = (entry.path for entry in manifest.entries)
-        inputs = (args.manifest, args.config, config.covariates, *frames)
-        for path in filter(None, inputs):  # samefile also sees a symlink or hard link
-            if trace.exists() and path.exists() and os.path.samefile(trace, path):
-                raise InputError(f"--trace {trace}: would overwrite the input {path}")
+    trace = _trace_target(args, config, manifest, out, artifacts)
     report = run_pipeline(manifest, config)
     emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)
@@ -249,15 +244,37 @@ def _cmd_run(args, config: RunConfig) -> int:
     return 0
 
 
+def _trace_target(args, config: RunConfig, manifest, out: Path | None, artifacts):
+    """`--trace FILE`, or None; refused before any frame is loaded where it is
+    a directory, sits in a missing one, or names one of the `artifacts` in
+    `out` (or anything in one) or an input of the command."""
+    trace = args.trace
+    if trace is None:
+        return None
+    if trace.is_dir() or not trace.parent.is_dir():
+        raise InputError(f"--trace {trace}: not a file in an existing directory")
+    target = trace.resolve()
+    for name in artifacts:
+        if out.resolve() / name in (target, *target.parents):
+            raise InputError(f"--trace {trace}: would overwrite the {args.command}'s {name}")
+    frames = (entry.path for entry in manifest.entries)
+    inputs = (args.manifest, args.config, getattr(args, "grid_file", None), config.covariates)
+    for path in filter(None, (*inputs, *frames)):  # samefile also sees a symlink or hard link
+        if trace.exists() and path.exists() and os.path.samefile(trace, path):
+            raise InputError(f"--trace {trace}: would overwrite the input {path}")
+    return trace
+
+
 def _write_trace(path: Path, staged, emit_s: float, minflt: int) -> None:
     """JSONL: one line per frame, anchor first, then one for the emit.
 
     A frame's line holds its index and its `StagedFrame.record`: the pid of
     the process that ran its stage, each step's seconds and the minor page
-    faults that process took during the stage.  The anchor's stage, training
-    included, ran in this process, so its line carries this pid.  The last
-    line holds the artifact emit seconds and the minor page faults this
-    process took from the start of the run to the end of the emit.
+    faults that process took during the stage.  The anchor's stage, with
+    `run`'s training and the map's colour-cell table, ran in this process,
+    so its line carries this pid.  The last line holds the artifact emit
+    seconds and the minor page faults this process took from the start of
+    the command to the end of the emit.
     """
     import json
 
@@ -291,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     trend = ("year_fix", "covariates")
     add("register", _cmd_register, "align frames and write them out", ["mode"], manifest)
     add("train", _cmd_train, "train a map on the anchor frame", training, manifest)
+    trace = ("--trace", "write per-frame stage seconds as JSONL")
     add("score", _cmd_score, "score frames against a saved map", ["mode"], manifest,
-        ("--grid-file", "saved map from 'train'"))
+        ("--grid-file", "saved map from 'train'"), trace)
     add("stats", _cmd_stats, "fit year trends", trend, qe)
     add("correlate", _cmd_correlate, "correlate QE rows with covariates", trend, qe)
     add("plot", _cmd_plot, "render SVG plots from QE rows", trend, qe)
-    add("run", _cmd_run, "full pipeline into an output directory", CONFIG_KEYS, manifest,
-        ("--trace", "write per-frame stage seconds as JSONL"))
+    add("run", _cmd_run, "full pipeline into an output directory", CONFIG_KEYS, manifest, trace)
     return parser
 
 

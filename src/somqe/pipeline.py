@@ -395,7 +395,8 @@ class FrameStage:
     Calling it on the anchor index first builds the anchor's reference: its
     float32 luminance plane, which unless the mode is 'none' is the finest
     level of the solver's `reference_pyramid`, built from one untimed
-    float64 luminance plane.  Every later call loads one frame and
+    float64 luminance plane.  In mode 'none' a manifest of one frame needs
+    no reference, and none is built.  Every later call loads one frame and
     registers it to that reference and resamples it; the residual is the
     solver's cost at the transform, or in mode 'none' `mean_square_residual`
     (the anchor's is 0.0).  Both refuse a frame whose size is not the
@@ -442,10 +443,10 @@ class FrameStage:
         frame = timed("load", load_image, self.manifest.entries[i].path)
         transform, residual = self.identity, 0.0
         if i == self.manifest.anchor_index:
-            if self.mode == "none":
-                self.reference = frame.luminance().astype(np.float32)
-            else:
+            if self.mode != "none":
                 self.levels = timed("pyramid", reference_pyramid, frame.luminance())
+            elif len(self.manifest.entries) > 1:  # only another frame's residual reads it
+                self.reference = frame.luminance().astype(np.float32)
         elif self.mode == "none":
             residual = timed("residual", mean_square_residual, self.reference, frame)
         else:
@@ -591,12 +592,14 @@ class ScoreTail:
     """A `FrameStage` tail that turns each preprocessed frame into its `QeRow`.
 
     Without a `grid`, the first frame it sees, the anchor, trains one, in
-    this process; forked workers inherit it.  Every frame is then scored
-    against `.grid`.
+    this process.  The anchor also builds the map's colour-cell table
+    (`SomGrid.cell_candidates`) as a step of its own; forked workers inherit
+    both.  Every frame is then scored against `.grid`.
     """
 
     def __init__(self, manifest: Manifest, config: RunConfig, grid: SomGrid | None = None):
         self.entries = manifest.entries
+        self.anchor = manifest.anchor_index
         self.config = config
         self.grid = grid
 
@@ -604,6 +607,8 @@ class ScoreTail:
         if self.grid is None:
             c = self.config
             self.grid = timed("train", fit_som, frame, c.grid_width, c.grid_height, c)
+        if i == self.anchor:  # the map's colour-cell table, which forked workers inherit
+            timed("candidates", getattr, self.grid, "cell_candidates")
         result = timed("score", quantization_error, frame, self.grid)
         entry = self.entries[i]
         return QeRow(entry.label, entry.year, result.qe, empty_model_count(result))

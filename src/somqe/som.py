@@ -12,10 +12,12 @@ winner is the model nearest the pixel in RGB, lowest row-major index on ties.
 
 An image is scored against a trained map by its quantization error: the mean
 RGB distance from each pixel to its best-matching model.  Scoring walks the
-pixels in fixed-size blocks and passes each block through every model while
-it sits in cache; the bits do not depend on the block size.  A map that scores
-the image it was trained on with no empty models (models never chosen as a
-winner) is considered large enough for that image.
+pixels in fixed-size blocks and scores each pixel against only the models
+that can be nearest anywhere in its colour cell (16 grey levels a side),
+listed in a table built once per map.  The bits are those of scoring against
+every model, and depend neither on the block size nor on the cells.  A map
+that scores the image it was trained on with no empty models (models never
+chosen as a winner) is considered large enough for that image.
 
 Pixels are handled as float vectors in [0, 1], 8-bit samples divided by 255.
 All reductions are ordered deterministically, so every result here is a pure
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +45,16 @@ from .stats import parse_count, parse_decimal
 
 DECAY_MODES = ("constant", "linear")
 
-# pixels per scoring block: a block's planes and scratch, about 1.6 MB of
-# float64, stay in a core's L2 while every model passes over them
+# pixels per scoring block: a block's planes and scratch, about 2 MB, stay
+# in a core's L2 while every candidate slot passes over them
 _SCORE_BLOCK = 32768
+# grey levels per channel in one colour cell, and cells per channel
+_CELL = 16
+_CELLS = 256 // _CELL
+# how much closer, in squared distance, another model must be everywhere in
+# a cell to drop a model there; float64 rounding of a 3-term distance in
+# [0, 3] is below 1e-15
+_CELL_MARGIN = 1e-11
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,69 @@ class SomGrid:
         """(model_count, 2) array of (row, col) positions, row-major order."""
         rows, cols = np.divmod(np.arange(self.model_count), self.width)
         return np.stack([rows, cols], axis=1).astype(np.float64)
+
+    @cached_property
+    def cell_candidates(self) -> CellCandidates:
+        """Which models can be nearest in each colour cell, built on first use."""
+        return _cell_candidates(self.models)
+
+
+class CellCandidates(NamedTuple):
+    """Per colour cell, every model that can be nearest somewhere in it.
+
+    Cell (r // 16) * 256 + (g // 16) * 16 + b // 16 of 8-bit or fractional
+    samples r, g, b in [0, 255] holds rows start[cell] up to start[cell] +
+    count[cell] of `models` (its candidates' indices, ascending) and of
+    `values` (their R, G and B, one row per channel).
+    """
+
+    count: np.ndarray
+    start: np.ndarray
+    models: np.ndarray
+    values: np.ndarray
+
+
+def _cell_candidates(models: np.ndarray) -> CellCandidates:
+    """Each colour cell's candidates, tested on the cell's closed box.
+
+    Cell i of a channel spans [16 i, min(16 i + 16, 255)] / 255, which holds
+    every sample the cell takes as float64 rounds it.  In each cell the
+    reference is the model whose farthest point of the box is nearest,
+    lowest index first.  A model is dropped there when the reference is
+    closer at every point of the box by more than _CELL_MARGIN.  The
+    difference of two squared distances is linear in each channel, so its
+    least value over the box is the sum, channel by channel, of the lesser
+    of its values at the two edges; this also drops every model whose
+    nearest point of the box is farther than the reference's farthest.  A
+    model that repeats a lower-index one is dropped everywhere: a tie never
+    displaces the lower index.
+    """
+    k = len(models)
+    bounds = np.minimum(np.arange(_CELLS + 1) * _CELL, 255) / 255.0
+    edges = np.stack([bounds[:-1], bounds[1:]])  # [lower or upper edge, cell]
+    # [channel, edge, cell along the channel, model]: squared distances
+    to_edge = (edges[None, :, :, None] - models.T[:, None, None, :]) ** 2
+    unique = np.zeros(k, dtype=bool)
+    unique[np.unique(models, axis=0, return_index=True)[1]] = True
+    keep = np.empty((_CELLS, _CELLS, _CELLS, k), dtype=bool)
+    shape = (2, _CELLS, _CELLS, k)
+    for r in range(_CELLS):
+        # the cells of red level r: green along the first axis, blue the second
+        per = (to_edge[0, :, r, None, None], to_edge[1, :, :, None], to_edge[2, :, None])
+        ref = np.argmin(sum(d.max(axis=0) for d in per), axis=-1)[None, :, :, None]
+        gap = sum(
+            (d - np.take_along_axis(np.broadcast_to(d, shape), ref, -1)).min(axis=0) for d in per
+        )
+        np.logical_and(gap <= _CELL_MARGIN, unique, out=keep[r])
+    keep = keep.reshape(-1, k)
+    count = keep.sum(axis=1)
+    chosen = np.nonzero(keep)[1]  # row-major, so ascending within each cell
+    return CellCandidates(
+        count.astype(np.min_scalar_type(k)),
+        np.cumsum(count) - count,
+        chosen,
+        np.ascontiguousarray(models[chosen].T),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,44 +292,80 @@ def fit_som(image: RasterImage, width: int, height: int, params: TrainingParams)
 def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
     """Mean distance from each pixel to its best-matching model.
 
-    Pixels are taken in row-major blocks of _SCORE_BLOCK, and each block's
-    R, G and B planes go through every model while they are still in cache.
-    Per pixel, squared channel terms are summed as (r + g) + b, and a later
-    model replaces the running best only when strictly closer, so the lowest
-    row-major index wins ties.  The mean is one `np.add.reduce` over all
-    pixels at once, so the value is a pure function of the pixels and
-    models and does not depend on the block size.  Assignment counts
-    record how many pixels each model won.
+    Pixels are taken in row-major blocks of _SCORE_BLOCK.  Each pixel is
+    scored against its colour cell's candidates (`SomGrid.cell_candidates`),
+    which hold every model that can be its nearest.  A block's pixels are
+    sorted by candidate count, stably, so the pixels with more than j
+    candidates form one contiguous tail, and slot j is scored on that tail
+    alone.  Per pixel, squared channel terms are summed as (r + g) + b, and
+    a later candidate replaces the running best only when strictly closer,
+    so, candidates ascending, the lowest row-major index wins ties.  Each
+    best distance goes back to its pixel's place before the mean, which is
+    one `np.add.reduce` over all pixels at once, so the value is a pure
+    function of the pixels and models and depends neither on the block
+    size nor on the cells.  Assignment counts record how many pixels each
+    model won.
     """
+    table = grid.cell_candidates
     pixels = image.planes.reshape(3, -1)
     n = pixels.shape[1]
     size = min(n, _SCORE_BLOCK)
-    scratch = np.empty((5, size))  # a block's R, G and B planes, d2 and term
+    planes = np.empty((3, size))  # a block's R, G and B, sorted by candidate count
+    d2, term = np.empty(size), np.empty(size)
     closer = np.empty(size, dtype=bool)
-    winners = np.empty(size, dtype=np.int64)
+    sample = np.empty(size, dtype=pixels.dtype)
+    # per sorted pixel: its cell's first table row, and a later one in hand
+    first, row = np.empty((2, size), dtype=np.intp)
+    # per sorted pixel: its candidate count, then the slot that won; a scratch
+    won, flag = np.empty((2, size), dtype=table.count.dtype)
     best = np.empty(n)
     counts = np.zeros(grid.model_count, dtype=np.int64)
-    models = grid.models.tolist()
+    # every index below is in range, and take's "wrap" mode skips the check
     for start in range(0, n, size):
-        block = slice(start, min(start + size, n))
-        m = block.stop - start
-        planes, (d2, term) = scratch[:3, :m], scratch[3:, :m]
-        np.divide(pixels[:, block], 255.0, out=planes, dtype=np.float64)
-        nearest, won, chosen = best[block], closer[:m], winners[:m]
-        chosen.fill(0)
-        for k, model in enumerate(models):
-            dist = d2 if k else nearest
-            np.subtract(planes[0], model[0], out=dist)
+        m = min(size, n - start)
+        block, nearest = pixels[:, start:start + m], best[start:start + m]
+        at, rows, slots = first[:m], row[:m], won[:m]
+        # the pixel's colour cell, red-major: a sample in [0, 255] times
+        # 1/16, truncated, is its cell along that channel
+        np.multiply(block[0], 1 / _CELL, out=at, casting="unsafe")
+        for channel in block[1:]:
+            at *= _CELLS
+            at += np.multiply(channel, 1 / _CELL, out=rows, casting="unsafe")
+        np.take(table.count, at, out=slots, mode="wrap")
+        order = np.argsort(slots, kind="stable")
+        slots.sort(kind="stable")
+        # slot j skips the tails[j] pixels with at most j candidates
+        tails = np.searchsorted(slots, np.arange(slots[-1]), side="right")
+        np.take(table.start, at, out=rows, mode="wrap")
+        np.take(rows, order, out=at, mode="wrap")
+        for plane, channel in zip(planes, block):
+            np.take(channel, order, out=sample[:m], mode="wrap")
+            np.divide(sample[:m], 255.0, out=plane[:m], dtype=np.float64)
+        slots.fill(0)
+        for j, tail in enumerate(tails):
+            s = slice(tail, m)
+            here = np.add(at[s], j, out=rows[s]) if j else at
+            dist = (d2 if j else nearest)[s]
+            np.take(table.values[0], here, out=dist, mode="wrap")
+            np.subtract(planes[0, s], dist, out=dist)
             np.multiply(dist, dist, out=dist)
-            for plane, component in zip(planes[1:], model[1:]):
-                np.subtract(plane, component, out=term)
-                np.multiply(term, term, out=term)
-                dist += term
-            if k:
-                np.less(d2, nearest, out=won)
-                np.minimum(nearest, d2, out=nearest)
-                chosen[won] = k
-        counts += np.bincount(chosen, minlength=grid.model_count)
+            for plane, values in zip(planes[1:], table.values[1:]):
+                part = term[s]
+                np.take(values, here, out=part, mode="wrap")
+                np.subtract(plane[s], part, out=part)
+                np.multiply(part, part, out=part)
+                dist += part
+            if j:
+                np.less(dist, nearest[s], out=closer[s])
+                np.minimum(nearest[s], dist, out=nearest[s])
+                # the last slot found closer wins; slots rise, so it is the highest
+                np.multiply(closer[s], j, out=flag[s], dtype=flag.dtype)
+                np.maximum(slots[s], flag[s], out=slots[s])
+        np.copyto(d2[:m], nearest)
+        nearest.put(order, d2[:m], mode="wrap")  # each best back in its pixel's place
+        at += slots
+        np.take(table.models, at, out=rows, mode="wrap")
+        counts += np.bincount(rows, minlength=grid.model_count)
     qe = float(np.add.reduce(np.sqrt(best, out=best))) / n
     return QeResult(qe=qe, pixel_count=n, assignment_counts=counts)
 

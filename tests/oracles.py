@@ -229,6 +229,14 @@ def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):
     squared channel differences wins.  Returns (qe, assignment counts), the
     mean taken with `numpy_pairwise_sum`.
     """
+    winners, distances = broadcast_winners(pixels, models, chunk)
+    counts = np.bincount(winners, minlength=len(models))
+    return float(numpy_pairwise_sum(distances)) / len(winners), counts
+
+
+def broadcast_winners(pixels, models, chunk: int = 1 << 16):
+    """Each pixel's winner and its distance, as `broadcast_quantization_error`
+    finds them."""
     x = np.asarray(pixels, dtype=np.float64).reshape(-1, 3) / 255.0
     models = np.asarray(models, dtype=np.float64)
     n = x.shape[0]
@@ -240,8 +248,7 @@ def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):
         best = np.argmin(d2, axis=1)
         winners[start : start + chunk] = best
         distances[start : start + chunk] = np.sqrt(d2[np.arange(len(block)), best])
-    counts = np.bincount(winners, minlength=len(models))
-    return float(numpy_pairwise_sum(distances)) / n, counts
+    return winners, distances
 
 
 def dense_sample_coords(height, width, dx, dy, theta):

@@ -233,6 +233,26 @@ def test_train_builds_no_reference_pyramid(tmp_path, monkeypatch, one_cpu):
     ).read_bytes()
 
 
+def test_train_computes_no_luminance_plane(tmp_path, monkeypatch, one_cpu):
+    """No other frame is staged, so no residual ever reads the anchor's
+    float32 reference plane, and none is built."""
+    import somqe.raster as raster_module
+
+    manifest, _ = make_workspace(tmp_path)
+    computed = []
+
+    class CountedWeights(tuple):
+        # every luminance plane reads the Rec. 601 weights once
+        def __iter__(self):
+            computed.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(raster_module, "_LUMA", CountedWeights(raster_module._LUMA))
+    argv = ["train", "--manifest", str(manifest), "--grid", "2x2", "--iterations", "40"]
+    assert main(argv + ["--out", str(tmp_path / "trained")]) == 0
+    assert computed == []
+
+
 def test_run_rejects_covariates_whose_years_differ_from_the_frames(tmp_path, capsys):
     manifest, covariates = make_workspace(tmp_path)
     rows = covariates.read_text().splitlines()
@@ -1145,6 +1165,25 @@ def test_run_refuses_a_trace_onto_an_artifact_before_loading_a_frame(
     assert frame_loads == []
     assert not (out / "report.csv").exists()
     assert list((out / "plots").glob("*")) == []
+    assert {path: path.read_bytes() for path in inputs} == inputs
+
+
+@pytest.mark.parametrize("target", ["qe.csv", "../grid.txt", "../frames.tsv", "../img_1.ppm"])
+def test_score_refuses_a_trace_onto_its_output_or_an_input_before_loading_a_frame(
+    tmp_path, capsys, one_cpu, frame_loads, target
+):
+    manifest, _ = make_workspace(tmp_path)
+    grid = tmp_path / "grid.txt"
+    save_grid(SomGrid(2, 2, np.full((4, 3), 0.5)), grid)
+    out = tmp_path / "o"
+    inputs = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    argv = ["score", "--manifest", str(manifest), "--grid-file", str(grid), "--out", str(out)]
+    assert main([*argv, "--trace", str(out / target)]) == 1
+    captured = capsys.readouterr()
+    assert_single_error_line(captured, "input")
+    assert f"--trace {out / target}: would overwrite the " in captured.err
+    assert frame_loads == []
+    assert not (out / "qe.csv").exists()
     assert {path: path.read_bytes() for path in inputs} == inputs
 
 

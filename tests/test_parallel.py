@@ -179,9 +179,10 @@ def test_trace_records_every_frame_and_leaves_the_artifacts_alone(
     assert frames[0]["pid"] == os.getpid()
     assert all(f["pid"] != os.getpid() for f in frames[1:])
     first = ["load_s"] + ([] if mode == "none" else ["pyramid_s"])
-    # the anchor is not compared with itself, so it times no residual
+    # the anchor is not compared with itself, so it times no residual; it
+    # builds the map's colour-cell table, which the workers inherit
     assert list(frames[0]) == ["frame", "pid", *first, "normalize_s", "train_s",
-                               "score_s", "minflt"]
+                               "candidates_s", "score_s", "minflt"]
     # a registered frame's residual is its solver's cost, inside `register_s`
     compared = ["residual_s"] if mode == "none" else ["register_s", "resample_s"]
     for f in frames[1:]:
@@ -193,6 +194,53 @@ def test_trace_records_every_frame_and_leaves_the_artifacts_alone(
                for k, v in record.items() if k.endswith("_s"))
     assert all(type(record["minflt"]) is int and record["minflt"] >= 0
                for record in (*frames, tail))
+
+
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_the_map_table_is_built_once_in_this_process(tmp_path, monkeypatch, two_cpus, command):
+    """The anchor's score builds the map's colour-cell table; the workers
+    inherit it through fork and build none of their own."""
+    import somqe.som as som_module
+
+    manifest = write_stack(tmp_path / "stack")
+    argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+    if command == "score":
+        grid = tmp_path / "grid.txt"
+        som_module.save_grid(som_module.SomGrid(2, 2, np.full((4, 3), 0.25)), grid)
+        argv += ["--grid-file", str(grid)]
+    builders = tmp_path / "builders"
+    build = som_module._cell_candidates
+
+    def recording_build(models):
+        with open(builders, "a") as log:  # appended to by whichever process builds
+            log.write(f"{os.getpid()}\n")
+        return build(models)
+
+    monkeypatch.setattr(som_module, "_cell_candidates", recording_build)
+    assert main(argv) == 0
+    assert builders.read_text() == f"{os.getpid()}\n"
+
+
+def test_traced_and_untraced_score_write_the_same_rows(tmp_path, monkeypatch, two_cpus):
+    manifest = write_stack(tmp_path / "stack")
+    grid = tmp_path / "grid.txt"
+    assert main(["train", "--manifest", str(manifest), "--grid", "2x2",
+                 "--iterations", "40", "--out", str(tmp_path)]) == 0
+    common = ["score", "--manifest", str(manifest), "--grid-file", str(grid)]
+    trace = tmp_path / "trace.jsonl"
+    assert main(common + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(common + ["--out", str(tmp_path / "traced"), "--trace", str(trace)]) == 0
+    assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "traced")
+    *frames, tail = [json.loads(line) for line in trace.read_text().splitlines()]
+    anchor = len(MOTIONS) - 1
+    assert [f["frame"] for f in frames] == [anchor, *range(anchor)]
+    assert frames[0]["pid"] == os.getpid()
+    assert all(f["pid"] != os.getpid() for f in frames[1:])
+    # a loaded map trains nothing, but the anchor still builds its table
+    assert list(frames[0]) == ["frame", "pid", "load_s", "pyramid_s", "normalize_s",
+                               "candidates_s", "score_s", "minflt"]
+    assert all("candidates_s" not in f for f in frames[1:])
+    assert list(tail) == ["emit_s", "minflt"]
 
 
 def test_a_one_cpu_trace_runs_every_frame_here(tmp_path, monkeypatch):

@@ -660,6 +660,14 @@ def test_the_anchor_luminance_is_computed_once(tmp_path, monkeypatch, one_cpu):
         assert len(computed) == 1 + 2 * 1
 
 
+def test_a_lone_frame_builds_no_residual_reference(tmp_path):
+    """With mode 'none' only another frame's residual reads the reference."""
+    manifest = write_frames(tmp_path, [as_uint8(smooth_image(9, size=32))])
+    stage = FrameStage(manifest, RunConfig(registration_mode="none"), keep_frame)
+    assert stage(0).residual == 0.0
+    assert stage.reference is None and stage.levels is None
+
+
 @pytest.mark.parametrize("mode", ["translation", "rigid", "none"])
 def test_past_the_anchor_the_stage_holds_no_float64_plane(tmp_path, mode):
     """The stage keeps the anchor's float32 reference: its pyramid's levels,

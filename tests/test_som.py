@@ -21,12 +21,14 @@ from somqe import (
     train_step,
 )
 from somqe import som
+from somqe.register import RegistrationTransform, resample
 from somqe.som import grid_from_text, grid_to_text
 from somqe.rng import INIT_STREAM, SAMPLE_STREAM, substream_seed
 
 from conftest import random_image, two_color_image
 from oracles import (
     broadcast_quantization_error,
+    broadcast_winners,
     brute_force_bmu,
     grid_neighbors_within,
     numpy_pairwise_sum,
@@ -497,6 +499,96 @@ def test_qe_traced_peak_stays_linear_in_pixels():
     finally:
         tracemalloc.stop()
     assert peak < 8 * image.pixel_count * 8
+
+
+# ---------------------------------------------------------------------------
+# colour-cell candidates
+
+def _cell_models(case: str) -> np.ndarray:
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case == "random 4x4":
+        return rng.random((16, 3))
+    if case == "random 8x8":
+        return rng.random((64, 3))
+    if case == "duplicated":
+        return rng.random((3, 3))[rng.integers(0, 3, 16)]
+    if case == "on cell boundaries":  # k * 16 / 255, and 1
+        return rng.choice(np.append(np.arange(16) * 16 / 255, 1.0), (16, 3))
+    if case == "1x1":
+        return rng.random((1, 3))
+    if case == "at 0 and 1":
+        return rng.integers(0, 2, (8, 3)).astype(np.float64)
+    raise ValueError(case)
+
+
+def _lattice_and_sample_colours() -> np.ndarray:
+    """Per channel every cell boundary, the float just below each, and each
+    cell's midpoint, in every combination (so every corner of every cell,
+    and points on its edges and faces), then 10**5 seeded colours in
+    [0, 255]."""
+    bounds = np.minimum(np.arange(17) * 16.0, 255.0)
+    levels = np.unique(np.concatenate([bounds, np.nextafter(bounds[1:], 0.0), bounds[:-1] + 8]))
+    lattice = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), -1)
+    sample = np.random.default_rng(11).random((10**5, 3)) * 255.0
+    return np.concatenate([lattice.reshape(-1, 3), sample])
+
+
+@pytest.mark.parametrize("case", ["random 4x4", "random 8x8", "duplicated",
+                                  "on cell boundaries", "1x1", "at 0 and 1"])
+def test_every_winner_is_among_its_cells_candidates(case):
+    models = _cell_models(case)
+    table = SomGrid(len(models), 1, models).cell_candidates
+    colours = _lattice_and_sample_colours()
+    winners, _ = broadcast_winners(colours, models)
+    along = np.floor(colours / 16.0).astype(np.intp)
+    cells = (along[:, 0] * 16 + along[:, 1]) * 16 + along[:, 2]
+    start, count = table.start[cells], table.count[cells]
+    found = np.zeros(len(colours), dtype=bool)
+    for j in range(int(table.count.max())):
+        row = np.minimum(start + j, len(table.models) - 1)
+        found |= (j < count) & (table.models[row] == winners)
+    assert found.all(), colours[~found][:5]
+    # each cell's candidates ascend, and its rows follow the cell before's
+    assert np.array_equal(np.cumsum(table.count) - table.count, table.start)
+    for cell in range(0, 16**3, 97):
+        rows = table.models[table.start[cell]:table.start[cell] + table.count[cell]]
+        assert rows.size >= 1 and np.all(np.diff(rows) > 0)
+        assert np.array_equal(table.values[:, table.start[cell]:][:, :rows.size], models[rows].T)
+
+
+def test_a_repeated_model_is_never_a_candidate():
+    models = np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5], [0.2, 0.4, 0.6], [0.9, 0.1, 0.5]])
+    table = SomGrid(2, 2, models).cell_candidates
+    assert set(table.models.tolist()) <= {0, 1}
+
+
+def test_the_table_is_built_once_per_map(monkeypatch):
+    built = []
+    real = som._cell_candidates
+    monkeypatch.setattr(som, "_cell_candidates", lambda m: built.append(m) or real(m))
+    grid, image = small_grid(4, 4, 4), random_image(4, 9, 9)
+    for _ in range(3):
+        quantization_error(image, grid)
+    assert len(built) == 1
+
+
+@SCORE_BLOCKS
+def test_float64_planes_score_bit_identically_to_the_oracle(monkeypatch, block):
+    """As `normalize = off` scores a resampled frame: fractional samples, and
+    samples at, just below and just above every cell boundary."""
+    monkeypatch.setattr(som, "_SCORE_BLOCK", block)
+    bounds = np.minimum(np.arange(17) * 16.0, 255.0)
+    edges = np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 256.0)])
+    edges = np.clip(edges, 0.0, 255.0)
+    rng = np.random.default_rng(21)
+    pixels = rng.choice(edges, (9, 17, 3))
+    pixels[::2] = rng.random((5, 17, 3)) * 255.0
+    warped = resample(random_image(6, 12, 15), RegistrationTransform("rigid", 0.37, -1.2, 0.03))
+    assert warped.planes.dtype == np.float64
+    for image in (RasterImage(pixels), warped):
+        for case in ("random 8x8", "on cell boundaries", "duplicated"):
+            models = _cell_models(case)
+            _assert_qe_matches_broadcast_oracle(image, SomGrid(len(models), 1, models))
 
 
 # ---------------------------------------------------------------------------
