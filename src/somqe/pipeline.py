@@ -117,9 +117,10 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
         resolved = Path(frame_path)
         if not resolved.is_absolute():
             resolved = path.parent / resolved
-        if resolved in seen_paths:
+        real = os.path.realpath(resolved)  # one file by any spelling or symlink
+        if real in seen_paths:
             raise InputError(f"manifest line {lineno}: duplicate path {frame_path!r}")
-        seen_paths.add(resolved)
+        seen_paths.add(real)
         entries.append(ManifestEntry(resolved, label, year))
     if not entries:
         raise InputError(f"manifest {path}: no frame entries")
@@ -508,8 +509,8 @@ def _map_frames(stage: FrameStage, indices: list[int]):
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on any fork once numpy's BLAS threads exist;
-            # OpenBLAS rebuilds its pool in the child, and the stage's sums
-            # are one-thread `np.add.reduce` and `np.einsum` calls
+            # OpenBLAS rebuilds its pool in the child, and the stage's long
+            # sums are one-thread `np.add.reduce` calls
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )

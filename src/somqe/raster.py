@@ -105,11 +105,10 @@ class RasterImage:
         return self.height * self.width
 
     def to_uint8(self) -> np.ndarray:
-        """(height, width, 3) samples rounded half-up (floor(x + 0.5)), clipped to 8 bits."""
+        """(height, width, 3) samples rounded half-up as `normalize_contrast` rounds."""
         if self.planes.dtype == np.uint8:
             return np.ascontiguousarray(self.pixels)
-        rounded = np.floor(self.pixels + 0.5)
-        return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
+        return (self.pixels + 0.5).astype(np.uint8)
 
     def luminance(self) -> np.ndarray:
         """Rec. 601 luma plane of the pixels, float64: 0.299 R + 0.587 G + 0.114 B."""

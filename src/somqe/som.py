@@ -8,7 +8,8 @@ radius of the winning model a step toward that pixel:
 
 The neighborhood kernel is a step function (weight 1 inside the radius, 0
 outside), distances between grid cells are Euclidean in (row, col), and the
-winner is the model nearest the pixel in RGB, lowest row-major index on ties.
+winner, in training and scoring alike, is the model at the least squared RGB
+distance, summed in float64 as (r² + g²) + b², lowest row-major index on ties.
 
 An image is scored against a trained map by its quantization error: the mean
 RGB distance from each pixel to its best-matching model.  Scoring walks the
@@ -25,8 +26,7 @@ function of (image bytes, parameters, seed).  A long sum, here and everywhere
 in the package, is numpy's one-thread pairwise `np.add.reduce` of one
 contiguous array, never BLAS, whose rounding follows its thread count;
 `tests/test_som.py::test_numpy_reduction_matches_its_restatement` pins the
-order against `tests/oracles.numpy_pairwise_sum`.  The one exception is
-`_nearest`'s fixed-order `np.einsum` sum of three channel terms.
+order against `tests/oracles.numpy_pairwise_sum`.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ def initialize_grid(image: RasterImage, width: int, height: int, seed: int) -> S
 
 def _nearest(models: np.ndarray, x: np.ndarray) -> tuple[int, float]:
     """Nearest model's index and squared distance; ties go to the lowest index."""
-    diff = models - x
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d = (models - x) ** 2
+    d2 = (d[:, 0] + d[:, 1]) + d[:, 2]
     idx = int(np.argmin(d2))
     return idx, d2[idx]
 
@@ -297,7 +297,7 @@ def quantization_error(image: RasterImage, grid: SomGrid) -> QeResult:
     which hold every model that can be its nearest.  A block's pixels are
     sorted by candidate count, stably, so the pixels with more than j
     candidates form one contiguous tail, and slot j is scored on that tail
-    alone.  Per pixel, squared channel terms are summed as (r + g) + b, and
+    alone.  Per pixel, the squared distance is the module's (r² + g²) + b², and
     a later candidate replaces the running best only when strictly closer,
     so, candidates ascending, the lowest row-major index wins ties.  Each
     best distance goes back to its pixel's place before the mean, which is

@@ -225,9 +225,9 @@ def train_by_steps(grid, image, params):
 def broadcast_quantization_error(pixels, models, chunk: int = 1 << 16):
     """QE by an (N, K, 3) broadcast of every pixel against every model.
 
-    Blocks of `chunk` pixels; per pixel the first argmin of the summed
-    squared channel differences wins.  Returns (qe, assignment counts), the
-    mean taken with `numpy_pairwise_sum`.
+    Blocks of `chunk` pixels; per pixel the first argmin of the squared
+    channel differences, summed as (r² + g²) + b², wins.  Returns (qe,
+    assignment counts), the mean taken with `numpy_pairwise_sum`.
     """
     winners, distances = broadcast_winners(pixels, models, chunk)
     counts = np.bincount(winners, minlength=len(models))
@@ -244,7 +244,8 @@ def broadcast_winners(pixels, models, chunk: int = 1 << 16):
     winners = np.empty(n, dtype=np.int64)
     for start in range(0, n, chunk):
         block = x[start : start + chunk]
-        d2 = ((block[:, None, :] - models[None, :, :]) ** 2).sum(axis=2)
+        d = (block[:, None, :] - models[None, :, :]) ** 2
+        d2 = (d[:, :, 0] + d[:, :, 1]) + d[:, :, 2]
         best = np.argmin(d2, axis=1)
         winners[start : start + chunk] = best
         distances[start : start + chunk] = np.sqrt(d2[np.arange(len(block)), best])

@@ -160,6 +160,31 @@ def test_register_writes_aligned_frames(tmp_path, capsys):
         assert (out / line.split("\t")[0]).is_file()
 
 
+def test_register_without_normalizing_writes_each_resample_rounded_half_up(tmp_path, capsys):
+    """With `normalize = off` a registered frame is written as its float64
+    resample rounded to 8 bits, floor(x + 0.5), byte for byte."""
+    sample = sinusoid_sampler(np.random.default_rng(3), 64)
+    lines = []
+    for k, (dx, dy) in enumerate([(0.37, -0.61), (-1.25, 0.5), (0.0, 0.0)]):
+        save_image(sample(dx, dy), tmp_path / f"f{k}.ppm")
+        lines.append(f"f{k}.ppm\tf{k}\t{2000 + k}")
+    manifest, config = tmp_path / "frames.tsv", tmp_path / "off.cfg"
+    manifest.write_text("\n".join(lines) + "\n")
+    config.write_text("normalize = off\n")
+    out = tmp_path / "out"
+    assert main(["register", "--manifest", str(manifest), "--config", str(config),
+                 "--out", str(out)]) == 0
+    records = (out / "transforms.txt").read_text().splitlines()[2:]
+    fractional = 0
+    for index, mode, dx, dy, theta, _ in (line.split() for line in records):
+        transform = RegistrationTransform(mode, float(dx), float(dy), float(theta))
+        moved = resample(load_image(tmp_path / f"f{index}.ppm"), transform).pixels
+        written = load_image(out / f"{int(index):03d}_f{index}.ppm").pixels
+        assert np.array_equal(written, np.floor(moved + 0.5))
+        fractional += np.count_nonzero(moved % 1.0)
+    assert len(records) == 3 and fractional > 0
+
+
 def test_train_then_score_matches_run_report(tmp_path, capsys):
     manifest, _ = make_workspace(tmp_path)
     common = ["--manifest", str(manifest), "--grid", "2x2",

@@ -144,6 +144,14 @@ def test_read_manifest_errors(tmp_path):
     with pytest.raises(InputError, match="duplicate path"):
         read_manifest(mpath)
 
+    # one file by another spelling, or through a symlink, is the same frame
+    (tmp_path / "a.ppm").write_bytes(b"")
+    (tmp_path / "link.ppm").symlink_to(tmp_path / "a.ppm")
+    for other in ("sub/../a.ppm", "./a.ppm", "link.ppm", str(tmp_path / "a.ppm")):
+        mpath.write_text(f"b.ppm\tx\t2004\na.ppm\ty\t2008\n{other}\tz\t2006\n")
+        with pytest.raises(InputError, match=f"^manifest line 3: duplicate path '{other}'$"):
+            read_manifest(mpath)
+
     mpath.write_text("b.ppm\tx\t1984\na.ppm\t\t1990\n")
     with pytest.raises(InputError, match="^manifest line 2: empty path or label$"):
         read_manifest(mpath)

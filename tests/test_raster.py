@@ -262,10 +262,10 @@ def test_every_definition_is_named_by_the_package():
 _BLAS_CALLS = ("np.dot", "np.matmul", "np.inner", "np.vdot", "np.tensordot", "np.linalg.multi_dot")
 
 
-def test_no_sum_goes_through_blas_and_einsum_keeps_one_place():
+def test_no_sum_goes_through_blas_or_einsum():
     """Long sums are one-thread `np.add.reduce` calls: BLAS rounding follows
-    its thread count.  The one `np.einsum` sum kept is `_nearest`'s three
-    channel terms."""
+    its thread count.  A short sum, such as a distance's three channel terms,
+    is written out in its order; `np.einsum` leaves that order to numpy."""
     package = Path(raster.__file__).parent
     matmul = [
         module.name for module in sorted(package.glob("*.py"))
@@ -274,9 +274,7 @@ def test_no_sum_goes_through_blas_and_einsum_keeps_one_place():
     ]
     assert matmul == []
     assert _package_calls(lambda call, callee: callee in _BLAS_CALLS) == set()
-    assert _package_calls(lambda call, callee: callee == "np.einsum") == {
-        ("som", "_nearest", "np.einsum"),
-    }
+    assert _package_calls(lambda call, callee: callee.endswith("einsum")) == set()
 
 
 def test_every_source_file_parses_as_python_3_10():

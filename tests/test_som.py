@@ -112,6 +112,63 @@ def test_bmu_tie_goes_to_lowest_row_major_index():
     assert distance == 0.5
 
 
+def _assert_one_winner(grid: SomGrid, pixel) -> None:
+    """The model `best_matching_unit` names for an 8-bit pixel is the one
+    scoring counts for a one-pixel image of it, at the same distance bit for
+    bit, and the one a training presentation of that image moves."""
+    image = RasterImage(np.array(pixel, dtype=np.uint8).reshape(1, 1, 3))
+    index, distance = best_matching_unit(np.array(pixel) / 255, grid)
+    result = quantization_error(image, grid)
+    assert np.flatnonzero(result.assignment_counts).tolist() == [index]
+    assert distance.hex() == result.qe.hex()
+    params = TrainingParams(learning_rate=0.5, neighborhood_radius=0.5, iterations=1)
+    moved = np.any(train(grid, image, params).models != grid.models, axis=1)
+    assert np.flatnonzero(moved).tolist() == ([index] if distance else [])
+
+
+@st.composite
+def maps_with_near_ties(draw):
+    """Maps of 1x1 to 8x8 whose models often tie for a pixel in real
+    arithmetic: repeated models, channel permutations of a few colours
+    (tied for any grey pixel), and models on the colour-cell boundaries
+    k * 16 / 255."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "repeated", "permuted", "on cell boundaries"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = width * height
+    if kind == "on cell boundaries":
+        levels = np.append(np.arange(16) * 16 / 255, 1.0)
+        return SomGrid(width, height, rng.choice(levels, (k, 3)))
+    models = rng.random((k, 3))
+    if kind != "random":
+        models = models[rng.integers(0, 3, k) % k]
+    if kind == "permuted":
+        models = np.stack([m[rng.permutation(3)] for m in models])
+    return SomGrid(width, height, models)
+
+
+SAMPLE = st.integers(0, 255)
+
+
+@given(
+    grid=maps_with_near_ties(),
+    pixel=st.one_of(SAMPLE.map(lambda v: (v, v, v)), st.tuples(SAMPLE, SAMPLE, SAMPLE)),
+)
+@settings(max_examples=300, deadline=None)
+def test_training_and_scoring_pick_one_winner(grid, pixel):
+    """Training's search of every model and scoring's colour-cell
+    candidates rank models by the one distance rule."""
+    _assert_one_winner(grid, pixel)
+
+
+def test_a_channel_permuted_pair_is_trained_and_scored_on_one_model():
+    # tied in real arithmetic; summed as (r² + b²) + g², model 1 comes out
+    # nearer, summed as (r² + g²) + b², model 0 does
+    grid = SomGrid(2, 1, np.array([[0.01, 0.01, 0.07], [0.01, 0.07, 0.01]]))
+    assert best_matching_unit(np.zeros(3), grid)[0] == 0
+    _assert_one_winner(grid, (0, 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
