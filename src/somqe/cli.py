@@ -25,7 +25,6 @@ also write the seconds each frame spent in each stage, as JSONL.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -123,6 +122,8 @@ def _cmd_register(args, config: RunConfig) -> int:
     manifest = read_manifest(_require(args, "manifest"))
     out = _out_dir(config)
     names = [f"{i:03d}_{slugify(e.label)}.ppm" for i, e in enumerate(manifest.entries)]
+    sidecars = ("transforms.txt", "registered_manifest.tsv")
+    _refuse_outputs(args, config, manifest, out, (*names, *sidecars))
 
     def save(i, frame, timed):
         timed("save", save_image, frame, out / names[i])
@@ -142,7 +143,8 @@ def _cmd_register(args, config: RunConfig) -> int:
 
 def _cmd_train(args, config: RunConfig) -> int:
     manifest = read_manifest(_require(args, "manifest"))
-    out = _out_dir(config)  # a bad output target fails here, not after the anchor
+    out = _out_dir(config)
+    _refuse_outputs(args, config, manifest, out, ("grid.txt",))
     # the anchor alone, in mode 'none': no other frame is loaded, and no
     # reference is built, which only registration and other frames read
     alone = Manifest((manifest.entries[manifest.anchor_index],), manifest.roi_name, 0)
@@ -161,9 +163,8 @@ def _cmd_score(args, config: RunConfig) -> int:
     faults = minor_faults()
     grid = load_grid(_require(args, "grid_file"))
     manifest = read_manifest(_require(args, "manifest"))
-    # a bad output target fails before the frames
     out = None if config.out_dir is None else _out_dir(config)
-    trace = _trace_target(args, config, manifest, out, ("qe.csv",) if out else ())
+    trace = _refuse_outputs(args, config, manifest, out, ("qe.csv",) if out else ())
     tail = ScoreTail(manifest, config, grid)
     staged = list(preprocessed_frames(manifest, config, tail))
     emit_start = time.perf_counter()
@@ -219,12 +220,9 @@ def _cmd_plot(args, config: RunConfig) -> int:
 def _cmd_run(args, config: RunConfig) -> int:
     faults = minor_faults()
     manifest = read_manifest(_require(args, "manifest"))
-    out = _out_dir(config)  # a bad output target fails here, not after the last frame
-    artifacts = ("report.csv", "grid.txt", "transforms.txt", "plots")  # plots a directory
-    for name in artifacts:  # and so does an artifact path of the other kind
-        if (out / name).exists() and (out / name).is_dir() != (name == "plots"):
-            raise InputError(f"{out / name}: {'not' if name == 'plots' else 'is'} a directory")
-    trace = _trace_target(args, config, manifest, out, artifacts)
+    out = _out_dir(config)
+    artifacts = ("report.csv", "grid.txt", "transforms.txt", "plots")
+    trace = _refuse_outputs(args, config, manifest, out, artifacts)
     report = run_pipeline(manifest, config)
     emit_start = time.perf_counter()
     emit_csv(report, out / "report.csv", config)
@@ -244,23 +242,24 @@ def _cmd_run(args, config: RunConfig) -> int:
     return 0
 
 
-def _trace_target(args, config: RunConfig, manifest, out: Path | None, artifacts):
-    """`--trace FILE`, or None; refused before any frame is loaded where it is
-    a directory, sits in a missing one, or names one of the `artifacts` in
-    `out` (or anything in one) or an input of the command."""
-    trace = args.trace
-    if trace is None:
-        return None
-    if trace.is_dir() or not trace.parent.is_dir():
+def _refuse_outputs(args, config: RunConfig, manifest, out: Path | None, artifacts):
+    """`--trace FILE`, or None; each frame command calls this before any frame
+    loads.  Refused: an `artifacts` path in `out` of the other kind (a directory
+    where a file goes, a file at `plots`), and a trace that is a directory, sits
+    in a missing one, or names an artifact (or anything in one) or an input."""
+    trace = getattr(args, "trace", None)  # register and train take no --trace
+    if trace is not None and (trace.is_dir() or not trace.parent.is_dir()):
         raise InputError(f"--trace {trace}: not a file in an existing directory")
-    target = trace.resolve()
+    targets = () if trace is None else (trace.resolve(), *trace.resolve().parents)
     for name in artifacts:
-        if out.resolve() / name in (target, *target.parents):
+        if (out / name).exists() and (out / name).is_dir() != (name == "plots"):
+            raise InputError(f"{out / name}: {'not' if name == 'plots' else 'is'} a directory")
+        if targets and out.resolve() / name in targets:
             raise InputError(f"--trace {trace}: would overwrite the {args.command}'s {name}")
     frames = (entry.path for entry in manifest.entries)
     inputs = (args.manifest, args.config, getattr(args, "grid_file", None), config.covariates)
     for path in filter(None, (*inputs, *frames)):  # samefile also sees a symlink or hard link
-        if trace.exists() and path.exists() and os.path.samefile(trace, path):
+        if trace is not None and trace.exists() and path.exists() and path.samefile(trace):
             raise InputError(f"--trace {trace}: would overwrite the input {path}")
     return trace
 

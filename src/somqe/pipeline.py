@@ -93,7 +93,7 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
     One frame per line: path, label, year, separated by tabs.  '#' starts a
     comment line; blank lines are skipped.  Relative paths are resolved
     against the manifest's own directory.  The anchor defaults to the last
-    entry; the ROI name defaults to the file stem.
+    entry; the ROI name, the file stem by default, may hold no line break.
     """
     path = Path(path)
     entries = []
@@ -126,7 +126,10 @@ def read_manifest(path, roi_name: str | None = None, anchor_index: int | None = 
         raise InputError(f"manifest {path}: no frame entries")
     if anchor_index is None:
         anchor_index = len(entries) - 1
-    return Manifest(tuple(entries), roi_name or path.stem, anchor_index)
+    roi_name = roi_name or path.stem
+    if "\n" in roi_name or "\r" in roi_name:
+        raise InputError(f"manifest {path}: ROI name {roi_name!r} holds a line break")
+    return Manifest(tuple(entries), roi_name, anchor_index)
 
 
 # ---------------------------------------------------------------------------

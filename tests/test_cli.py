@@ -1,5 +1,6 @@
 """End-to-end command-line flows in temporary directories."""
 
+import errno
 import importlib.util
 import os
 import re
@@ -1133,10 +1134,19 @@ def test_run_refuses_a_bad_output_target_before_loading_a_frame(
     assert list((tmp_path / "a-dir").iterdir()) == []
 
 
-@pytest.mark.parametrize("artifact", ["report.csv", "grid.txt", "transforms.txt", "plots"])
+@pytest.mark.parametrize("command, artifact", [
+    *(pytest.param("run", name, id=name)
+      for name in ("report.csv", "grid.txt", "transforms.txt", "plots")),
+    ("register", "transforms.txt"),
+    ("register", "registered_manifest.tsv"),
+    ("register", "000_frame0.ppm"),
+    ("train", "grid.txt"),
+    ("score", "qe.csv"),
+])
 def test_run_refuses_an_artifact_path_of_the_other_kind_before_loading_a_frame(
-    tmp_path, capsys, one_cpu, frame_loads, artifact
+    tmp_path, capsys, one_cpu, frame_loads, command, artifact
 ):
+    """So does every other frame command, for each file it writes into --out."""
     manifest, _ = make_workspace(tmp_path)
     out = tmp_path / "o"
     out.mkdir()
@@ -1146,7 +1156,12 @@ def test_run_refuses_an_artifact_path_of_the_other_kind_before_loading_a_frame(
     else:
         (out / artifact).mkdir()
         message = "is a directory"
-    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 1
+    argv = [command, "--manifest", str(manifest), "--out", str(out)]
+    if command == "score":
+        grid = tmp_path / "grid.txt"
+        save_grid(SomGrid(2, 2, np.full((4, 3), 0.5)), grid)
+        argv += ["--grid-file", str(grid)]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert_single_error_line(captured, "input")
     assert captured.err.endswith(f": {out / artifact}: {message}\n")
@@ -1261,18 +1276,25 @@ def test_a_fifo_as_the_anchor_frame_exits_1_at_once(tmp_path):
 def test_a_failed_write_names_its_frame_once_in_this_process_and_in_a_worker(
     tmp_path, capsys, monkeypatch
 ):
-    """register's write of frame 2 (not the anchor) meets a directory."""
+    """register's write of frame 2 (not the anchor) fails.  The writer is
+    patched before the frame pool forks, so a worker fails with it too."""
     manifest, _ = make_workspace(tmp_path, n_frames=4)
     out = tmp_path / "o"
-    (out / "002_frame2.ppm").mkdir(parents=True)
+    real_save = cli_module.save_image
+
+    def save_failing_frame_2(image, path):
+        if path.name == "002_frame2.ppm":
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        real_save(image, path)
+
+    monkeypatch.setattr(cli_module, "save_image", save_failing_frame_2)
     errors = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         assert main(["register", "--manifest", str(manifest), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert_single_error_line(captured, "input")
-        # the temporary file's name is random
-        errors.append(re.sub(r"\.somqe-tmp-[0-9a-f]+", ".somqe-tmp-x", captured.err))
+        errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("somqe: error: input: frame 2: [Errno 21] Is a directory: ")
     assert errors[0].count("frame ") == 1, errors[0]

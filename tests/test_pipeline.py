@@ -164,6 +164,15 @@ def test_read_manifest_errors(tmp_path):
     with pytest.raises(InputError, match="anchor index"):
         read_manifest(mpath, anchor_index=5)
 
+    # a line break in the ROI name, from the file stem or given, would split
+    # the '# roi:' line of every report written from it
+    broken = tmp_path / "a\nb.tsv"
+    broken.write_text("a.ppm\tx\t1984\n")
+    for path, roi_name, shown in ((broken, None, "'a\\nb'"), (mpath, "a\rb", "'a\\rb'")):
+        message = re.escape(f"manifest {path}: ROI name {shown} holds a line break")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            read_manifest(path, roi_name=roi_name)
+
 
 # ---------------------------------------------------------------------------
 # configuration

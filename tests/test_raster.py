@@ -498,6 +498,9 @@ def test_png_agrees_with_pillow():
 def test_png_error_cases():
     with pytest.raises(InputError, match="truncated payload"):
         decode_png(b"\x89PNG\r\n\x1a\nXXXX")
+    # decode_png checks the signature itself when called without load_image
+    with pytest.raises(InputError, match="^malformed header: missing PNG signature$"):
+        decode_png(b"GIF89a" + bytes(16))
     with pytest.raises(InputError, match="malformed header"):
         decode_png(b"\x89PNG\r\n\x1a\n" + _chunk(b"IEND", b""))
     # colour type 5 is not one PNG defines (0, 2, 3, 4 and 6 are)
@@ -588,6 +591,11 @@ def test_png_palette_errors():
     for palette in (np.zeros((3, 3)), np.zeros((0, 3))):  # index 3 past it, or empty
         with pytest.raises(InputError, match=r"^malformed header: palette index out of range$"):
             decode_png(encode_png(idx, color_type=3, palette=palette))
+    # a PLTE of 4 bytes holds no whole number of RGB entries
+    ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 3, 0, 0, 0)
+    plte = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"PLTE", bytes(4))
+    with pytest.raises(InputError, match=r"^malformed header: bad palette length$"):
+        decode_png(plte + _chunk(b"IDAT", zlib.compress(bytes(6))) + _chunk(b"IEND", b""))
 
 
 def test_png_crc_mismatch_rejected():
